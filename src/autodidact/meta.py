@@ -24,7 +24,7 @@ from .grid import GOALS_PER_WORLD, WORLD_COUNT, WORLDS
 from .isa import SOLVER_ISA, InstructionSet, OpSpec
 from .patterns import PATTERN_COUNT
 from .tasks import DecisionTask, GoalSpec, PatternTask, Task, make_efficiency_task
-from .templates import instantiate
+from .templates import TEMPLATE_NAMES, const_nibble, instantiate, instantiate_wide
 from .validate import BudgetExhausted, RepertoireItem
 from .vm import Append, SetEntry, SetSlot, SolverProgram, Truncate
 
@@ -170,17 +170,21 @@ class MetaProgram:
 
     @property
     def opcode_sequence(self) -> tuple:
-        """Every opcode in encoding order, the three terminators included."""
-        seq = [c for c, _ in self.inventor] + [0]
-        seq += [c for c, _ in self.modifier] + [0]
-        seq += [c for c, _ in self.directives] + [0]
-        return tuple(seq)
+        return opcode_sequence(self.inventor, self.modifier, self.directives)
 
     @property
     def nibble_count(self) -> int:
         return sum(
             len(args) for part in (self.inventor, self.modifier, self.directives) for _, args in part
         )
+
+
+def opcode_sequence(inventor: tuple, modifier: tuple, directives: tuple) -> tuple:
+    """Every opcode in encoding order, the three terminators included."""
+    seq = [c for c, _ in inventor] + [0]
+    seq += [c for c, _ in modifier] + [0]
+    seq += [c for c, _ in directives] + [0]
+    return tuple(seq)
 
 
 def decode_meta(bits: BitString) -> MetaProgram:
@@ -284,31 +288,85 @@ class Meter:
         self.spent += n
 
 
-_Meter = Meter
+# ---------------------------------------------------------------------------
+# Context-free checks, shared by run_meta and the scheduler's static verdicts
+# ---------------------------------------------------------------------------
+
+# Ops whose fault or step bill depends on the context: they read the archive,
+# the solver or its installed segments.  Every other compute or edit op bills
+# exactly one step and faults, if at all, on its own immediates (see
+# static_fault); the values it leaves on the stack only shape the edits.
+CONTEXT_OPS = frozenset({M_RD_TASK, M_RD_SOLV, M_E_MAP, M_E_CLONE, M_E_SET})
+GRID_TEMPLATE = TEMPLATE_NAMES.index("grid_walk")  # plans on the proposed task
+
+
+def reads_context(code: int, args: tuple) -> bool:
+    """True when a compute or edit op's verdict or bill can depend on the context."""
+    return code in CONTEXT_OPS or (code == M_E_TPL and args[0] == GRID_TEMPLATE)
+
+
+def static_fault(code: int, args: tuple) -> Optional[str]:
+    """The fault an op raises whatever the context, as its message; else None."""
+    if code in (M_T_COPY, M_T_CONST, M_T_NEG):
+        if args[0] >= PATTERN_COUNT:
+            return f"pattern address {args[0]} outside the database"
+    elif code == M_T_GRID:
+        w, g = args[0] >> 2, args[0] & 3
+        if w >= WORLD_COUNT or g >= GOALS_PER_WORLD:
+            return f"no world {w} goal {g}"
+    elif code == M_E_TPL:
+        if args[0] >= len(TEMPLATE_NAMES):
+            return f"no template {args[0]}"
+    elif code == M_E_TPLC:
+        if args[1] > 4:
+            return "constant width beyond the source nibble"
+    elif code == M_E_TPLW:
+        if args[0] != 0:
+            return f"no wide template {args[0]}"
+    elif code == M_E_APP:
+        if SOLVER_ISA.by_code[args[0] + 1].nibbles != 0:
+            return "opcode needs an immediate; use E_APPI"
+    elif code == M_E_APPI:
+        if SOLVER_ISA.by_code[args[0] + 1].nibbles != 1:
+            return "opcode takes no immediate; use E_APP"
+    return None
+
+
+def invent_task(code: int, args: tuple, ctx: MetaContext) -> Task:
+    """The task a task op proposes; a pure function of (op, args) within a phase."""
+    memo_key = (code, args)
+    task = ctx.task_memo.get(memo_key)
+    if task is None:
+        task = _build_task(code, args, ctx)
+        ctx.task_memo[memo_key] = task
+    return task
+
+
+def check_invented(task: Optional[Task], ctx: MetaContext) -> None:
+    """The inventor/modifier boundary: exactly one task, and a new one."""
+    if task is None:
+        raise MalformedTask("inventor finished without a task")
+    if task.identity() in ctx.known_identities:
+        raise MalformedTask("task already in the repertoire")
 
 
 def _build_task(code: int, args: tuple, ctx: MetaContext) -> Task:
+    msg = static_fault(code, args)
+    if msg is not None:
+        raise MalformedTask(msg)
     if code == M_T_COPY:
         k = args[0]
-        if k >= PATTERN_COUNT:
-            raise MalformedTask(f"pattern address {k} outside the database")
         return PatternTask(k, nibble(k), nibble(k), ctx.t_pattern, ctx.n_pattern)
     if code == M_T_CONST:
         v = args[0]
-        if v >= PATTERN_COUNT:
-            raise MalformedTask(f"pattern address {v} outside the database")
         return PatternTask(v, nibble(v + 1), nibble(v), ctx.t_pattern, ctx.n_pattern)
     if code == M_T_NEG:
         k = args[0]
-        if k >= PATTERN_COUNT:
-            raise MalformedTask(f"pattern address {k} outside the database")
         # Query is the complement of the address nibble so negate tasks get
         # their own identifier space instead of capturing copy identifiers.
         return PatternTask(k, nibble(~k), nibble(k), ctx.t_pattern, ctx.n_pattern)
     if code == M_T_GRID:
         w, g = args[0] >> 2, args[0] & 3
-        if w >= WORLD_COUNT or g >= GOALS_PER_WORLD:
-            raise MalformedTask(f"no world {w} goal {g}")
         world = WORLDS[w]
         ident = BitString(w, 4) + BitString(g, 4)
         return DecisionTask(ident, GoalSpec(world.goals[g]), ctx.t_grid, ctx.n_grid, world)
@@ -399,17 +457,10 @@ def run_meta(meta: MetaProgram, ctx: MetaContext, meter: Meter) -> Proposal:
         if code in COMPUTE_OPS:
             exec_compute(code, args, True)
         elif code in TASK_OPS:
-            memo_key = (code, args)
-            task = ctx.task_memo.get(memo_key)
-            if task is None:
-                task = _build_task(code, args, ctx)
-                ctx.task_memo[memo_key] = task
+            task = invent_task(code, args, ctx)
         else:
             raise MalformedTask(f"op {code} not allowed while inventing")
-    if task is None:
-        raise MalformedTask("inventor finished without a task")
-    if task.identity() in ctx.known_identities:
-        raise MalformedTask("task already in the repertoire")
+    check_invented(task, ctx)
 
     # -- modifier --------------------------------------------------------
     def do_append(instrs) -> None:
@@ -424,7 +475,13 @@ def run_meta(meta: MetaProgram, ctx: MetaContext, meter: Meter) -> Proposal:
         meter.charge(1)
         if code in COMPUTE_OPS:
             exec_compute(code, args, False)
-        elif code == M_E_TPL:
+            continue
+        if code not in EDIT_OPS:
+            raise MalformedEdit(f"op {code} not allowed while modifying")
+        msg = static_fault(code, args)
+        if msg is not None:
+            raise MalformedEdit(msg)
+        if code == M_E_TPL:
             try:
                 instrs, extra = instantiate(args[0], task)
             except ValueError as exc:
@@ -432,19 +489,9 @@ def run_meta(meta: MetaProgram, ctx: MetaContext, meter: Meter) -> Proposal:
             meter.charge(extra)
             do_append(instrs)
         elif code == M_E_TPLC:
-            from .templates import const_nibble
-
-            v, width = args
-            if width > 4:
-                raise MalformedEdit("constant width beyond the source nibble")
-            do_append(const_nibble(v, width))
+            do_append(const_nibble(*args))
         elif code == M_E_TPLW:
-            from .templates import instantiate_wide
-
-            try:
-                do_append(instantiate_wide(args[0], args[1]))
-            except ValueError as exc:
-                raise MalformedEdit(str(exc)) from exc
+            do_append(instantiate_wide(*args))
         elif code == M_E_MAP:
             s = args[0]
             if s >= len(ctx.segments):
@@ -452,15 +499,9 @@ def run_meta(meta: MetaProgram, ctx: MetaContext, meter: Meter) -> Proposal:
             edits.append(SetEntry(task.identifier.to_hex(), ctx.segments[s][0]))
             explicit_map = True
         elif code == M_E_APP:
-            op = args[0] + 1
-            if SOLVER_ISA.by_code[op].nibbles != 0:
-                raise MalformedEdit("opcode needs an immediate; use E_APPI")
-            do_append([(op, ())])
+            do_append([(args[0] + 1, ())])
         elif code == M_E_APPI:
-            op = args[0] + 1
-            if SOLVER_ISA.by_code[op].nibbles != 1:
-                raise MalformedEdit("opcode takes no immediate; use E_APP")
-            do_append([(op, (args[1],))])
+            do_append([(args[0] + 1, (args[1],))])
         elif code == M_E_CLONE:
             s = args[0]
             if s >= len(ctx.segments):
@@ -481,8 +522,6 @@ def run_meta(meta: MetaProgram, ctx: MetaContext, meter: Meter) -> Proposal:
         elif code == M_E_TRUNC:
             n = pop(False)
             edits.append(Truncate(n % (base_len + 1)))
-        else:
-            raise MalformedEdit(f"op {code} not allowed while modifying")
 
     # Route the new task at its appended code unless mapped explicitly.
     if appended and not explicit_map:

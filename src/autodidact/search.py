@@ -10,6 +10,22 @@ larger ceiling can never change an already-accepted archive prefix.
 Determinism of verdicts lets conclusively rejected candidates be skipped on
 later doublings without changing any observable behaviour; only candidates
 whose earlier attempt was cut by the budget are retried.
+
+Many runs are decided by the candidate's own bits.  Every meta op bills one
+step before it acts, and most ops either cannot fault or fault on their
+immediates alone (meta.static_fault); only a few read the archive, the
+solver or its segments (meta.reads_context).  Each bucket entry is therefore
+compiled once into a StaticRecord: the unit charges certain to be billed
+before the first context read, and the first context-free fault.  The one
+check in between that depends on the phase, the inventor/modifier boundary,
+reads only the inventor's task op, so it is resolved once per task key and
+phase.  A candidate whose budget is below its certain charges is cut, and
+one whose fault is within budget is rejected, with exactly the verdict,
+step bill and reason a run would produce: a run is deterministic, bills
+nothing before those points that the record does not count, and rewinds its
+scratch writes, so skipping it is observationally identical to running it.
+Everything else still runs.  Paranoid mode runs the decided candidates too
+and checks the two records agree.
 """
 
 from __future__ import annotations
@@ -17,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bits import BitString
 from .isa import ARG_BITS, OPCODE_BITS, TERMINATOR
@@ -35,7 +51,12 @@ from .meta import (
     MetaProgram,
     Meter,
     Proposal,
+    check_invented,
+    invent_task,
+    opcode_sequence,
+    reads_context,
     run_meta,
+    static_fault,
     undo_storage,
 )
 from .prior import Prior
@@ -65,12 +86,9 @@ class Acceptance:
 class PhaseStats:
     t_lim_trace: list = field(default_factory=list)
     candidates_run: int = 0
-    candidates_cached: int = 0
     rejected: int = 0
     steps_total: int = 0
     budget_violations: int = 0
-    undo_failures: int = 0
-    undone_writes: int = 0
     max_len_bits: int = 0
     winner_budget: int = 0
     winner_prior: Optional[Fraction] = None
@@ -163,6 +181,8 @@ class CandidateSpace:
         self._mod: dict[tuple, list] = {}
         self._dir: dict[int, list] = {}
         self._buckets: dict[int, list] = {}
+        self._static: dict[int, list] = {}
+        self._interned: dict = {}
 
     # Bodies are lists of (value, bits, instrs, needs, net) for op sequences
     # of exactly ``b`` body bits, generated in lexicographic order.
@@ -286,11 +306,120 @@ class CandidateSpace:
         self._buckets[total_bits] = out
         return out
 
+    def compiled_bucket(self, total_bits: int) -> tuple[list, list]:
+        """``bucket(total_bits)`` and, entry for entry, its StaticRecords.
+
+        Records are built on first use and interned: the 90k entries up to
+        39 bits share about 4.4k distinct records.
+        """
+        entries = self.bucket(total_bits)
+        records = self._static.get(total_bits)
+        if records is None:
+            interned = self._interned
+            records = []
+            for _v, i1, i2, i3 in entries:
+                rec = static_record(i1, i2, i3)
+                records.append(interned.setdefault(rec, rec))
+            self._static[total_bits] = records
+        return entries, records
+
     def candidates(self, max_len_bits: int):
         """Shortlex stream of MetaPrograms up to the given encoded length."""
         for total in range(3 * OPCODE_BITS, max_len_bits + 1):
             for v, i1, i2, i3 in self.bucket(total):
                 yield MetaProgram(BitString(v, total), i1, i2, i3)
+
+
+# ---------------------------------------------------------------------------
+# Static verdicts: what a candidate's own bits decide before it runs
+# ---------------------------------------------------------------------------
+
+EXTERNAL_KEY = ()  # task key of an inventor without a task op: the queued task
+
+
+class StaticRecord(NamedTuple):
+    """The context-free part of one candidate's run.
+
+    ``certain`` unit charges are billed before anything that depends on the
+    context can happen; if ``fault`` is set, the run then ends with that
+    reason.  When the inventor reaches its end, ``key`` (the last task op, or
+    EXTERNAL_KEY) is checked at the inventor/modifier boundary after
+    ``key_steps`` charges; only a key that passes lets the record continue
+    into the modifier.  ``key`` is None when the walk stopped earlier.
+    """
+
+    certain: int
+    fault: Optional[str]
+    key: Optional[tuple]
+    key_steps: int
+
+
+def static_record(inventor: tuple, modifier: tuple, directives: tuple) -> StaticRecord:
+    """Walk a candidate the way run_meta would, without any context.
+
+    Every op bills one step before it acts.  The walk stops at the first op
+    whose fault or bill may depend on the context, or at the first fault its
+    immediates alone decide.  Stack faults cannot occur: the enumeration
+    prunes underflows, and overflow needs more ops than any bucket holds.
+    """
+    steps = 0
+    key = EXTERNAL_KEY
+    for code, args in inventor:
+        steps += 1
+        if code in TASK_OPS:
+            msg = static_fault(code, args)
+            if msg is not None:
+                return StaticRecord(steps, f"malformed_task: {msg}", None, 0)
+            key = (code, args)
+        elif reads_context(code, args):
+            return StaticRecord(steps, None, None, 0)
+    key_steps = steps
+    for code, args in modifier:
+        steps += 1
+        if reads_context(code, args):
+            return StaticRecord(steps, None, key, key_steps)
+        msg = static_fault(code, args)
+        if msg is not None:
+            return StaticRecord(steps, f"malformed_edit: {msg}", key, key_steps)
+    return StaticRecord(steps + len(directives), None, key, key_steps)
+
+
+class BoundaryVerdicts(dict):
+    """Task key -> the boundary check's fault reason (None when it passes).
+
+    Built lazily once per phase: a task op reads only its immediates and
+    the phase's fixed context, so every candidate with the same key gets the
+    same verdict.
+    """
+
+    def __init__(self, ctx: MetaContext):
+        super().__init__()
+        self.ctx = ctx
+
+    def __missing__(self, key: tuple) -> Optional[str]:
+        ctx = self.ctx
+        try:
+            task = ctx.external_task if key == EXTERNAL_KEY else invent_task(*key, ctx)
+            check_invented(task, ctx)
+            reason = None
+        except MalformedTask as exc:
+            reason = f"malformed_task: {exc}"
+        self[key] = reason
+        return reason
+
+
+def static_verdict(rec: StaticRecord, budget: int, boundary: BoundaryVerdicts):
+    """(verdict, steps, reason) when the record decides the run, else None."""
+    certain, fault, key, key_steps = rec
+    if key is not None:
+        bad = boundary[key]
+        if bad is not None:
+            certain, fault = key_steps, bad
+    if budget < certain:
+        return "budget", budget, "budget"
+    if fault is not None:
+        return "rejected", certain, fault
+    return None
 
 
 _spaces: dict = {}
@@ -399,7 +528,9 @@ def try_candidate(
     try:
         proposal = run_meta(meta, ctx, meter)
         q, changed = apply_modification(ctx.solver, proposal.edits)
-        details = problem.judge(q, changed, proposal, meter, caches or fresh_caches())
+        details = problem.judge(
+            q, changed, proposal, meter, caches if caches is not None else fresh_caches()
+        )
         if details is not None:
             record = CandidateRecord("accepted", meter.spent)
             accepted = Acceptance(meta, proposal, q, changed, details)
@@ -440,34 +571,53 @@ def oops_search(
     now satisfy P(p) * t_lim >= 1.  Conclusively rejected candidates would
     return the same verdict at any budget (everything is deterministic), so
     they are never re-run; retries always precede newly affordable programs
-    in shortlex order because they are strictly shorter.
+    in shortlex order because they are strictly shorter.  A candidate whose
+    StaticRecord decides its run is billed that record without running.
     """
     stats = PhaseStats()
     space = candidate_space(problem.domain, problem.external)
     prior = problem.prior
     uniform = not prior.adapted
+    paranoid, hook = problem.paranoid, problem.on_candidate
     t_lim = 1
     stats.t_lim_trace.append(t_lim)
     caches = fresh_caches()
-    retries: list[tuple[MetaProgram, Fraction]] = []
-    deferred: list[tuple[MetaProgram, Fraction]] = []  # adapted mode only
+    boundary = BoundaryVerdicts(problem.ctx)
+    # Pending candidates are (total bits, bucket entry, StaticRecord, prior);
+    # the prior is None in uniform mode, where P(p) = 2**-total exactly.
+    retries: list[tuple] = []
+    deferred: list[tuple] = []  # adapted mode only
     enumerated_upto = 3 * OPCODE_BITS - 1
 
-    def run_one(meta: MetaProgram, p: Fraction):
-        budget = ceil_fraction(p * t_lim)
-        record, acc = try_candidate(meta, problem, budget, caches)
+    def run_one(total: int, entry: tuple, rec: StaticRecord, p, budget: int):
+        decided = static_verdict(rec, budget, boundary)
+        if decided is None or paranoid or hook is not None:
+            meta = MetaProgram(BitString(entry[0], total), entry[1], entry[2], entry[3])
+        acc = None
+        if decided is None:
+            record, acc = try_candidate(meta, problem, budget, caches)
+            verdict, steps = record.verdict, record.steps
+            if steps > budget:
+                stats.budget_violations += 1
+        else:
+            verdict, steps, _reason = decided
+            if paranoid:
+                # The executed run is the oracle; it also feeds the hook.
+                record, _ = try_candidate(meta, problem, budget, caches)
+                if (record.verdict, record.steps, record.reason) != decided:
+                    raise AssertionError(f"static verdict {decided} but the run gave {record}")
+            elif hook is not None:
+                hook(meta, CandidateRecord(*decided), budget, 0)
         stats.candidates_run += 1
-        stats.steps_total += record.steps
-        if record.steps > budget:
-            stats.budget_violations += 1
+        stats.steps_total += steps
         if acc is not None:
             stats.t_lim = t_lim
             stats.winner_budget = budget
-            stats.winner_prior = p
+            stats.winner_prior = Fraction(1, 1 << total) if p is None else p
             return acc
         stats.rejected += 1
-        if record.verdict == "budget":
-            next_retries.append((meta, p))
+        if verdict == "budget":
+            next_retries.append((total, entry, rec, p))
         return None
 
     while True:
@@ -482,35 +632,41 @@ def oops_search(
         if log:
             log({"event": "doubling", "t_lim": t_lim, "max_bits": max_bits})
 
-        next_retries: list[tuple[MetaProgram, Fraction]] = []
+        next_retries: list[tuple] = []
         # Previously budget-cut candidates, all shorter than anything new.
-        for meta, p in retries:
-            acc = run_one(meta, p)
+        # t_lim is a power of two at least 2**total, so t_lim >> total is
+        # exactly ceil(2**-total * t_lim).
+        for total, entry, rec, p in retries:
+            budget = t_lim >> total if p is None else ceil_fraction(p * t_lim)
+            acc = run_one(total, entry, rec, p, budget)
             if acc is not None:
                 return acc, stats
         # Adapted mode: previously enumerated but then-unaffordable programs.
         if deferred:
-            still: list[tuple[MetaProgram, Fraction]] = []
-            for meta, p in deferred:
+            still: list[tuple] = []
+            for total, entry, rec, p in deferred:
                 if p * t_lim >= 1:
-                    acc = run_one(meta, p)
+                    acc = run_one(total, entry, rec, p, ceil_fraction(p * t_lim))
                     if acc is not None:
                         return acc, stats
                 else:
-                    still.append((meta, p))
+                    still.append((total, entry, rec, p))
             deferred = still
         # Newly reachable lengths, shortlex.
         for total in range(enumerated_upto + 1, max_bits + 1):
-            for v, i1, i2, i3 in space.bucket(total):
-                meta = MetaProgram(BitString(v, total), i1, i2, i3)
+            entries, records = space.compiled_bucket(total)
+            budget = t_lim >> total
+            for entry, rec in zip(entries, records):
                 if uniform:
-                    p = Fraction(1, 1 << total)
+                    acc = run_one(total, entry, rec, None, budget)
                 else:
-                    p = prior.program_prior(meta.opcode_sequence, meta.nibble_count)
+                    seq = opcode_sequence(entry[1], entry[2], entry[3])
+                    nibbles = (total - OPCODE_BITS * len(seq)) // ARG_BITS
+                    p = prior.program_prior(seq, nibbles)
                     if p * t_lim < 1:
-                        deferred.append((meta, p))
+                        deferred.append((total, entry, rec, p))
                         continue
-                acc = run_one(meta, p)
+                    acc = run_one(total, entry, rec, p, ceil_fraction(p * t_lim))
                 if acc is not None:
                     return acc, stats
         enumerated_upto = max(enumerated_upto, max_bits)
@@ -574,10 +730,10 @@ def stochastic_search(
     stats = PhaseStats()
     space = candidate_space(problem.domain, problem.external)
     rng = random.Random(f"{seed}:{phase_index}")
-    novelty_cache: dict = {}
+    caches = fresh_caches()
     for trial in range(max_candidates):
         meta = _sample_candidate(rng, theta, space)
-        record, acc = try_candidate(meta, problem, candidate_budget, novelty_cache)
+        record, acc = try_candidate(meta, problem, candidate_budget, caches)
         stats.candidates_run += 1
         stats.steps_total += record.steps
         if acc is not None:

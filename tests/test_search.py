@@ -3,28 +3,43 @@ from fractions import Fraction
 
 import pytest
 
-from autodidact.bits import BitString
+from autodidact.bits import BitString, nibble
 from autodidact.codec import encode
+from autodidact import search
+from autodidact.config import RunConfig
+from autodidact.engine import Engine
 from autodidact.meta import (
     M_E_TPL,
+    M_T_CONST,
     M_T_COPY,
+    M_T_GRID,
     META_ISA,
     MetaContext,
+    MetaProgram,
     ScratchStore,
     decode_meta,
+    invent_task,
     well_formed,
 )
 from autodidact.prior import Prior
 from autodidact.search import (
+    BoundaryVerdicts,
     SearchCeilingReached,
     SearchProblem,
     candidate_space,
     ceil_fraction,
     max_affordable_bits,
     oops_search,
+    static_verdict,
     stochastic_search,
+    try_candidate,
 )
+from autodidact.tasks import PatternTask
+from autodidact.templates import copy_query_loop, grid_walk
+from autodidact.validate import RepertoireItem
 from autodidact.vm import SolverProgram
+
+from conftest import install_segment
 
 
 def make_ctx():
@@ -209,3 +224,190 @@ def test_stochastic_ceiling():
     problem = SearchProblem(ctx=make_ctx(), prior=Prior(META_ISA), judge=never)
     with pytest.raises(SearchCeilingReached):
         stochastic_search(problem, seed=1, phase_index=1, theta={}, max_candidates=50)
+
+
+# ---------------------------------------------------------------------------
+# Static verdicts against execution
+# ---------------------------------------------------------------------------
+
+
+def mid_run_ctx():
+    """A mixed-domain context three acceptances in: a copy task, a grid task
+    and a task too tight to tighten further, with their code installed."""
+    ctx = make_ctx()
+    copy = invent_task(M_T_COPY, (0,), ctx)
+    grid = invent_task(M_T_GRID, (0,), ctx)
+    tight = PatternTask(3, nibble(4), nibble(3), ctx.eps_wow - 2, 1024)
+    walk = grid_walk(grid.world, grid.goal.target_cell)
+    solver, _ = install_segment(SolverProgram(), copy_query_loop(), copy.identifier.to_hex())
+    solver, _ = install_segment(solver, walk, grid.identifier.to_hex())
+    repertoire = [
+        RepertoireItem(index=i, task=task, trace=None)
+        for i, task in enumerate((copy, grid, tight), start=1)
+    ]
+    return MetaContext(
+        solver=solver,
+        repertoire=repertoire,
+        segments=[(0, len(copy_query_loop())), (len(copy_query_loop()), len(walk))],
+        scratch=ScratchStore(),
+        t_pattern=64,
+        n_pattern=1024,
+        t_grid=48,
+        n_grid=1024,
+        eps_wow=5,
+        known_identities=frozenset(item.task.identity() for item in repertoire),
+    )
+
+
+EDIT_FAULTS = {
+    "malformed_edit: no template 3",
+    "malformed_edit: no wide template 1",
+    "malformed_edit: constant width beyond the source nibble",
+    "malformed_edit: opcode needs an immediate; use E_APPI",
+    "malformed_edit: opcode takes no immediate; use E_APP",
+}
+TASK_FAULTS = {
+    "malformed_task: pattern address 12 outside the database",
+    "malformed_task: no repertoire task 4",
+}
+DUPLICATE = "malformed_task: task already in the repertoire"
+
+
+def _context(name):
+    if name == "empty":
+        return make_ctx(), False, 38, {"budget"} | EDIT_FAULTS | TASK_FAULTS
+    if name == "mid_run":
+        untightenable = "malformed_task: tightened bound fell below 1"
+        expected = {"budget", DUPLICATE, untightenable} | EDIT_FAULTS | TASK_FAULTS
+        return mid_run_ctx(), False, 38, expected
+    if name == "external":
+        ctx = make_ctx()
+        ctx.external_task = invent_task(M_T_CONST, (7,), make_ctx())
+        return ctx, True, 35, {"budget"} | EDIT_FAULTS
+    ctx = mid_run_ctx()
+    ctx.external_task = ctx.repertoire[0].task
+    return ctx, True, 30, {DUPLICATE}
+
+
+# Bucket sizes grow about 1.5x per bit; the limits keep each context near a
+# second while covering every op: E_TPLC first fits a self-inventing
+# candidate at 37 bits, and E_SET on an empty solver followed by a directive
+# (RD_SIZE MDUP E_SET, V_DESC) an external one at 35.
+@pytest.mark.parametrize("context", ["empty", "mid_run", "external", "external_known"])
+def test_static_verdicts_equal_executed_records(context):
+    ctx, external, max_bits, expected = _context(context)
+    problem = SearchProblem(
+        ctx=ctx, prior=Prior(META_ISA), judge=lambda *args: None, external=external
+    )
+    space = candidate_space("mixed", external)
+    boundary = BoundaryVerdicts(ctx)
+    reasons = set()
+    for total in range(15, max_bits + 1):
+        entries, records = space.compiled_bucket(total)
+        assert len(entries) == len(records)
+        for (v, i1, i2, i3), rec in zip(entries, records):
+            meta = MetaProgram(BitString(v, total), i1, i2, i3)
+            for budget in range(1, rec.certain + 2):
+                decided = static_verdict(rec, budget, boundary)
+                if decided is None:
+                    continue
+                record, acc = try_candidate(meta, problem, budget)
+                assert acc is None
+                assert (record.verdict, record.steps, record.reason) == decided, (
+                    meta.code.to_hex(),
+                    budget,
+                )
+                reasons.add(decided[2])
+    assert ctx.scratch.journal == []
+    assert expected <= reasons
+
+
+def test_on_candidate_sees_every_candidate_of_a_mixed_run(tmp_path, monkeypatch):
+    executed, calls, phases = set(), [], []
+
+    def counting_try(meta, problem, budget, caches=None):
+        executed.add((meta.code, budget))
+        return try_candidate(meta, problem, budget, caches)
+
+    def hooked_search(problem, step_ceiling, log=None):
+        problem.on_candidate = lambda *args: calls.append(args)
+        acc, stats = oops_search(problem, step_ceiling, log)
+        phases.append(stats)
+        return acc, stats
+
+    monkeypatch.setattr(search, "try_candidate", counting_try)
+    monkeypatch.setattr("autodidact.engine.oops_search", hooked_search)
+    cfg = RunConfig(
+        variant="I",
+        domain="mixed",
+        max_tasks=2,
+        archive_path=str(tmp_path / "a.jsonl"),
+        metrics_path=str(tmp_path / "m.csv"),
+    )
+    assert Engine(cfg).run().accepted == 2
+    assert len(calls) == sum(stats.candidates_run for stats in phases)
+    static = [c for c in calls if (c[0].code, c[2]) not in executed]
+    assert len(executed) < len(static)
+    for meta, record, budget, undone in static[::97]:
+        assert undone == 0
+        assert record.verdict in ("budget", "rejected")
+        assert decode_meta(meta.code) == meta
+        assert well_formed(meta, "mixed", False)
+
+
+@pytest.mark.parametrize("adapted", [False, True])
+def test_paranoid_mode_executes_static_verdicts_as_an_oracle(monkeypatch, adapted):
+    _target, problem = planted_problem(needed_steps=12)
+    problem.paranoid = True
+    problem.prior = Prior(META_ISA, adapted=adapted)
+    problem.prior.adapt([M_T_COPY, 0, M_E_TPL, 0, 0])
+    calls = []
+    problem.on_candidate = lambda *args: calls.append(args)
+    _acc, stats = oops_search(problem, step_ceiling=2**60)
+    assert len(calls) == stats.candidates_run
+
+    def wrong(rec, budget, boundary):
+        decided = static_verdict(rec, budget, boundary)
+        return None if decided is None else ("rejected", 0, "wrong")
+
+    monkeypatch.setattr(search, "static_verdict", wrong)
+    _target, problem = planted_problem(needed_steps=12)
+    problem.paranoid = True
+    with pytest.raises(AssertionError, match="static verdict"):
+        oops_search(problem, step_ceiling=2**60)
+
+
+class HitCountingDict(dict):
+    hits = 0
+
+    def get(self, key, default=None):
+        if key in self:
+            HitCountingDict.hits += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        HitCountingDict.hits += 1
+        return super().__getitem__(key)
+
+
+def test_stochastic_search_keeps_one_cache_per_phase(tmp_path, monkeypatch):
+    made = []
+
+    def fresh():
+        made.append(1)
+        return {"novelty": HitCountingDict(), "pair": HitCountingDict()}
+
+    monkeypatch.setattr(search, "fresh_caches", fresh)
+    monkeypatch.setattr(HitCountingDict, "hits", 0)
+    cfg = RunConfig(
+        variant="I",
+        domain="mixed",
+        searcher="stochastic",
+        seed=5,
+        max_tasks=3,
+        archive_path=str(tmp_path / "a.jsonl"),
+        metrics_path=str(tmp_path / "m.csv"),
+    )
+    assert Engine(cfg).run().accepted == 3
+    assert len(made) == 3
+    assert HitCountingDict.hits > 0
