@@ -63,10 +63,8 @@ from .vm import (
     SetEntry,
     SetSlot,
     SolverProgram,
-    SolverState,
     Truncate,
     apply_modification,
-    reset_state,
     run_solver,
 )
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .archive import load_archive
-from .costs import CostParams, cost, measure_task, parse_ratio
+from .costs import CostParams, cost, measure_task, parse_ratio, reward
 from .tasks import DecisionTask, solves
 from .validate import RepertoireItem, _preservation_run
 from .vm import EMPTY_SOLVER
@@ -201,12 +201,7 @@ def _audit_cost_entry(
                 use_trace = None  # the solve that froze this entry ran live
             m, _new_tr, _rep = measure_task(which_solver, t, params, use_trace)
             measures[ident] = m
-            if not m.solved:
-                rewards[ident] = Fraction(0)
-            elif origins.get(ident, "self") == "external":
-                rewards[ident] = Fraction(external_rewards.get(ident, 0))
-            else:
-                rewards[ident] = Fraction(params.r_new)
+            rewards[ident] = reward(m, ident, origins, params)
         return cost(which_solver, measures, rewards, params)
 
     c_star = total(prev_solver, live_new=is_new)

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .tasks import DecisionTask, Task, replay_check, solves
-from .vm import SolverProgram
+from .tasks import DecisionTask, PatternTask, Task, replay_check, solves
+from .vm import RunOutcome, SolverProgram
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,6 @@ class CostParams:
             raise ValueError("alpha and epsilon must be positive")
         if self.r_new <= self.t_max:
             raise ValueError("r_new must exceed t_max")
-
-    def reward(self, task: Task, solved: bool, origin: str = "self") -> Fraction:
-        if not solved:
-            return Fraction(0)
-        if origin == "external":
-            return Fraction(self.external_rewards.get(task.identity(), 0))
-        return Fraction(self.r_new)
 
 
 @dataclass(frozen=True)
@@ -76,18 +69,57 @@ def measure_task(
     return TaskMeasure(rep.success, rep.steps, len(rep.components_used)), new_trace, rep
 
 
+def measure_within(
+    full: TaskMeasure, outcome: RunOutcome, grant: int, t_max: int
+) -> tuple[Optional[TaskMeasure], int]:
+    """What a live measure_task under ``grant`` steps returns, read off a t_max run.
+
+    ``full`` and ``outcome`` come from one live run at the whole t_max.  A
+    run granted fewer steps is a prefix of that run, because runs are
+    deterministic, so: a halt or an end at step e <= grant bills e and
+    measures the same; a fault at e <= grant bills the whole grant; a timeout
+    is conclusive only when the grant is t_max itself; anything else,
+    including a grant of 0, which runs nothing, is cut and bills the grant.
+    Returns (measure, steps billed); the measure is None when the run is cut.
+    """
+    if grant >= 1:
+        if outcome.halted or outcome.fault:
+            if outcome.executed <= grant:
+                if outcome.halted:
+                    return full, outcome.executed
+                return TaskMeasure(False, grant, full.components), grant
+        elif grant == t_max:
+            return full, grant
+    return None, grant
+
+
 def task_with_cost_bounds(task: Task, params: CostParams) -> Task:
     """The cost variant drops per-task bounds: judge within t_max, any size.
 
     Size limits must not sneak back in through the task object, otherwise
     solver growth could silently flip cached measures of untouched tasks.
+    A task that already carries these bounds is returned as it is.
     """
     big_n = 1 << 30
+    if task.t == params.t_max and task.n == big_n:
+        return task
     if isinstance(task, DecisionTask):
         return DecisionTask(task.ident, task.goal, params.t_max, big_n, task.world)
-    from .tasks import PatternTask
-
     return PatternTask(task.i1, task.i2, task.o, params.t_max, big_n)
+
+
+def reward(measure: TaskMeasure, identity: str, origins: dict, params: CostParams) -> Fraction:
+    """r(T): r_new for a solved task the system invented, the user's reward
+    for a solved external task, nothing for an unsolved one.
+
+    ``origins`` maps task identity to "self" or "external"; a missing
+    identity is self-invented.
+    """
+    if not measure.solved:
+        return Fraction(0)
+    if origins.get(identity, "self") == "external":
+        return Fraction(params.external_rewards.get(identity, 0))
+    return Fraction(params.r_new)
 
 
 def contribution(measure: TaskMeasure, reward: Fraction, params: CostParams) -> Fraction:
@@ -105,20 +137,6 @@ def cost(
     for identity, m in measures.items():
         total += params.alpha * contribution(m, rewards.get(identity, Fraction(0)), params)
     return total
-
-
-def component_value(
-    k: int, usage, contributions: dict[int, Fraction], params: CostParams
-) -> Fraction:
-    """Val of component k: minus the summed contributions of tasks leaning on it.
-
-    Informational only; reported in metrics so forgetting-averse variants can
-    be built on top without touching acceptance.
-    """
-    total = Fraction(0)
-    for task_index in usage.tasks_for_component(k):
-        total += params.alpha * contributions.get(task_index, Fraction(0))
-    return -total
 
 
 def parse_ratio(text: str) -> Fraction:

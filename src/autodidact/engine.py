@@ -25,7 +25,16 @@ from .archive import (
     repair_archive,
 )
 from .config import RunConfig
-from .costs import CostParams, TaskMeasure, cost, measure_task
+from .costs import (
+    CostParams,
+    TaskMeasure,
+    contribution,
+    cost,
+    measure_task,
+    measure_within,
+    reward,
+    task_with_cost_bounds,
+)
 from .meta import MetaContext, Meter, ScratchStore, decode_meta
 from .prior import Prior
 from .search import (
@@ -48,7 +57,7 @@ from .validate import (
     revalidate_set,
     update_usage,
 )
-from .vm import EMPTY_SOLVER, SolverProgram
+from .vm import EMPTY_SOLVER, SolverProgram, size_change
 
 
 @dataclass
@@ -70,6 +79,31 @@ class V2Details:
     sum_t_old_before: int
     sum_t_old_after: int
     billed: int = 0
+
+
+@dataclass
+class PhaseLedger:
+    """Variant II's ledger under the current solver, fixed for one phase.
+
+    The solver, the repertoire and every stored measure stay put until the
+    phase commits, so what each judge call needs of them is worked out once:
+    the cost of the whole repertoire, each task's contribution and its
+    cost-bounded probe task, and the previous solver's run on every task
+    proposed so far (``novelty``).  A judge call then costs what it
+    re-measures, whatever the size of the repertoire or the solver.
+    """
+
+    params: CostParams
+    origins: dict  # task identity -> "self" | "external"
+    base: Fraction  # cost(s, every repertoire task)
+    contrib: dict  # identity -> contribution under s
+    items: dict  # identity -> RepertoireItem
+    probes: dict  # identity -> task_with_cost_bounds(task)
+    novelty: dict = field(default_factory=dict)  # identity -> (probe, measure, outcome, contrib)
+
+    def contribution(self, identity: str, measure: TaskMeasure) -> Fraction:
+        params = self.params
+        return contribution(measure, reward(measure, identity, self.origins, params), params)
 
 
 @dataclass
@@ -96,6 +130,7 @@ class Engine:
         self.task_origin: dict[str, str] = {}
         self.cost_measures: dict[str, TaskMeasure] = {}
         self.skipped_external: list[str] = []
+        self._ledger: Optional[PhaseLedger] = None  # built by the first judge call of a phase
         if config.workers > 1:
             # Candidates could be validated in parallel under the
             # deterministic-winner contract; this build evaluates them
@@ -230,6 +265,7 @@ class Engine:
             self.task_origin[identity] = "external"
             if external.reward is not None:
                 self.external_rewards[identity] = external.reward
+        self._ledger = None
         ctx = MetaContext(
             solver=self.solver,
             repertoire=self.repertoire,
@@ -311,8 +347,58 @@ class Engine:
             raise BudgetExhausted(meter.spent)
         return measure, new_trace, rep
 
-    def _judge_v2(self, q, changed, proposal, meter: Meter, caches):
+    def _phase_ledger(self) -> PhaseLedger:
         params = self._params()
+        items = {item.task.identity(): item for item in self.repertoire}
+        rewards = {
+            identity: reward(m, identity, self.task_origin, params)
+            for identity, m in self.cost_measures.items()
+        }
+        return PhaseLedger(
+            params=params,
+            origins=self.task_origin,
+            base=cost(self.solver, self.cost_measures, rewards, params),
+            contrib={
+                identity: contribution(m, rewards[identity], params)
+                for identity, m in self.cost_measures.items()
+            },
+            items=items,
+            probes={
+                identity: task_with_cost_bounds(item.task, params)
+                for identity, item in items.items()
+            },
+        )
+
+    def _novelty(self, ledger: PhaseLedger, task: Task, meter: Meter):
+        """The previous solver's measure of a proposed task, billed to the meter.
+
+        The solver runs on each proposed task once per phase, at the whole
+        t_max; every later grant is answered from that run (measure_within).
+        Returns (probe task, measure, contribution under the previous solver).
+        """
+        params = ledger.params
+        identity = task.identity()
+        memo = ledger.novelty.get(identity)
+        if memo is None:
+            probe = task_with_cost_bounds(task, params)
+            full, _trace, rep = measure_task(self.solver, probe, params)
+            memo = (probe, full, rep.outcome, ledger.contribution(identity, full))
+            ledger.novelty[identity] = memo
+        probe, full, outcome, contrib = memo
+        measure, billed = measure_within(full, outcome, min(params.t_max, meter.left), params.t_max)
+        if self.config.paranoid:
+            live, _trace, rep = measure_task(self.solver, probe, params, None, meter.left)
+            if (live if rep.conclusive else None, rep.steps) != (measure, billed):
+                raise AssertionError(
+                    f"novelty memo gave {measure} billing {billed}, "
+                    f"a live run {live} billing {rep.steps}"
+                )
+        meter.charge(billed)
+        if measure is None:
+            raise BudgetExhausted(meter.spent)
+        return probe, measure, contrib
+
+    def _judge_v2(self, q, changed, proposal, meter: Meter, caches):
         task = proposal.task
         new_id = task.identity()
         pair_key = (new_id, tuple(proposal.edits))
@@ -321,44 +407,56 @@ class Engine:
             details, billed = hit
             meter.charge(billed)
             return details
+        if self._ledger is None:
+            self._ledger = self._phase_ledger()
+        ledger = self._ledger
+        params = ledger.params
         spent_before = meter.spent
-        by_identity = {item.task.identity(): item for item in self.repertoire}
 
-        star = dict(self.cost_measures)
-        if new_id not in star:
-            m_prev, _t, _r = self._measure(self.solver, task, None, meter, params)
-            star[new_id] = m_prev
+        # c* is the ledger of the previous solver with the proposed task in it.
+        known = ledger.items.get(new_id)
+        if known is None:
+            probe, m_prev, contrib_prev = self._novelty(ledger, task, meter)
+            c_star = ledger.base + params.alpha * contrib_prev
+        else:
+            m_prev, contrib_prev = self.cost_measures[new_id], ledger.contrib[new_id]
+            probe, c_star = ledger.probes[new_id], ledger.base
 
-        q_measures = dict(star)
+        measures: dict = {}  # identity -> measure under q, for re-measured tasks only
         usage_updates: dict = {}
         for j in sorted(revalidate_set(self.usage, changed)):
             item = self.repertoire[j - 1]
             identity = item.task.identity()
-            m_q, _tr, rep = self._measure(q, item.task, item.trace, meter, params)
-            q_measures[identity] = m_q
+            m_q, _tr, rep = self._measure(q, ledger.probes[identity], item.trace, meter, params)
+            measures[identity] = m_q
             usage_updates[j] = (rep.components_used, item.entry_key, rep.steps)
         # A re-proposed task keeps being judged against its original trace so
         # the ledger stays exactly reproducible from the archive alone.
-        trace_for_new = by_identity[new_id].trace if new_id in by_identity else None
-        m_new, new_trace, rep_new = self._measure(q, task, trace_for_new, meter, params)
-        q_measures[new_id] = m_new
+        trace_for_new = known.trace if known is not None else None
+        m_new, new_trace, rep_new = self._measure(q, probe, trace_for_new, meter, params)
+        measures[new_id] = m_new
 
-        c_star = self._total_cost(self.solver, star, params)
-        c = self._total_cost(q, q_measures, params)
+        # Every other task keeps its contribution, so c differs from c* only
+        # in L(q) - L(s) and in the tasks measured again.
+        moved = sum(
+            ledger.contribution(identity, m) - ledger.contrib.get(identity, contrib_prev)
+            for identity, m in measures.items()
+        )
+        c = c_star + size_change(self.solver, q, changed) + params.alpha * moved
+        if self.config.paranoid:
+            self._check_ledger(ledger, q, new_id, m_prev, measures, c, c_star)
         if c_star - c <= params.epsilon:
             caches["pair"][pair_key] = (None, meter.spent - spent_before)
             return None
 
-        old_ids = set(self.cost_measures)
-        before = sum(star[i].t_prime(params) for i in old_ids)
-        after = sum(q_measures[i].t_prime(params) for i in old_ids)
-        forgotten = [
-            i
-            for i in old_ids
-            if self.cost_measures[i].solved and not q_measures[i].solved
-        ]
-        if new_id in by_identity:
-            usage_updates[by_identity[new_id].index] = (
+        old = self.cost_measures
+        q_measures = dict(old)
+        q_measures.update(measures)
+        before = sum(m.t_prime(params) for m in old.values())
+        after = sum(q_measures[i].t_prime(params) for i in old)
+        forgotten = [i for i, m in measures.items() if i in old and old[i].solved and not m.solved]
+        if known is not None:
+            usage_updates[known.index] = (
                 rep_new.components_used,
                 task.identifier.to_hex(),
                 rep_new.steps,
@@ -379,16 +477,18 @@ class Engine:
         caches["pair"][pair_key] = (details, details.billed)
         return details
 
-    def _total_cost(self, solver, measures, params) -> Fraction:
-        rewards = {}
-        for identity, m in measures.items():
-            if not m.solved:
-                rewards[identity] = Fraction(0)
-            elif self.task_origin.get(identity, "self") == "external":
-                rewards[identity] = Fraction(self.external_rewards.get(identity, 0))
-            else:
-                rewards[identity] = Fraction(params.r_new)
-        return cost(solver, measures, rewards, params)
+    def _check_ledger(self, ledger, q, new_id, m_prev, measures, c, c_star) -> None:
+        """Paranoid mode: the phase ledger must equal the full cost() sums."""
+        params = ledger.params
+        star = dict(self.cost_measures)
+        star.setdefault(new_id, m_prev)
+        q_measures = {**star, **measures}
+        full = []
+        for solver, ms in ((q, q_measures), (self.solver, star)):
+            rewards = {i: reward(m, i, ledger.origins, params) for i, m in ms.items()}
+            full.append(cost(solver, ms, rewards, params))
+        if full != [c, c_star]:
+            raise AssertionError(f"phase ledger gave c={c} c*={c_star}, full cost() {full}")
 
     # -- commit ----------------------------------------------------------------
 

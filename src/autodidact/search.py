@@ -499,11 +499,17 @@ class CandidateRecord:
 def fresh_caches() -> dict:
     """Per-phase memoization shared by all candidates of one phase.
 
-    ``novelty`` maps task identity to the previous solver's verdict and its
-    step bill; ``pair`` maps (task identity, edit script) to the judge's
-    conclusive outcome and bill.  Candidates differing only in dead compute
-    prefixes hit the pair cache and are billed exactly what a fresh run
-    would bill, because runs are deterministic.
+    ``novelty`` (variant I only) maps task identity to the previous solver's
+    verdict and its step bill; ``pair`` maps (task identity, edit script) to
+    the judge's conclusive outcome and bill.  Candidates differing only in
+    dead compute prefixes hit the pair cache.
+
+    A hit is charged the bill of the first run and gets its verdict, which
+    is not always what a fresh run under the hit's own allowance gives: a
+    faulting run bills its whole grant, which depends on the allowance it
+    ran under, so a fresh run can bill a different amount and can even be
+    cut where the hit is rejected.  Archives record these bills, so making
+    hits exact changes archive bytes.
     """
     return {"novelty": {}, "pair": {}}
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .bits import BitString
@@ -77,6 +78,17 @@ class SolverProgram:
         object.__setattr__(self, "frozen_prefix_len", frozen_prefix_len)
         object.__setattr__(self, "frozen_entry_keys", frozenset(frozen_entry_keys))
         object.__setattr__(self, "_code", None)
+
+    @classmethod
+    def _owning(cls, instructions: tuple, entries: dict, frozen_prefix_len, frozen_entry_keys):
+        """__init__ without its defensive copies, for callers that own the parts."""
+        program = object.__new__(cls)
+        object.__setattr__(program, "instructions", instructions)
+        object.__setattr__(program, "entries", entries)
+        object.__setattr__(program, "frozen_prefix_len", frozen_prefix_len)
+        object.__setattr__(program, "frozen_entry_keys", frozen_entry_keys)
+        object.__setattr__(program, "_code", None)
+        return program
 
     def __setattr__(self, name, val):
         raise AttributeError("SolverProgram is immutable")
@@ -209,6 +221,23 @@ def _check_instruction(instr) -> tuple:
         raise InvalidResult(f"bad instruction {instr!r}") from exc
 
 
+# Every well-formed instruction, mapped to itself: a hit is already in the
+# canonical (code, int nibbles) form, so only the rest needs _check_instruction.
+_CANONICAL = {
+    (code, args): (code, args)
+    for code, spec in SOLVER_ISA.by_code.items()
+    for args in product(range(16), repeat=spec.nibbles)
+}
+
+
+def _canonical(instr) -> tuple:
+    try:
+        hit = _CANONICAL.get(instr)
+    except TypeError:  # unhashable parts, e.g. a list of immediates
+        hit = None
+    return hit if hit is not None else _check_instruction(instr)
+
+
 def apply_modification(prev: SolverProgram, edits) -> tuple[SolverProgram, Changed]:
     """Apply an edit script to a copy of prev; prev itself is untouched.
 
@@ -228,12 +257,12 @@ def apply_modification(prev: SolverProgram, edits) -> tuple[SolverProgram, Chang
                 raise InvalidResult(f"slot {op.index} out of range")
             if op.index < prev.frozen_prefix_len:
                 raise FrozenViolation(f"slot {op.index} is frozen")
-            new = _check_instruction(op.instruction)
+            new = _canonical(op.instruction)
             if slots[op.index] != new:
                 slots[op.index] = new
                 changed_slots.add(op.index + 1)
         elif isinstance(op, Append):
-            slots.append(_check_instruction(op.instruction))
+            slots.append(_canonical(op.instruction))
             changed_slots.add(len(slots))
             length_changed = True
         elif isinstance(op, Truncate):
@@ -259,7 +288,7 @@ def apply_modification(prev: SolverProgram, edits) -> tuple[SolverProgram, Chang
         if not 0 <= slot <= len(slots):
             raise InvalidResult(f"entry {key} points at slot {slot}, beyond program end")
 
-    new_program = SolverProgram(
+    new_program = SolverProgram._owning(
         tuple(slots), entries, prev.frozen_prefix_len, prev.frozen_entry_keys
     )
     return new_program, Changed(
@@ -267,25 +296,25 @@ def apply_modification(prev: SolverProgram, edits) -> tuple[SolverProgram, Chang
     )
 
 
+def size_change(prev: SolverProgram, new: SolverProgram, changed: Changed) -> int:
+    """new.size_bits - prev.size_bits for new, changed = apply_modification(prev, ...).
+
+    Every slot outside ``changed.slots`` holds the same instruction in both
+    programs, so the work is in proportion to the edit, not to the solver.
+    """
+    old_slots, new_slots = prev.instructions, new.instructions
+    delta = ENTRY_BITS * (len(new.entries) - len(prev.entries))
+    for k in changed.slots:
+        if k <= len(new_slots):
+            delta += SOLVER_ISA.width(new_slots[k - 1][0])
+        if k <= len(old_slots):
+            delta -= SOLVER_ISA.width(old_slots[k - 1][0])
+    return delta
+
+
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SolverState:
-    """Initial machine state: always the same before every task attempt."""
-
-    stack: tuple = ()
-    memory: tuple = (0,) * MEMORY_CELLS
-    input_cursor: int = 0
-    halted: bool = False
-    steps_used: int = 0
-
-
-def reset_state(_program: SolverProgram) -> SolverState:
-    """Zeroed memory, empty stack, cursor 0, regardless of prior runs."""
-    return SolverState()
 
 
 @dataclass(frozen=True)
@@ -477,12 +506,16 @@ def run_solver(
 
     executed = steps
     billed = steps if halted else step_budget
-    comps = frozenset(i + 1 for i in range(m) if used[i])
+    comps = []
+    i = used.find(1)
+    while i >= 0:
+        comps.append(i + 1)
+        i = used.find(1, i + 1)
     return RunOutcome(
         output=BitString(out_val, out_len),
         steps_used=billed,
         executed=executed,
-        components_used=comps,
+        components_used=frozenset(comps),
         halted=halted,
         halt_reason=reason,
         action_log=tuple(actions),

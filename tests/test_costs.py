@@ -7,14 +7,16 @@ from conftest import build_repertoire
 from autodidact.costs import (
     CostParams,
     TaskMeasure,
-    component_value,
-    contribution,
     cost,
     measure_task,
+    measure_within,
     parse_ratio,
 )
-from autodidact.tasks import solves
-from autodidact.validate import UsageIndex
+from autodidact.bits import nibble
+from autodidact.grid import WORLDS
+from autodidact.isa import SOLVER_ISA
+from autodidact.tasks import DecisionTask, GoalSpec, PatternTask, solves
+from autodidact.templates import copy_query_loop, grid_walk
 from autodidact.vm import SolverProgram
 
 
@@ -69,42 +71,6 @@ def test_t_prime_and_l_prime_fallbacks():
     assert failed.t_prime(params) == 500 and failed.l_prime(params) == 256
 
 
-def test_component_value_zero_when_unused():
-    params = CostParams()
-    usage = UsageIndex()
-    assert component_value(5, usage, {}, params) == 0
-
-
-def test_component_value_monotone_in_usage():
-    params = CostParams(alpha=Fraction(1))
-    usage = UsageIndex()
-    usage.by_component[1] = {1}
-    usage.by_component[2] = {1, 2, 3}
-    contribs = {1: Fraction(-900), 2: Fraction(-900), 3: Fraction(-900)}
-    lightly = component_value(1, usage, contribs, params)
-    heavily = component_value(2, usage, contribs, params)
-    assert heavily > lightly > 0  # used-by-every-task has the largest magnitude
-
-
-def test_component_values_rebuild_equals_incremental():
-    params = CostParams(alpha=Fraction(1))
-    rng = random.Random(12)
-    solver, items, usage = build_repertoire(rng, 4)
-    contribs = {}
-    for item in items:
-        m, _t, _r = measure_task(solver, item.task, params, item.trace)
-        contribs[item.index] = contribution(m, Fraction(params.r_new), params)
-    incremental = {k: component_value(k, usage, contribs, params) for k in usage.by_component}
-    from autodidact.validate import rebuild_usage
-
-    rebuilt_usage = rebuild_usage(solver, items)
-    rebuilt = {
-        k: component_value(k, rebuilt_usage, contribs, params)
-        for k in rebuilt_usage.by_component
-    }
-    assert incremental == rebuilt
-
-
 def test_measure_task_uses_replay_for_stored_decisions():
     rng = random.Random(13)
     solver, items, _usage = build_repertoire(rng, 3)
@@ -114,6 +80,38 @@ def test_measure_task_uses_replay_for_stored_decisions():
         assert m.solved
         direct, _ = solves(solver, item.task)
         assert m.steps == direct.steps
+
+
+_WORLD = WORLDS[0]
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        copy_query_loop(),  # halts; solves the pattern task
+        grid_walk(_WORLD, _WORLD.goals[0]),  # halts; solves the decision task
+        SOLVER_ISA.assemble("PUSH 1\nOUTPUT\nHALT"),  # halts with a wrong answer
+        SOLVER_ISA.assemble("PUSH 1\nPUSH 2\nPOP\nPOP\nPOP"),  # faults at step 5
+        SOLVER_ISA.assemble("PUSH 1\nJMP -2"),  # times out
+        SOLVER_ISA.assemble("PUSH 0\nOUTPUT\nPUSH 1\nOUTPUT"),  # falls off the end
+        (),  # ends after 0 steps
+    ],
+)
+def test_measure_within_equals_a_live_measure_at_every_grant(code):
+    # One run at the whole t_max answers every smaller budget exactly as a
+    # live measure_task under that budget would: same measure, same bill,
+    # same cut.
+    params = CostParams(t_max=100)
+    pattern = PatternTask(1, nibble(5), nibble(5), 64, 1024)
+    decision = DecisionTask(nibble(0) + nibble(0), GoalSpec(_WORLD.goals[0]), 48, 1024, _WORLD)
+    for task in (pattern, decision):
+        solver = SolverProgram(tuple(code), {task.identifier.to_hex(): 0} if code else {})
+        full, _tr, rep = measure_task(solver, task, params)
+        for b in range(0, params.t_max + 2):
+            live, _tr, live_rep = measure_task(solver, task, params, None, b)
+            want = (live if live_rep.conclusive else None, live_rep.steps)
+            got = measure_within(full, rep.outcome, min(params.t_max, b), params.t_max)
+            assert got == want, (task.kind, b)
 
 
 def test_parse_ratio_accepts_fractions_and_decimals():

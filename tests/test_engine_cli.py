@@ -352,3 +352,119 @@ def test_variant2_forgetting_is_visible_in_the_judge(tmp_path):
     assert details is not None  # r_new makes the trade profitable
     assert details.forgotten == [old_task.identity()]
     assert details.sum_t_old_after > details.sum_t_old_before  # old work got worse
+
+
+def test_variant2_paranoid_run(tmp_path):
+    from fractions import Fraction
+
+    cfg, res = small_run(
+        tmp_path,
+        name="v2paranoid",
+        variant="II",
+        domain="gridworld",
+        seed=42,
+        max_tasks=2,
+        alpha=Fraction(8),
+        paranoid=True,
+    )
+    assert res.accepted == 2
+    assert run_cli(["audit", cfg.archive_path]) == 0
+
+
+def test_variant2_paranoid_judge_checks_the_phase_ledger(tmp_path, monkeypatch):
+    # Paranoid mode re-derives every judge call from scratch: each novelty
+    # check runs live, and c and c* are summed again with the full cost().
+    # Random edits on a built repertoire reach every branch: cuts, faults,
+    # timeouts, revalidated tasks and re-proposed tasks.
+    import random
+    from fractions import Fraction
+
+    from conftest import build_repertoire, install_segment, random_edit, random_task
+    from autodidact.isa import SOLVER_ISA
+    from autodidact import engine as engine_mod
+    from autodidact.costs import measure_task
+    from autodidact.meta import Meter, Proposal
+    from autodidact.search import fresh_caches
+    from autodidact.validate import BudgetExhausted
+    from autodidact.vm import Append, FrozenViolation, InvalidResult, SetEntry, apply_modification
+
+    rng = random.Random(31)
+    cfg = RunConfig(
+        variant="II",
+        domain="mixed",
+        max_tasks=0,
+        alpha=Fraction(3, 2),
+        paranoid=True,
+        archive_path=str(tmp_path / "a.jsonl"),
+        metrics_path=str(tmp_path / "m.csv"),
+    )
+    eng = Engine(cfg)
+    eng.solver, eng.repertoire, eng.usage = build_repertoire(rng, 5)
+    eng.task_origin[eng.repertoire[0].task.identity()] = "external"
+    eng.external_rewards[eng.repertoire[0].task.identity()] = 700
+    used = {item.entry_key for item in eng.repertoire}
+    proposed = []  # (task, code that solves it)
+    for _ in range(4):
+        task, code = random_task(rng, used)
+        used.add(task.identifier.to_hex())
+        proposed.append((task, code))
+    # Route two of the new tasks at code the previous solver times out or
+    # faults on.
+    for (task, _code), text in zip(proposed, ("JMP -1", "POP\nHALT")):
+        code = SOLVER_ISA.assemble(text)
+        eng.solver, _ = install_segment(eng.solver, code, task.identifier.to_hex())
+    proposed += [(item.task, None) for item in eng.repertoire[:2]]
+    for item in eng.repertoire:
+        m, _t, _r = measure_task(eng.solver, item.task, eng._params(), item.trace)
+        eng.cost_measures[item.task.identity()] = m
+
+    def judge_many(n):
+        verdicts = {"budget": 0, "rejected": 0, "accepted": 0}
+        caches = fresh_caches()
+        for _ in range(n):
+            task, code = rng.choice(proposed)
+            edits = random_edit(rng, eng.solver, eng.repertoire)
+            if code is not None and rng.random() < 0.3:  # install a solution, as acceptances do
+                start = eng.solver.component_count
+                install = [Append(i) for i in code] + [SetEntry(task.identifier.to_hex(), start)]
+                edits = install + (edits if rng.random() < 0.5 else [])
+            try:
+                q, changed = apply_modification(eng.solver, edits)
+            except (InvalidResult, FrozenViolation):
+                continue
+            proposal = Proposal(task, edits, (), 0, 0, None)
+            meter = Meter(rng.choice([0, 3, 20, 60, 150, 400, 2000, 10**6]))
+            try:
+                details = eng._judge_v2(q, changed, proposal, meter, caches)
+            except BudgetExhausted:
+                verdicts["budget"] += 1
+                continue
+            verdicts["accepted" if details is not None else "rejected"] += 1
+        return verdicts
+
+    verdicts = judge_many(400)
+    assert all(verdicts.values()), verdicts
+
+    # The oracle bites: a memo that bills one step too few, or a ledger
+    # that gets one contribution wrong, is caught.
+    real_within = engine_mod.measure_within
+
+    def off_by_one(full, outcome, grant, t_max):
+        measure, billed = real_within(full, outcome, grant, t_max)
+        return measure, max(billed - 1, 0)
+
+    monkeypatch.setattr(engine_mod, "measure_within", off_by_one)
+    eng._ledger = None
+    with pytest.raises(AssertionError, match="novelty memo"):
+        judge_many(200)
+    monkeypatch.setattr(engine_mod, "measure_within", real_within)
+
+    real_contribution = engine_mod.PhaseLedger.contribution
+    monkeypatch.setattr(
+        engine_mod.PhaseLedger,
+        "contribution",
+        lambda self, identity, m: real_contribution(self, identity, m) + 1,
+    )
+    eng._ledger = None
+    with pytest.raises(AssertionError, match="phase ledger"):
+        judge_many(200)

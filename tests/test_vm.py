@@ -14,8 +14,8 @@ from autodidact.vm import (
     SolverProgram,
     Truncate,
     apply_modification,
-    reset_state,
     run_solver,
+    size_change,
 )
 
 EMPTY = BitString()
@@ -102,14 +102,6 @@ def test_memory_store_load():
     out = run_solver(prog, EMPTY, None, 16)
     assert out.halted
     assert out.output == BitString.from_str("1")  # 7 & 1
-
-
-def test_reset_state_is_always_fresh():
-    prog = asm("PUSH 5\nHALT")
-    s0 = reset_state(prog)
-    assert s0.steps_used == 0 and s0.stack == () and set(s0.memory) == {0}
-    run_solver(prog, EMPTY, None, 8)
-    assert reset_state(prog) == s0
 
 
 def test_entry_table_routes_by_identifier():
@@ -284,3 +276,120 @@ def test_vm_fuzz_invariants():
         if env is not None:
             env2 = LiveEnv(env.state.world, env.state.goal)
         assert run_solver(prog, inp, env2, budget) == out
+
+
+def _reference_apply(prev, edits):
+    """apply_modification as first written: copy, check every row, copy again."""
+    from autodidact.vm import Changed, _check_instruction
+
+    slots = list(prev.instructions)
+    entries = dict(prev.entries)
+    changed_slots, changed_keys = set(), set()
+    length_changed = False
+    for op in edits:
+        if isinstance(op, SetSlot):
+            if not 0 <= op.index < len(slots):
+                raise InvalidResult(f"slot {op.index} out of range")
+            if op.index < prev.frozen_prefix_len:
+                raise FrozenViolation(f"slot {op.index} is frozen")
+            new = _check_instruction(op.instruction)
+            if slots[op.index] != new:
+                slots[op.index] = new
+                changed_slots.add(op.index + 1)
+        elif isinstance(op, Append):
+            slots.append(_check_instruction(op.instruction))
+            changed_slots.add(len(slots))
+            length_changed = True
+        elif isinstance(op, Truncate):
+            if not 0 <= op.new_len <= len(slots):
+                raise InvalidResult(f"cannot truncate to {op.new_len}")
+            if op.new_len < prev.frozen_prefix_len:
+                raise FrozenViolation("truncation into the frozen prefix")
+            for k in range(op.new_len, len(slots)):
+                changed_slots.add(k + 1)
+            if op.new_len != len(slots):
+                length_changed = True
+            del slots[op.new_len :]
+        elif isinstance(op, SetEntry):
+            if op.key in prev.frozen_entry_keys and entries.get(op.key) != op.slot:
+                raise FrozenViolation(f"entry for {op.key} is frozen")
+            if entries.get(op.key) != op.slot:
+                entries[op.key] = op.slot
+                changed_keys.add(op.key)
+        else:
+            raise InvalidResult(f"unknown edit op {op!r}")
+    for key, slot in entries.items():
+        if not 0 <= slot <= len(slots):
+            raise InvalidResult(f"entry {key} points at slot {slot}, beyond program end")
+    program = SolverProgram(tuple(slots), entries, prev.frozen_prefix_len, prev.frozen_entry_keys)
+    return program, Changed(frozenset(changed_slots), frozenset(changed_keys), length_changed)
+
+
+def _outcome(fn, prev, edits):
+    try:
+        program, changed = fn(prev, edits)
+    except (InvalidResult, FrozenViolation) as exc:
+        return type(exc), str(exc)
+    return (
+        repr(program.instructions),
+        sorted(program.entries.items()),
+        program.frozen_prefix_len,
+        program.frozen_entry_keys,
+        changed,
+    )
+
+
+def test_apply_modification_matches_the_reference_over_random_scripts():
+    # Same program, Changed, exception type and message as the reference on
+    # scripts full of bad input: bad nibbles, bool immediates, unknown or
+    # malformed instructions, frozen slots and rows, truncations, rows past
+    # the end (in the script and already in prev), unknown edit ops.  The
+    # size change read off Changed matches the size recomputed in full.
+    rng = random.Random(20261018)
+    codes = SOLVER_ISA.codes()
+    keys = [BitString(v, 3).to_hex() for v in range(5)]
+
+    def instr():
+        roll = rng.random()
+        c = rng.choice(codes)
+        nb = SOLVER_ISA.by_code[c].nibbles
+        if roll < 0.6:
+            return (c, tuple(rng.randrange(16) for _ in range(nb)))
+        if roll < 0.7:
+            return (c, tuple(rng.choice([True, False]) for _ in range(nb)))
+        if roll < 0.75:
+            return (c, [rng.randrange(16) for _ in range(nb)])
+        return rng.choice(
+            [(0, ()), (17, ()), (99, ()), (2, ()), (1, (3,)), (2, (16,)), (2, (-1,)),
+             (9, (1.5,)), None, "x", (2,), (2, (1,), 0)]
+        )
+
+    for trial in range(3000):
+        m = rng.randrange(0, 8)
+        instrs = tuple((c, tuple(rng.randrange(16) for _ in range(SOLVER_ISA.by_code[c].nibbles)))
+                       for c in (rng.choice(codes) for _ in range(m)))
+        entries = {k: rng.randrange(m + 1) for k in rng.sample(keys, rng.randrange(3))}
+        if rng.random() < 0.1:
+            entries[rng.choice(keys)] = m + rng.randrange(1, 3)  # a row already past the end
+        frozen = rng.randrange(m + 1) if rng.random() < 0.3 else 0
+        frozen_keys = frozenset(k for k in entries if rng.random() < 0.3)
+        prev = SolverProgram(instrs, entries, frozen, frozen_keys)
+        edits = []
+        for _ in range(rng.randrange(0, 6)):
+            kind = rng.random()
+            n = m + len(edits)
+            if kind < 0.35:
+                edits.append(Append(instr()))
+            elif kind < 0.55:
+                edits.append(SetSlot(rng.randrange(-1, n + 2), instr()))
+            elif kind < 0.7:
+                edits.append(Truncate(rng.randrange(-1, n + 2)))
+            elif kind < 0.95:
+                edits.append(SetEntry(rng.choice(keys), rng.randrange(-1, n + 3)))
+            else:
+                edits.append(("SetSlot", 0))
+        outcome = _outcome(apply_modification, prev, edits)
+        assert outcome == _outcome(_reference_apply, prev, edits), (prev.to_json(), edits)
+        if not isinstance(outcome[0], type):
+            q, changed = apply_modification(prev, edits)
+            assert prev.size_bits + size_change(prev, q, changed) == q.size_bits
