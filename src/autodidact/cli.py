@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--prefix-mode", action="store_true")
     run.add_argument("--paranoid", action="store_true")
     run.add_argument("--adapt-prior", action="store_true")
-    run.add_argument("--workers", type=int, default=1)
     run.add_argument("--archive", default="archive.jsonl")
     run.add_argument("--metrics", default="metrics.csv")
     run.add_argument("--external-tasks", default="")
@@ -80,7 +79,6 @@ def cmd_run(args) -> int:
             prefix_mode=args.prefix_mode,
             paranoid=args.paranoid,
             adapt_prior=args.adapt_prior,
-            workers=args.workers,
             archive_path=args.archive,
             metrics_path=args.metrics,
             external_tasks_path=args.external_tasks,

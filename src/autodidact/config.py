@@ -44,7 +44,6 @@ class RunConfig:
     # accepted candidate compound fast enough to starve the task opcodes,
     # which measurably inflates later phases instead of shrinking them.
     adapt_prior: bool = False
-    workers: int = 1
     # Task invention defaults
     t_pattern: int = 64
     n_pattern: int = 1024
@@ -68,8 +67,6 @@ class RunConfig:
             raise ConfigError(f"domain must be one of {DOMAINS}")
         if self.max_tasks < 0 or self.seed < 0:
             raise ConfigError("max_tasks and seed must be non-negative")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.eps_wow < 1:
             raise ConfigError("eps_wow must be >= 1")
         try:

@@ -93,6 +93,20 @@ def measure_within(
     return None, grant
 
 
+def least_bill(outcome: RunOutcome, t_max: int) -> int:
+    """No conclusive answer measure_within reads off this run bills less.
+
+    A halt or a fault at step e bills at least e, and a timeout bills t_max.
+    A cut under a grant below this bound is therefore cut again under any
+    smaller grant, and every cached verdict that includes this measure
+    bills at least this much.  (A run that ends at step 0 is cut only under
+    a grant of 0, so its bound, 0, parks nothing.)
+    """
+    if outcome.halted or outcome.fault:
+        return outcome.executed
+    return t_max
+
+
 def task_with_cost_bounds(task: Task, params: CostParams) -> Task:
     """The cost variant drops per-task bounds: judge within t_max, any size.
 

@@ -30,6 +30,7 @@ from .costs import (
     TaskMeasure,
     contribution,
     cost,
+    least_bill,
     measure_task,
     measure_within,
     reward,
@@ -131,11 +132,6 @@ class Engine:
         self.cost_measures: dict[str, TaskMeasure] = {}
         self.skipped_external: list[str] = []
         self._ledger: Optional[PhaseLedger] = None  # built by the first judge call of a phase
-        if config.workers > 1:
-            # Candidates could be validated in parallel under the
-            # deterministic-winner contract; this build evaluates them
-            # sequentially, which realizes that contract trivially.
-            self.log({"event": "workers_sequential", "requested": config.workers})
         if config.resume:
             self._resume()
 
@@ -312,7 +308,7 @@ class Engine:
         hit = caches["pair"].get(pair_key)
         if hit is not None:
             details, billed = hit
-            meter.charge(billed)
+            meter.charge(billed, known=True)
             return details
         try:
             report = demonstrate(
@@ -327,13 +323,14 @@ class Engine:
                 novelty_cache=caches["novelty"],
             )
         except BudgetExhausted as exc:
+            floor = None if exc.floor is None else meter.spent + exc.floor
             meter.charge(min(exc.steps_spent, meter.left))
-            raise BudgetExhausted(meter.spent)
+            raise BudgetExhausted(meter.spent, floor)
         meter.charge(report.steps_spent)
         if not report.accepted:
             caches["pair"][pair_key] = (None, report.steps_spent)
             return None
-        wow = proposal.task.identifier.to_hex() in self.usage.by_entry
+        wow = proposal.task.entry_key in self.usage.by_entry
         details = V1Details(report, wow)
         caches["pair"][pair_key] = (details, report.steps_spent)
         return details
@@ -385,6 +382,7 @@ class Engine:
             memo = (probe, full, rep.outcome, ledger.contribution(identity, full))
             ledger.novelty[identity] = memo
         probe, full, outcome, contrib = memo
+        floor = meter.spent + least_bill(outcome, params.t_max)
         measure, billed = measure_within(full, outcome, min(params.t_max, meter.left), params.t_max)
         if self.config.paranoid:
             live, _trace, rep = measure_task(self.solver, probe, params, None, meter.left)
@@ -395,7 +393,7 @@ class Engine:
                 )
         meter.charge(billed)
         if measure is None:
-            raise BudgetExhausted(meter.spent)
+            raise BudgetExhausted(meter.spent, floor)
         return probe, measure, contrib
 
     def _judge_v2(self, q, changed, proposal, meter: Meter, caches):
@@ -405,7 +403,7 @@ class Engine:
         hit = caches["pair"].get(pair_key)
         if hit is not None:
             details, billed = hit
-            meter.charge(billed)
+            meter.charge(billed, known=True)
             return details
         if self._ledger is None:
             self._ledger = self._phase_ledger()
@@ -458,7 +456,7 @@ class Engine:
         if known is not None:
             usage_updates[known.index] = (
                 rep_new.components_used,
-                task.identifier.to_hex(),
+                task.entry_key,
                 rep_new.steps,
             )
         details = V2Details(
@@ -560,7 +558,7 @@ class Engine:
         meta_info = {
             "kind": task.kind,
             "wow": wow,
-            "entry_key": task.identifier.to_hex(),
+            "entry_key": task.entry_key,
             "search_steps": stats.steps_total,
             "validation_steps": (
                 details.report.steps_spent

@@ -279,11 +279,17 @@ class Meter:
         self.left = budget
         self.spent = 0
 
-    def charge(self, n: int = 1) -> None:
+    def charge(self, n: int = 1, known: bool = False) -> None:
+        """Bill n steps, or raise BudgetExhausted when fewer are left.
+
+        ``known`` marks a bill read off a per-phase table: its cut carries
+        the floor spent + n.
+        """
         if n > self.left:
+            floor = self.spent + n if known else None
             self.spent = self.budget
             self.left = 0
-            raise BudgetExhausted(self.spent)
+            raise BudgetExhausted(self.spent, floor)
         self.left -= n
         self.spent += n
 
@@ -496,7 +502,7 @@ def run_meta(meta: MetaProgram, ctx: MetaContext, meter: Meter) -> Proposal:
             s = args[0]
             if s >= len(ctx.segments):
                 raise MalformedEdit(f"no segment {s}")
-            edits.append(SetEntry(task.identifier.to_hex(), ctx.segments[s][0]))
+            edits.append(SetEntry(task.entry_key, ctx.segments[s][0]))
             explicit_map = True
         elif code == M_E_APP:
             do_append([(args[0] + 1, ())])
@@ -525,7 +531,7 @@ def run_meta(meta: MetaProgram, ctx: MetaContext, meter: Meter) -> Proposal:
 
     # Route the new task at its appended code unless mapped explicitly.
     if appended and not explicit_map:
-        edits.append(SetEntry(task.identifier.to_hex(), append_start))
+        edits.append(SetEntry(task.entry_key, append_start))
 
     # -- directives --------------------------------------------------------
     for code, _args in meta.directives:

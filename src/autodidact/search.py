@@ -24,15 +24,44 @@ one whose fault is within budget is rejected, with exactly the verdict,
 step bill and reason a run would produce: a run is deterministic, bills
 nothing before those points that the record does not count, and rewinds its
 scratch writes, so skipping it is observationally identical to running it.
-Everything else still runs.  Paranoid mode runs the decided candidates too
-and checks the two records agree.
+
+The record and the prior fix a candidate's budget and so its static
+verdict, so the entries of one bucket that share both form a group that
+one static_verdict call decides; the group is billed count x steps.  As
+decided runs write nothing that outlives them, only the count matters, and
+when a winner appears mid-bucket the entries before it are counted by
+bisecting each group's sorted indices.
+
+Some cuts are read off a table written once per phase: a pair-cache hit in
+either judge, a variant I novelty-cache hit, and a variant II novelty check
+answered from the memoised t_max run.  Such a cut carries a floor
+(BudgetExhausted.floor): the steps billed before that stage plus the least
+bill with which the stage can conclude, the cached bill or, for the
+variant II memo, g_min (the halt or fault step, or t_max on a timeout).
+Below its floor the candidate is cut at every budget.  Its run is
+deterministic up to that stage and the entry it read never changes.  What
+else the stage can meet later, a pair entry written since, bills at least
+as much: every conclusive novelty bill for a task is at least the one the
+floor counts (variant I's cached bill, variant II's g_min), and every pair
+bill for the task includes a novelty bill.  Such a run writes no table
+entry either, so the scheduler parks the candidate and bills it its
+budget, without running it, at every doubling below its floor.  Cuts of a
+live run carry no floor.
+
+Everything else still runs, one at a time in shortlex order, because the
+pair and novelty tables make verdicts depend on the order of execution.
+The on_candidate hook still sees every candidate in that order; bulk-
+decided and parked ones arrive with undone = 0.  Paranoid mode runs the
+decided and parked candidates too and checks the records agree.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .bits import BitString
@@ -182,6 +211,7 @@ class CandidateSpace:
         self._dir: dict[int, list] = {}
         self._buckets: dict[int, list] = {}
         self._static: dict[int, list] = {}
+        self._groups: dict[int, list] = {}
         self._interned: dict = {}
 
     # Bodies are lists of (value, bits, instrs, needs, net) for op sequences
@@ -322,6 +352,21 @@ class CandidateSpace:
                 records.append(interned.setdefault(rec, rec))
             self._static[total_bits] = records
         return entries, records
+
+    def grouped_bucket(self, total_bits: int) -> tuple[list, list]:
+        """``bucket(total_bits)`` and its entry indices grouped by StaticRecord.
+
+        Groups are (record, sorted indices) pairs in order of first index;
+        the 90k entries up to 39 bits fall into about 5.8k groups.
+        """
+        entries, records = self.compiled_bucket(total_bits)
+        groups = self._groups.get(total_bits)
+        if groups is None:
+            by_record: dict = {}
+            for i, rec in enumerate(records):
+                by_record.setdefault(rec, []).append(i)
+            groups = self._groups[total_bits] = list(by_record.items())
+        return entries, groups
 
     def candidates(self, max_len_bits: int):
         """Shortlex stream of MetaPrograms up to the given encoded length."""
@@ -494,6 +539,7 @@ class CandidateRecord:
     verdict: str  # "accepted" | "rejected" | "budget"
     steps: int
     reason: str = ""
+    floor: Optional[int] = None  # a cut's least concluding budget, when a table gave it
 
 
 def fresh_caches() -> dict:
@@ -548,8 +594,8 @@ def try_candidate(
         record = CandidateRecord("rejected", meter.spent, f"malformed_edit: {exc}")
     except (FrozenViolation, InvalidResult) as exc:
         record = CandidateRecord("rejected", meter.spent, f"bad_edit: {exc}")
-    except BudgetExhausted:
-        record = CandidateRecord("budget", budget, "budget")
+    except BudgetExhausted as exc:
+        record = CandidateRecord("budget", budget, "budget", exc.floor)
     finally:
         undone = undo_storage(ctx.scratch)
     record.steps = min(record.steps, budget)
@@ -565,6 +611,25 @@ def try_candidate(
 # ---------------------------------------------------------------------------
 
 
+class _Unit:
+    """The live candidates of one bucket that first became affordable together.
+
+    ``groups`` are (StaticRecord, prior, sorted indices) whose record has cut
+    them at every budget so far; ``cut`` holds (index, prior, floor) for the
+    executed entries that were cut, sorted by index, where floor is the
+    least budget at which the run can conclude, or None when unknown.  The
+    prior is None in uniform mode, where P(p) = 2**-total exactly.
+    """
+
+    __slots__ = ("total", "entries", "groups", "cut")
+
+    def __init__(self, total: int, entries: list, groups: list):
+        self.total = total
+        self.entries = entries
+        self.groups = groups
+        self.cut: list = []
+
+
 def oops_search(
     problem: SearchProblem,
     step_ceiling: int,
@@ -572,13 +637,15 @@ def oops_search(
 ) -> tuple[Acceptance, PhaseStats]:
     """One phase of ordered search: double t_lim until a candidate validates.
 
-    Each doubling processes, in shortlex order, first the candidates whose
-    previous attempt was cut by their budget, then the candidates that only
-    now satisfy P(p) * t_lim >= 1.  Conclusively rejected candidates would
-    return the same verdict at any budget (everything is deterministic), so
-    they are never re-run; retries always precede newly affordable programs
-    in shortlex order because they are strictly shorter.  A candidate whose
-    StaticRecord decides its run is billed that record without running.
+    Each doubling visits the live candidates in the order they first became
+    affordable, those of one doubling in shortlex order: in uniform mode
+    that is plain shortlex, and in adapted mode the earlier cohorts' retries
+    come before the newly affordable programs.  Conclusively rejected
+    candidates would return the same verdict at any budget (everything is
+    deterministic), so they are never visited again.  A group of entries
+    sharing a StaticRecord and a prior is decided by one static_verdict
+    call and billed in bulk; an executed candidate cut below its floor is
+    billed its budget without running.  Only the rest run, one at a time.
     """
     stats = PhaseStats()
     space = candidate_space(problem.domain, problem.external)
@@ -589,42 +656,107 @@ def oops_search(
     stats.t_lim_trace.append(t_lim)
     caches = fresh_caches()
     boundary = BoundaryVerdicts(problem.ctx)
-    # Pending candidates are (total bits, bucket entry, StaticRecord, prior);
-    # the prior is None in uniform mode, where P(p) = 2**-total exactly.
-    retries: list[tuple] = []
-    deferred: list[tuple] = []  # adapted mode only
+    units: list[_Unit] = []  # in visiting order
+    deferred: dict[int, tuple] = {}  # adapted mode: total -> (entries, unaffordable groups)
     enumerated_upto = 3 * OPCODE_BITS - 1
 
-    def run_one(total: int, entry: tuple, rec: StaticRecord, p, budget: int):
-        decided = static_verdict(rec, budget, boundary)
-        if decided is None or paranoid or hook is not None:
-            meta = MetaProgram(BitString(entry[0], total), entry[1], entry[2], entry[3])
-        acc = None
-        if decided is None:
-            record, acc = try_candidate(meta, problem, budget, caches)
-            verdict, steps = record.verdict, record.steps
-            if steps > budget:
-                stats.budget_violations += 1
+    def check_known(meta: MetaProgram, budget: int, decided: tuple, what: str) -> None:
+        if paranoid:
+            # The executed run is the oracle; it also feeds the hook.
+            record, _ = try_candidate(meta, problem, budget, caches)
+            if (record.verdict, record.steps, record.reason) != decided:
+                raise AssertionError(f"{what} {decided} but the run gave {record}")
         else:
-            verdict, steps, _reason = decided
-            if paranoid:
-                # The executed run is the oracle; it also feeds the hook.
-                record, _ = try_candidate(meta, problem, budget, caches)
-                if (record.verdict, record.steps, record.reason) != decided:
-                    raise AssertionError(f"static verdict {decided} but the run gave {record}")
-            elif hook is not None:
-                hook(meta, CandidateRecord(*decided), budget, 0)
-        stats.candidates_run += 1
-        stats.steps_total += steps
-        if acc is not None:
-            stats.t_lim = t_lim
-            stats.winner_budget = budget
-            stats.winner_prior = Fraction(1, 1 << total) if p is None else p
-            return acc
-        stats.rejected += 1
-        if verdict == "budget":
-            next_retries.append((total, entry, rec, p))
+            hook(meta, CandidateRecord(*decided), budget, 0)
+
+    def bill(known: list, below: Optional[int]) -> None:
+        """Bill the entries decided without a run, those before ``below`` only."""
+        for indices, _budget, (_verdict, steps, _reason), _what in known:
+            n = len(indices) if below is None else bisect_left(indices, below)
+            stats.candidates_run += n
+            stats.rejected += n
+            stats.steps_total += n * steps
+
+    def visit(unit: _Unit) -> Optional[Acceptance]:
+        total, entries = unit.total, unit.entries
+
+        def budget_of(p) -> int:
+            # t_lim is a power of two at least 2**total, so t_lim >> total is
+            # exactly ceil(2**-total * t_lim).
+            return t_lim >> total if p is None else ceil_fraction(p * t_lim)
+
+        # known: (sorted indices, budget, (verdict, steps, reason), what decided it)
+        known: list = []
+        runs: list = []  # (index, prior, None)
+        groups: list = []
+        for group in unit.groups:
+            rec, p, indices = group
+            budget = budget_of(p)
+            decided = static_verdict(rec, budget, boundary)
+            if decided is None:
+                runs.extend((i, p, None) for i in indices)
+                continue
+            known.append((indices, budget, decided, "static verdict"))
+            if decided[0] == "budget":
+                groups.append(group)
+        cut: list = []
+        parked: dict = {}  # budget -> indices of entries still below their floor
+        for item in unit.cut:
+            i, p, floor = item
+            budget = budget_of(p)
+            if floor is not None and budget < floor:
+                parked.setdefault(budget, []).append(i)
+                cut.append(item)
+            else:
+                runs.append((i, p, None))
+        for budget, indices in parked.items():
+            known.append((indices, budget, ("budget", budget, "budget"), "parked below its floor"))
+        visits = runs
+        if paranoid or hook is not None:
+            visits = runs + [(i, None, k) for k in known for i in k[0]]
+        visits.sort(key=itemgetter(0))
+        for i, p, item in visits:
+            v, i1, i2, i3 = entries[i]
+            meta = MetaProgram(BitString(v, total), i1, i2, i3)
+            if item is not None:
+                check_known(meta, *item[1:])
+                continue
+            budget = budget_of(p)
+            record, acc = try_candidate(meta, problem, budget, caches)
+            stats.candidates_run += 1
+            stats.steps_total += record.steps
+            if record.steps > budget:
+                stats.budget_violations += 1
+            if acc is not None:
+                bill(known, i)
+                stats.t_lim = t_lim
+                stats.winner_budget = budget
+                stats.winner_prior = Fraction(1, 1 << total) if p is None else p
+                return acc
+            stats.rejected += 1
+            if record.verdict == "budget":
+                cut.append((i, p, record.floor))
+        bill(known, None)
+        cut.sort(key=itemgetter(0))
+        unit.groups, unit.cut = groups, cut
         return None
+
+    def affordable(total: int, entries: list, groups: list) -> list:
+        """Split adapted-mode groups by prior; defer the ones not yet affordable."""
+        ready: list = []
+        later: list = []
+        for rec, indices in groups:
+            by_prior: dict = {}
+            for i in indices:
+                _v, i1, i2, i3 = entries[i]
+                seq = opcode_sequence(i1, i2, i3)
+                nibbles = (total - OPCODE_BITS * len(seq)) // ARG_BITS
+                by_prior.setdefault(prior.program_prior(seq, nibbles), []).append(i)
+            for p, members in by_prior.items():
+                (ready if p * t_lim >= 1 else later).append((rec, p, members))
+        if later:
+            deferred[total] = (entries, later)
+        return ready
 
     while True:
         t_lim *= 2
@@ -638,45 +770,41 @@ def oops_search(
         if log:
             log({"event": "doubling", "t_lim": t_lim, "max_bits": max_bits})
 
-        next_retries: list[tuple] = []
-        # Previously budget-cut candidates, all shorter than anything new.
-        # t_lim is a power of two at least 2**total, so t_lim >> total is
-        # exactly ceil(2**-total * t_lim).
-        for total, entry, rec, p in retries:
-            budget = t_lim >> total if p is None else ceil_fraction(p * t_lim)
-            acc = run_one(total, entry, rec, p, budget)
+        # Earlier cohorts first: in uniform mode their candidates are all
+        # shorter than anything new.
+        for unit in units:
+            acc = visit(unit)
             if acc is not None:
                 return acc, stats
-        # Adapted mode: previously enumerated but then-unaffordable programs.
-        if deferred:
-            still: list[tuple] = []
-            for total, entry, rec, p in deferred:
-                if p * t_lim >= 1:
-                    acc = run_one(total, entry, rec, p, ceil_fraction(p * t_lim))
-                    if acc is not None:
-                        return acc, stats
-                else:
-                    still.append((total, entry, rec, p))
-            deferred = still
-        # Newly reachable lengths, shortlex.
+        units = [unit for unit in units if unit.groups or unit.cut]
+        # This doubling's cohort: adapted mode's previously enumerated but
+        # then-unaffordable programs, then the newly reachable lengths.
+        for total in sorted(deferred):
+            entries, later = deferred[total]
+            ready = [g for g in later if g[1] * t_lim >= 1]
+            if not ready:
+                continue
+            later = [g for g in later if g[1] * t_lim < 1]
+            if later:
+                deferred[total] = (entries, later)
+            else:
+                del deferred[total]
+            unit = _Unit(total, entries, ready)
+            acc = visit(unit)
+            if acc is not None:
+                return acc, stats
+            units.append(unit)
         for total in range(enumerated_upto + 1, max_bits + 1):
-            entries, records = space.compiled_bucket(total)
-            budget = t_lim >> total
-            for entry, rec in zip(entries, records):
-                if uniform:
-                    acc = run_one(total, entry, rec, None, budget)
-                else:
-                    seq = opcode_sequence(entry[1], entry[2], entry[3])
-                    nibbles = (total - OPCODE_BITS * len(seq)) // ARG_BITS
-                    p = prior.program_prior(seq, nibbles)
-                    if p * t_lim < 1:
-                        deferred.append((total, entry, rec, p))
-                        continue
-                    acc = run_one(total, entry, rec, p, ceil_fraction(p * t_lim))
-                if acc is not None:
-                    return acc, stats
+            entries, groups = space.grouped_bucket(total)
+            if uniform:
+                unit = _Unit(total, entries, [(rec, None, indices) for rec, indices in groups])
+            else:
+                unit = _Unit(total, entries, affordable(total, entries, groups))
+            acc = visit(unit)
+            if acc is not None:
+                return acc, stats
+            units.append(unit)
         enumerated_upto = max(enumerated_upto, max_bits)
-        retries = next_retries
 
 
 # ---------------------------------------------------------------------------

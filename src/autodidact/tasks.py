@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .bits import BitString
@@ -72,6 +72,15 @@ _PATTERN_TAG = BitString(0, 1)
 _DECISION_TAG = BitString(1, 1)
 
 
+def _set_identifier(task, identifier: BitString) -> None:
+    """Store the bits a task feeds the solver and their entry-table key.
+
+    Every run reads both, so they are worked out once, when the task is made.
+    """
+    object.__setattr__(task, "identifier", identifier)
+    object.__setattr__(task, "entry_key", identifier.to_hex())
+
+
 @dataclass(frozen=True)
 class PatternTask:
     i1: int  # pattern database address
@@ -79,15 +88,14 @@ class PatternTask:
     o: BitString  # target output
     t: int  # step bound
     n: int  # solver size bound, in components
+    identifier: BitString = field(init=False, repr=False, compare=False)  # tag, I1, I2
+    entry_key: str = field(init=False, repr=False, compare=False)  # identifier.to_hex()
 
     def __post_init__(self):
         if self.t < 1 or self.n < 1:
             raise ValueError("bounds must be >= 1")
         get_pattern(self.i1)  # MissingPattern on a bad address
-
-    @property
-    def identifier(self) -> BitString:
-        return _PATTERN_TAG + BitString(self.i1, 4) + self.i2
+        _set_identifier(self, _PATTERN_TAG + BitString(self.i1, 4) + self.i2)
 
     @property
     def kind(self) -> str:
@@ -136,14 +144,13 @@ class DecisionTask:
     t: int
     n: int
     world: GridWorld
+    identifier: BitString = field(init=False, repr=False, compare=False)  # tag, ident
+    entry_key: str = field(init=False, repr=False, compare=False)  # identifier.to_hex()
 
     def __post_init__(self):
         if self.t < 1 or self.n < 1:
             raise ValueError("bounds must be >= 1")
-
-    @property
-    def identifier(self) -> BitString:
-        return _DECISION_TAG + self.ident
+        _set_identifier(self, _DECISION_TAG + self.ident)
 
     @property
     def kind(self) -> str:
@@ -238,7 +245,7 @@ def solves_pattern(
     granted = task.t if budget is None else min(task.t, budget)
     if granted < 1:
         return SolveReport(False, 0, frozenset(), None, conclusive=False)
-    outcome = run_solver(solver, task.identifier, None, granted)
+    outcome = run_solver(solver, task.identifier, None, granted, task.entry_key)
     conclusive = outcome.halted or outcome.fault or granted == task.t
     ok = (
         solver.component_count < task.n
@@ -256,7 +263,7 @@ def solve_decision(
     if granted < 1:
         return SolveReport(False, 0, frozenset(), None, conclusive=False), Trace()
     env = LiveEnv(task.world, task.goal.target_cell)
-    outcome = run_solver(solver, task.identifier, env, granted)
+    outcome = run_solver(solver, task.identifier, env, granted, task.entry_key)
     trace = Trace(tuple(env.trace_steps))
     conclusive = outcome.halted or outcome.fault or granted == task.t
     ok = (
@@ -303,7 +310,7 @@ def replay_check(
     if granted < 1:
         return SolveReport(False, 0, frozenset(), None, conclusive=False)
     env = ReplayEnv(recorded.steps, task.initial_obs())
-    outcome = run_solver(solver, task.identifier, env, granted)
+    outcome = run_solver(solver, task.identifier, env, granted, task.entry_key)
     conclusive = outcome.halted or outcome.fault or granted == task.t
     ok = (
         solver.component_count < task.n

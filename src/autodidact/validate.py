@@ -19,11 +19,17 @@ from .vm import Changed, SolverProgram
 
 
 class BudgetExhausted(Exception):
-    """Validation ran out of steps before reaching a verdict: reject, retry later."""
+    """Validation ran out of steps before reaching a verdict: reject, retry later.
 
-    def __init__(self, steps_spent: int):
+    ``floor``, when set, is the least budget at which the cut stage can
+    conclude.  Only cuts read off a table written once per phase carry one,
+    and every later run under a smaller budget is cut the same way.
+    """
+
+    def __init__(self, steps_spent: int, floor: Optional[int] = None):
         super().__init__(f"validation budget exhausted after {steps_spent} steps")
         self.steps_spent = steps_spent
+        self.floor = floor
 
 
 @dataclass
@@ -39,7 +45,7 @@ class RepertoireItem:
 
     @property
     def entry_key(self) -> str:
-        return self.task.identifier.to_hex()
+        return self.task.entry_key
 
 
 class UsageIndex:
@@ -168,7 +174,7 @@ def demonstrate(
         prev_solves, billed = novelty_cache[identity]
         meter -= billed
         if meter < 0:
-            raise BudgetExhausted(budget)
+            raise BudgetExhausted(budget, billed)
     else:
         prev_report, _ = solves(s_prev, task, meter)
         meter -= prev_report.steps

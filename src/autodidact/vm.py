@@ -346,19 +346,21 @@ def run_solver(
     input_bits: BitString,
     env=None,
     step_budget: int = 1,
+    entry_key: Optional[str] = None,
 ) -> RunOutcome:
     """Run the solver on one input under a hard step budget.
 
     Deterministic: identical (program, input, env initial state, budget)
     always produce an identical outcome.  The environment, when present, is
     driven through its sense()/act() methods; each ACT or SENSE costs one
-    step like every other instruction.
+    step like every other instruction.  ``entry_key`` is
+    ``input_bits.to_hex()``, for callers that keep it (a task's entry_key).
     """
     if step_budget < 1:
         raise ValueError("step_budget must be >= 1")
     instrs = program.instructions
     m = len(instrs)
-    pc = program.entry_for(input_bits)
+    pc = program.entry_for(input_bits) if entry_key is None else program.entries.get(entry_key, 0)
     if pc > m:
         pc = 0
 

@@ -51,7 +51,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(searcher="bogus").validate()
     with pytest.raises(ConfigError):
-        RunConfig(workers=0).validate()
+        RunConfig(eps_wow=0).validate()
 
 
 def test_audit_of_empty_archive_exits_zero(tmp_path):
@@ -138,18 +138,6 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "audit" in proc.stdout
-
-
-def test_workers_flag_logs_sequential_note(tmp_path):
-    events = []
-    cfg = RunConfig(
-        max_tasks=0,
-        workers=4,
-        archive_path=str(tmp_path / "a.jsonl"),
-        metrics_path=str(tmp_path / "m.csv"),
-    )
-    Engine(cfg, log=events.append).run()
-    assert any(e.get("event") == "workers_sequential" for e in events)
 
 
 def test_stochastic_searcher_full_stack(tmp_path):

@@ -411,3 +411,206 @@ def test_stochastic_search_keeps_one_cache_per_phase(tmp_path, monkeypatch):
     assert Engine(cfg).run().accepted == 3
     assert len(made) == 3
     assert HitCountingDict.hits > 0
+
+
+# ---------------------------------------------------------------------------
+# Bulk verdicts and floors against execution
+# ---------------------------------------------------------------------------
+
+
+def _classified_run(tmp_path, monkeypatch, name, **overrides):
+    """Grow an engine run, sorting every candidate visit by how it was decided.
+
+    Returns (archive bytes, per-phase stats, visits): each visit is
+    (phase, code, budget, (verdict, steps, reason), kind) with kind
+    "executed", "static" (a bulk StaticRecord verdict) or "parked" (cut
+    below the floor an earlier run of the same candidate reported).
+    """
+    calls, executed, phases = [], [], []
+    real_try, real_search = search.try_candidate, search.oops_search
+
+    def spying_try(meta, problem, budget, caches=None):
+        executed.append((len(phases), meta.code, budget))
+        return real_try(meta, problem, budget, caches)
+
+    def hooked_search(problem, step_ceiling, log=None):
+        phase = len(phases)
+        problem.on_candidate = lambda meta, record, budget, undone: calls.append(
+            (phase, meta.code, budget, (record.verdict, record.steps, record.reason), undone)
+        )
+        acc, stats = real_search(problem, step_ceiling, log)
+        phases.append(stats)
+        return acc, stats
+
+    monkeypatch.setattr(search, "try_candidate", spying_try)
+    monkeypatch.setattr("autodidact.engine.oops_search", hooked_search)
+    cfg = RunConfig(
+        max_tasks=3,
+        archive_path=str(tmp_path / f"{name}.jsonl"),
+        metrics_path=str(tmp_path / f"{name}.csv"),
+        **overrides,
+    )
+    try:
+        assert Engine(cfg).run().accepted == 3
+    finally:
+        monkeypatch.setattr(search, "try_candidate", real_try)
+        monkeypatch.setattr("autodidact.engine.oops_search", real_search)
+    ran = set(executed)
+    ran_codes = {(phase, code) for phase, code, _budget in executed}
+    visits = []
+    for phase, code, budget, record, undone in calls:
+        if (phase, code, budget) in ran:
+            kind = "executed"
+        else:
+            assert undone == 0
+            # A candidate that once ran is never decided statically again.
+            kind = "parked" if (phase, code) in ran_codes else "static"
+        visits.append((phase, code, budget, record, kind))
+    with open(cfg.archive_path, "rb") as fh:
+        return fh.read(), phases, visits
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"variant": "I", "domain": "gridworld"},
+        {"variant": "I", "domain": "gridworld", "adapt_prior": True},
+        {"variant": "II", "domain": "gridworld"},
+    ],
+    ids=["v1-uniform", "v1-adapted", "v2"],
+)
+def test_bulk_and_parked_verdicts_equal_paranoid_executions(tmp_path, monkeypatch, overrides):
+    archive, phases, visits = _classified_run(tmp_path, monkeypatch, "fast", **overrides)
+    assert len(visits) == sum(stats.candidates_run for stats in phases)
+    kinds = {kind: sum(1 for v in visits if v[4] == kind) for kind in ("executed", "static", "parked")}
+    assert min(kinds.values()) > 0, kinds
+    assert kinds["executed"] < kinds["static"]
+    for phase, _code, budget, (verdict, steps, _reason), kind in visits:
+        if kind == "parked":
+            assert (verdict, steps) == ("budget", budget)
+
+    # Paranoid mode runs every candidate, decided or not, and raises on any
+    # mismatch; the records it runs must be the ones billed without a run.
+    paranoid_archive, paranoid_phases, paranoid_visits = _classified_run(
+        tmp_path, monkeypatch, "paranoid", paranoid=True, **overrides
+    )
+    assert paranoid_archive == archive
+    assert [s.candidates_run for s in paranoid_phases] == [s.candidates_run for s in phases]
+    assert {v[4] for v in paranoid_visits} == {"executed"}
+    ran = {(phase, code, budget): record for phase, code, budget, record, _k in paranoid_visits}
+    for phase, code, budget, record, kind in visits:
+        assert ran[(phase, code, budget)] == record, (kind, code.to_hex(), budget)
+
+
+def floor_problem(floor: int, winner_floor: int):
+    """Every candidate that reaches the judge concludes at exactly ``floor``
+    steps, the planted winner at ``winner_floor``; the bills come from a
+    per-candidate table, so their cuts carry those floors."""
+    target, problem = planted_problem(needed_steps=0)
+    planted_judge = problem.judge
+
+    def judge(q, changed, proposal, meter, caches):
+        winner = planted_judge(q, changed, proposal, meter, caches)
+        meter.charge(max((winner_floor if winner else floor) - meter.spent, 0), known=True)
+        return winner
+
+    problem.judge = judge
+    return target, problem
+
+
+def spy_parked(monkeypatch, problem) -> list:
+    """Hook the problem; returns its visits as (code, budget, steps, parked)."""
+    ran, visits = set(), []
+    real_try = search.try_candidate
+
+    def spying_try(meta, problem, budget, caches=None):
+        ran.add(meta.code)
+        return real_try(meta, problem, budget, caches)
+
+    def hook(meta, record, budget, undone):
+        parked = undone == 0 and meta.code in ran and record.verdict == "budget"
+        visits.append((meta.code, budget, record.steps, parked))
+
+    monkeypatch.setattr(search, "try_candidate", spying_try)
+    problem.on_candidate = hook
+    return visits
+
+
+def test_a_floor_one_step_too_high_is_caught_by_paranoid_mode(monkeypatch):
+    real_try = search.try_candidate
+    target, problem = floor_problem(16, 16)
+    visits = spy_parked(monkeypatch, problem)
+    acc, stats = oops_search(problem, step_ceiling=2**60)
+    assert acc.meta.code == target.code
+    # Cut at budget 4, parked at 8, run at 16.
+    assert max(budget for _code, budget, _steps, parked in visits if parked) == 8
+
+    monkeypatch.setattr(search, "try_candidate", real_try)
+    _target, problem = floor_problem(16, 16)
+    problem.paranoid = True
+    acc_paranoid, paranoid_stats = oops_search(problem, step_ceiling=2**60)
+    assert acc_paranoid.meta.code == target.code
+    assert paranoid_stats == stats
+
+    def one_step_too_high(meta, problem, budget, caches=None):
+        record, acc = real_try(meta, problem, budget, caches)
+        if record.floor is not None:
+            record.floor += 1
+        return record, acc
+
+    monkeypatch.setattr(search, "try_candidate", one_step_too_high)
+    _target, problem = floor_problem(16, 16)
+    problem.paranoid = True
+    with pytest.raises(AssertionError, match="parked below its floor"):
+        oops_search(problem, step_ceiling=2**60)
+
+
+def test_a_mid_bucket_winner_bills_only_the_candidates_before_it(monkeypatch):
+    # When the planted candidate wins at budget 16, bucket-mates after it in
+    # shortlex order are parked below their floor of 64 and must not be
+    # billed.
+    target, problem = floor_problem(64, 16)
+    visits = spy_parked(monkeypatch, problem)
+    acc, stats = oops_search(problem, step_ceiling=2**60)
+    assert acc.meta.code == target.code and stats.winner_budget == 16
+    assert len(visits) == stats.candidates_run
+    assert sum(steps for _code, _budget, steps, _parked in visits) == stats.steps_total
+    # Parked after the winner at the doubling before, and so also at its own.
+    assert any(
+        parked and budget == 8 and code.length == target.code.length and code > target.code
+        for code, budget, _steps, parked in visits
+    )
+
+
+@pytest.mark.parametrize("variant", ["I", "II"])
+def test_judge_floors_are_exact(tmp_path, monkeypatch, variant):
+    # Right after a cut that carries a floor, the same candidate is cut by
+    # the same stage one step below the floor, and gets past that stage at
+    # the floor.  The re-runs get copies of the caches, so the run itself is
+    # unchanged.  (A solver that ends at step 0 gives a floor equal to the
+    # budget, which parks nothing.)
+    real_try = search.try_candidate
+    checked = []
+
+    def checking_try(meta, problem, budget, caches=None):
+        record, acc = real_try(meta, problem, budget, caches)
+        assert record.floor is None or record.floor >= budget
+        if record.floor is not None and record.floor > budget:
+            floor = record.floor
+            below, _ = real_try(meta, problem, floor - 1, {k: dict(v) for k, v in caches.items()})
+            assert (below.verdict, below.steps, below.floor) == ("budget", floor - 1, floor)
+            at, _ = real_try(meta, problem, floor, {k: dict(v) for k, v in caches.items()})
+            assert at.verdict != "budget" or at.floor != floor, (meta.code.to_hex(), floor)
+            checked.append(floor)
+        return record, acc
+
+    monkeypatch.setattr(search, "try_candidate", checking_try)
+    cfg = RunConfig(
+        variant=variant,
+        domain="gridworld",
+        max_tasks=3,
+        archive_path=str(tmp_path / "a.jsonl"),
+        metrics_path=str(tmp_path / "m.csv"),
+    )
+    assert Engine(cfg).run().accepted == 3
+    assert len(checked) > 100
