@@ -23,11 +23,19 @@ from .vm import SolverProgram
 TRACE_INLINE_LIMIT = 4096  # bytes of serialized trace kept in the main file
 
 
-class IndexGap(ValueError):
+class ArchiveIndexError(ValueError):
+    """An archive entry whose index breaks the 1, 2, 3, ... sequence."""
+
+    def __init__(self, message: str, entry: int):
+        super().__init__(message)
+        self.entry = entry  # the index found out of sequence
+
+
+class IndexGap(ArchiveIndexError):
     pass
 
 
-class DuplicateIndex(ValueError):
+class DuplicateIndex(ArchiveIndexError):
     pass
 
 
@@ -115,9 +123,9 @@ def append_entry(archive_path, entry: ArchiveEntry, existing: list) -> None:
     """Persist one acceptance; flushed to disk before the search resumes."""
     expected = (existing[-1].i + 1) if existing else 1
     if entry.i < expected:
-        raise DuplicateIndex(f"entry {entry.i} already frozen")
+        raise DuplicateIndex(f"entry {entry.i} already frozen", entry.i)
     if entry.i > expected:
-        raise IndexGap(f"expected entry {expected}, got {entry.i}")
+        raise IndexGap(f"expected entry {expected}, got {entry.i}", entry.i)
     if entry.trace is not None:
         blob = json.dumps(entry.trace, separators=(",", ":"))
         if len(blob) > TRACE_INLINE_LIMIT:
@@ -151,7 +159,7 @@ def load_archive(archive_path) -> list:
         entry = ArchiveEntry.from_json(data)
         expected = (entries[-1].i + 1) if entries else 1
         if entry.i != expected:
-            raise IndexGap(f"archive entry {entry.i} where {expected} expected")
+            raise IndexGap(f"archive entry {entry.i} where {expected} expected", entry.i)
         entries.append(entry)
     return entries
 

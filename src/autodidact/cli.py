@@ -1,9 +1,10 @@
 """Command line harness: run experiments, audit archives, emit reports.
 
-Exit codes: 0 success, 2 configuration error, 3 audit mismatch, 4 search
-ceiling reached with zero acceptances.  Progress events stream as one JSON
-object per line on standard error; all result files are deterministic
-functions of (config, seed).
+Exit codes: 0 success, 2 configuration error, 3 audit mismatch or an archive
+whose entry indices break sequence (any subcommand; an ``archive_corrupt``
+event names the entry), 4 search ceiling reached with zero acceptances.
+Progress events stream as one JSON object per line on standard error; all
+result files are deterministic functions of (config, seed).
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import argparse
 import json
 import sys
 
+from .archive import ArchiveIndexError
 from .audit import audit_archive
-from .config import ConfigError, RunConfig
+from .config import DOMAINS, SEARCHERS, VARIANTS, ConfigError, RunConfig
 from .costs import parse_ratio
 from .engine import Engine
 from .metrics import write_cost_ledger, write_metrics, write_summary, write_report
@@ -28,6 +30,11 @@ def _log_stderr(event: dict) -> None:
     sys.stderr.write(json.dumps(event, sort_keys=True) + "\n")
 
 
+def _archive_corrupt(exc: ArchiveIndexError) -> int:
+    _log_stderr({"event": "archive_corrupt", "entry": exc.entry, "error": str(exc)})
+    return EXIT_AUDIT
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="autodidact",
@@ -35,28 +42,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    d = RunConfig()  # the defaults live in one place
     run = sub.add_parser("run", help="run a growth experiment")
-    run.add_argument("--variant", default="I", choices=["I", "II"])
-    run.add_argument("--searcher", default="oops", choices=["oops", "stochastic"])
-    run.add_argument("--domain", default="mixed", choices=["pattern", "gridworld", "mixed"])
-    run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--max-tasks", type=int, default=5)
-    run.add_argument("--step-ceiling", type=int, default=2**52)
-    run.add_argument("--alpha", default="1")
-    run.add_argument("--epsilon", default="1")
-    run.add_argument("--eps-wow", type=int, default=5)
+    run.add_argument("--variant", default=d.variant, choices=VARIANTS)
+    run.add_argument("--searcher", default=d.searcher, choices=SEARCHERS)
+    run.add_argument("--domain", default=d.domain, choices=DOMAINS)
+    run.add_argument("--seed", type=int, default=d.seed)
+    run.add_argument("--max-tasks", type=int, default=d.max_tasks)
+    run.add_argument("--step-ceiling", type=int, default=d.step_ceiling)
+    run.add_argument("--alpha", default=str(d.alpha))
+    run.add_argument("--epsilon", default=str(d.epsilon))
+    run.add_argument("--eps-wow", type=int, default=d.eps_wow)
     run.add_argument("--prefix-mode", action="store_true")
     run.add_argument("--paranoid", action="store_true")
     run.add_argument("--adapt-prior", action="store_true")
-    run.add_argument("--archive", default="archive.jsonl")
-    run.add_argument("--metrics", default="metrics.csv")
-    run.add_argument("--external-tasks", default="")
+    run.add_argument("--archive", default=d.archive_path)
+    run.add_argument("--metrics", default=d.metrics_path)
+    run.add_argument("--external-tasks", default=d.external_tasks_path)
     run.add_argument("--resume", action="store_true")
 
     audit = sub.add_parser("audit", help="re-verify every acceptance in an archive")
     audit.add_argument("archive")
-    audit.add_argument("--alpha", default="1")
-    audit.add_argument("--epsilon", default="1")
+    audit.add_argument("--alpha", default=str(d.alpha))
+    audit.add_argument("--epsilon", default=str(d.epsilon))
 
     rep = sub.add_parser("report", help="emit summary and plottable CSVs from an archive")
     rep.add_argument("archive")
@@ -64,26 +72,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def config_from_args(args) -> RunConfig:
+    """The RunConfig a parsed ``run`` command line asks for (no env overrides)."""
+    return RunConfig(
+        variant=args.variant,
+        searcher=args.searcher,
+        domain=args.domain,
+        seed=args.seed,
+        max_tasks=args.max_tasks,
+        step_ceiling=args.step_ceiling,
+        alpha=parse_ratio(args.alpha),
+        epsilon=parse_ratio(args.epsilon),
+        eps_wow=args.eps_wow,
+        prefix_mode=args.prefix_mode,
+        paranoid=args.paranoid,
+        adapt_prior=args.adapt_prior,
+        archive_path=args.archive,
+        metrics_path=args.metrics,
+        external_tasks_path=args.external_tasks,
+        resume=args.resume,
+    )
+
+
 def cmd_run(args) -> int:
     try:
-        config = RunConfig(
-            variant=args.variant,
-            searcher=args.searcher,
-            domain=args.domain,
-            seed=args.seed,
-            max_tasks=args.max_tasks,
-            step_ceiling=args.step_ceiling,
-            alpha=parse_ratio(args.alpha),
-            epsilon=parse_ratio(args.epsilon),
-            eps_wow=args.eps_wow,
-            prefix_mode=args.prefix_mode,
-            paranoid=args.paranoid,
-            adapt_prior=args.adapt_prior,
-            archive_path=args.archive,
-            metrics_path=args.metrics,
-            external_tasks_path=args.external_tasks,
-            resume=args.resume,
-        ).apply_env_overrides()
+        config = config_from_args(args).apply_env_overrides()
         config.validate()
     except (ConfigError, ValueError, ZeroDivisionError) as exc:
         _log_stderr({"event": "config_error", "error": str(exc)})
@@ -92,6 +105,8 @@ def cmd_run(args) -> int:
     try:
         engine = Engine(config, log=_log_stderr)
         result = engine.run()
+    except ArchiveIndexError as exc:
+        return _archive_corrupt(exc)
     except OSError as exc:
         _log_stderr({"event": "io_error", "error": str(exc)})
         return EXIT_CONFIG
@@ -122,6 +137,8 @@ def cmd_audit(args) -> int:
         report = audit_archive(
             args.archive, alpha=parse_ratio(args.alpha), epsilon=parse_ratio(args.epsilon)
         )
+    except ArchiveIndexError as exc:
+        return _archive_corrupt(exc)
     except OSError as exc:
         _log_stderr({"event": "io_error", "error": str(exc)})
         return EXIT_CONFIG
@@ -149,6 +166,8 @@ def cmd_report(args) -> int:
         return EXIT_CONFIG
     try:
         info = write_report(args.archive, args.out)
+    except ArchiveIndexError as exc:
+        return _archive_corrupt(exc)
     except OSError as exc:
         _log_stderr({"event": "io_error", "error": str(exc)})
         return EXIT_CONFIG

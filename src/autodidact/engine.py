@@ -288,6 +288,7 @@ class Engine:
             domain=cfg.domain,
             external=external is not None,
             paranoid=cfg.paranoid,
+            table_bill=self._table_bill,
         )
         if cfg.searcher == "oops":
             return oops_search(problem, cfg.step_ceiling, self.log)
@@ -300,6 +301,29 @@ class Engine:
             cfg.stoch_max_candidates,
             self.log,
         )
+
+    def _table_bill(self, task: Task, caches: dict) -> Optional[int]:
+        """The least bill with which the judge's first stage can conclude on task.
+
+        Read off this phase's tables, without running anything; None while
+        they have no entry for the task.  The first stage is novelty: in
+        variant I the novelty cache's bill, in variant II the least bill
+        the t_max memo answers a grant with, at least 1 because a grant of 0
+        is always cut.  A repertoire task in variant II skips novelty, and
+        the memo never holds one.  Each entry is written once per phase and
+        never changes, and every pair-cache bill for the task includes a
+        novelty bill at least this large, so a candidate that reaches the
+        judge with fewer steps left is cut whichever table answers it.
+        """
+        identity = task.identity()
+        if self.config.variant == "I":
+            hit = caches["novelty"].get(identity)
+            return None if hit is None else hit[1]
+        ledger = self._ledger
+        memo = None if ledger is None else ledger.novelty.get(identity)
+        if memo is None:
+            return None
+        return max(1, least_bill(memo[2], ledger.params.t_max))
 
     # -- Variant I ----------------------------------------------------------
 

@@ -48,11 +48,30 @@ entry either, so the scheduler parks the candidate and bills it its
 budget, without running it, at every doubling below its floor.  Cuts of a
 live run carry no floor.
 
+Many such cuts are known before the candidate ever runs.  An append-only
+record (StaticRecord.append_only) walks to its end with no fault, no context
+read and no E_TRUNC, so once its key passes the boundary its run_meta bills
+exactly ``certain`` steps and proposes the key's task with Appends and the
+automatic SetEntry.  apply_modification accepts that edit unless the task's
+entry key is frozen (prefix mode), and the judge starts with
+budget - certain steps left.  The judge's first stage is novelty, and
+SearchProblem.table_bill reports the least bill B with which it concludes
+on the task, once a table holds it: variant I's novelty-cache bill, or the
+least bill variant II's t_max memo answers a grant with (at least 1, since
+a grant of 0 is cut).  When certain + B > budget the novelty stage cuts the
+run, and so does a pair-cache hit, which the judge reads first: every pair
+bill for the task includes a novelty bill of at least B.  The candidate is
+billed its budget without running.  A table entry is written at most once
+per phase and never changes, so a group whose entry exists when its unit's
+visit starts is decided in one go; members visited before the entry is
+written run, and those after it are decided at their own turn, as are
+candidates an earlier live run cut.
+
 Everything else still runs, one at a time in shortlex order, because the
 pair and novelty tables make verdicts depend on the order of execution.
 The on_candidate hook still sees every candidate in that order; bulk-
-decided and parked ones arrive with undone = 0.  Paranoid mode runs the
-decided and parked candidates too and checks the records agree.
+decided, table-decided and parked ones arrive with undone = 0.  Paranoid
+mode runs all of them too and checks the records agree.
 """
 
 from __future__ import annotations
@@ -71,6 +90,7 @@ from .meta import (
     EDIT_OPS,
     GRID_TASK_OPS,
     META_ISA,
+    M_E_TRUNC,
     M_V_DESC,
     PATTERN_TASK_OPS,
     TASK_OPS,
@@ -124,8 +144,9 @@ class PhaseStats:
     t_lim: int = 0  # value at acceptance
 
 
-# Judge: (q, changed, proposal, meter, novelty_cache) -> details or None when
+# Judge: (q, changed, proposal, meter, caches) -> details or None when
 # rejected; raises BudgetExhausted when the verdict is out of reach for now.
+# ``caches`` is the phase's fresh_caches() dict.
 Judge = Callable[..., Optional[object]]
 
 
@@ -138,6 +159,10 @@ class SearchProblem:
     external: bool = False
     paranoid: bool = False
     on_candidate: Optional[Callable] = None  # instrumentation hook
+    # (task, caches) -> the least bill with which the judge's first stage can
+    # conclude on that task, read off this phase's tables; None while no
+    # table has it.  Without it, append-only candidates always run.
+    table_bill: Optional[Callable] = None
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +416,17 @@ class StaticRecord(NamedTuple):
     EXTERNAL_KEY) is checked at the inventor/modifier boundary after
     ``key_steps`` charges; only a key that passes lets the record continue
     into the modifier.  ``key`` is None when the walk stopped earlier.
+
+    ``append_only`` marks a walk that reached the end with no E_TRUNC: once
+    its key passes, run_meta bills exactly ``certain`` steps and proposes
+    the task of ``key`` with Appends and the automatic SetEntry only.
     """
 
     certain: int
     fault: Optional[str]
     key: Optional[tuple]
     key_steps: int
+    append_only: bool = False
 
 
 def static_record(inventor: tuple, modifier: tuple, directives: tuple) -> StaticRecord:
@@ -406,6 +436,8 @@ def static_record(inventor: tuple, modifier: tuple, directives: tuple) -> Static
     whose fault or bill may depend on the context, or at the first fault its
     immediates alone decide.  Stack faults cannot occur: the enumeration
     prunes underflows, and overflow needs more ops than any bucket holds.
+    The edit ops a full walk can meet are templates 0 and 1 (which bill
+    nothing extra), the other appending ops, and E_TRUNC.
     """
     steps = 0
     key = EXTERNAL_KEY
@@ -426,7 +458,8 @@ def static_record(inventor: tuple, modifier: tuple, directives: tuple) -> Static
         msg = static_fault(code, args)
         if msg is not None:
             return StaticRecord(steps, f"malformed_edit: {msg}", key, key_steps)
-    return StaticRecord(steps + len(directives), None, key, key_steps)
+    append_only = all(code != M_E_TRUNC for code, _args in modifier)
+    return StaticRecord(steps + len(directives), None, key, key_steps, append_only)
 
 
 class BoundaryVerdicts(dict):
@@ -455,7 +488,7 @@ class BoundaryVerdicts(dict):
 
 def static_verdict(rec: StaticRecord, budget: int, boundary: BoundaryVerdicts):
     """(verdict, steps, reason) when the record decides the run, else None."""
-    certain, fault, key, key_steps = rec
+    certain, fault, key, key_steps, _append_only = rec
     if key is not None:
         bad = boundary[key]
         if bad is not None:
@@ -615,8 +648,9 @@ class _Unit:
     """The live candidates of one bucket that first became affordable together.
 
     ``groups`` are (StaticRecord, prior, sorted indices) whose record has cut
-    them at every budget so far; ``cut`` holds (index, prior, floor) for the
-    executed entries that were cut, sorted by index, where floor is the
+    them at every budget so far, or, for append-only records, whose task's
+    table bill has; ``cut`` holds (index, prior, floor, StaticRecord) for
+    the executed entries that were cut, sorted by index, where floor is the
     least budget at which the run can conclude, or None when unknown.  The
     prior is None in uniform mode, where P(p) = 2**-total exactly.
     """
@@ -645,7 +679,9 @@ def oops_search(
     deterministic), so they are never visited again.  A group of entries
     sharing a StaticRecord and a prior is decided by one static_verdict
     call and billed in bulk; an executed candidate cut below its floor is
-    billed its budget without running.  Only the rest run, one at a time.
+    billed its budget without running, and so is an append-only candidate
+    whose task's table bill is more than its budget leaves.  Only the rest
+    run, one at a time.
     """
     stats = PhaseStats()
     space = candidate_space(problem.domain, problem.external)
@@ -655,10 +691,30 @@ def oops_search(
     t_lim = 1
     stats.t_lim_trace.append(t_lim)
     caches = fresh_caches()
-    boundary = BoundaryVerdicts(problem.ctx)
+    ctx, table_bill = problem.ctx, problem.table_bill
+    boundary = BoundaryVerdicts(ctx)
     units: list[_Unit] = []  # in visiting order
     deferred: dict[int, tuple] = {}  # adapted mode: total -> (entries, unaffordable groups)
     enumerated_upto = 3 * OPCODE_BITS - 1
+
+    bills: dict = {}  # task key -> its table bill, once written (it never changes)
+
+    def table_cut(rec: StaticRecord, budget: int) -> bool:
+        """True when the record is append-only and its task's table bill,
+        if a table holds it yet, is more than the budget leaves."""
+        if not rec.append_only or table_bill is None:
+            return False
+        owed = bills.get(rec.key)
+        if owed is None:
+            key = rec.key
+            task = ctx.external_task if key == EXTERNAL_KEY else invent_task(*key, ctx)
+            if task.entry_key in ctx.solver.frozen_entry_keys:
+                return False  # apply_modification may refuse the automatic SetEntry
+            owed = table_bill(task, caches)
+            if owed is None:
+                return False
+            bills[key] = owed
+        return rec.certain + owed > budget
 
     def check_known(meta: MetaProgram, budget: int, decided: tuple, what: str) -> None:
         if paranoid:
@@ -687,41 +743,53 @@ def oops_search(
 
         # known: (sorted indices, budget, (verdict, steps, reason), what decided it)
         known: list = []
-        runs: list = []  # (index, prior, None)
+        runs: list = []  # (index, prior, StaticRecord, None)
         groups: list = []
         for group in unit.groups:
             rec, p, indices = group
             budget = budget_of(p)
             decided = static_verdict(rec, budget, boundary)
+            what = "static verdict"
+            if decided is None and table_cut(rec, budget):
+                decided, what = ("budget", budget, "budget"), "table verdict"
             if decided is None:
-                runs.extend((i, p, None) for i in indices)
+                runs.extend((i, p, rec, None) for i in indices)
                 continue
-            known.append((indices, budget, decided, "static verdict"))
+            known.append((indices, budget, decided, what))
             if decided[0] == "budget":
                 groups.append(group)
         cut: list = []
         parked: dict = {}  # budget -> indices of entries still below their floor
         for item in unit.cut:
-            i, p, floor = item
+            i, p, floor, rec = item
             budget = budget_of(p)
             if floor is not None and budget < floor:
                 parked.setdefault(budget, []).append(i)
                 cut.append(item)
             else:
-                runs.append((i, p, None))
+                runs.append((i, p, rec, None))
         for budget, indices in parked.items():
             known.append((indices, budget, ("budget", budget, "budget"), "parked below its floor"))
         visits = runs
         if paranoid or hook is not None:
-            visits = runs + [(i, None, k) for k in known for i in k[0]]
+            visits = runs + [(i, None, None, k) for k in known for i in k[0]]
         visits.sort(key=itemgetter(0))
-        for i, p, item in visits:
+        held: dict = {}  # (record, prior) -> entries cut at their turn by a table entry
+        for i, p, rec, item in visits:
             v, i1, i2, i3 = entries[i]
             meta = MetaProgram(BitString(v, total), i1, i2, i3)
             if item is not None:
                 check_known(meta, *item[1:])
                 continue
             budget = budget_of(p)
+            if table_cut(rec, budget):  # the entry may be written since the visit began
+                if paranoid or hook is not None:
+                    check_known(meta, budget, ("budget", budget, "budget"), "table verdict")
+                stats.candidates_run += 1
+                stats.rejected += 1
+                stats.steps_total += budget
+                held.setdefault((rec, p), []).append(i)
+                continue
             record, acc = try_candidate(meta, problem, budget, caches)
             stats.candidates_run += 1
             stats.steps_total += record.steps
@@ -735,8 +803,11 @@ def oops_search(
                 return acc
             stats.rejected += 1
             if record.verdict == "budget":
-                cut.append((i, p, record.floor))
+                cut.append((i, p, record.floor, rec))
         bill(known, None)
+        # Entries cut by a table entry at their turn form groups again: the
+        # next doubling decides each of them in one go.
+        groups.extend((rec, p, members) for (rec, p), members in held.items())
         cut.sort(key=itemgetter(0))
         unit.groups, unit.cut = groups, cut
         return None

@@ -24,12 +24,17 @@ class BudgetExhausted(Exception):
     ``floor``, when set, is the least budget at which the cut stage can
     conclude.  Only cuts read off a table written once per phase carry one,
     and every later run under a smaller budget is cut the same way.
+
+    The scheduler raises one per cut and never prints it, so the message is
+    only built when something asks for it.
     """
 
     def __init__(self, steps_spent: int, floor: Optional[int] = None):
-        super().__init__(f"validation budget exhausted after {steps_spent} steps")
         self.steps_spent = steps_spent
         self.floor = floor
+
+    def __str__(self) -> str:
+        return f"validation budget exhausted after {self.steps_spent} steps"
 
 
 @dataclass

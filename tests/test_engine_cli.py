@@ -7,6 +7,7 @@ import pytest
 
 from autodidact.archive import load_archive
 from autodidact.bits import nibble
+from autodidact.cli import EXIT_AUDIT, build_parser, config_from_args
 from autodidact.cli import main as cli_main
 from autodidact.config import ConfigError, RunConfig
 from autodidact.engine import Engine
@@ -81,6 +82,54 @@ def small_run(tmp_path, name="run", **overrides):
     res = Engine(cfg).run()
     write_metrics(res.entries, cfg.metrics_path)
     return cfg, res
+
+
+def test_run_flags_default_to_the_run_config_defaults():
+    assert config_from_args(build_parser().parse_args(["run"])) == RunConfig()
+
+
+@pytest.fixture(scope="module")
+def four_entry_archive(tmp_path_factory):
+    cfg, res = small_run(tmp_path_factory.mktemp("four"), max_tasks=4)
+    assert res.accepted == 4
+    return open(cfg.archive_path).read().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("damage", ["line 2 deleted", "line 2 repeated"])
+@pytest.mark.parametrize("command", ["audit", "report", "run"])
+def test_an_archive_out_of_sequence_exits_three_and_names_the_entry(
+    tmp_path, capsys, four_entry_archive, command, damage
+):
+    lines = list(four_entry_archive)
+    if damage == "line 2 deleted":
+        del lines[1]
+        found = 3
+    else:
+        lines.insert(2, lines[1])
+        found = 2
+    path = tmp_path / "archive.jsonl"
+    path.write_text("".join(lines))
+    args = {
+        "audit": ["audit", str(path)],
+        "report": ["report", str(path), "--out", str(tmp_path / "report")],
+        "run": [
+            "run",
+            "--resume",
+            "--domain",
+            "gridworld",
+            "--max-tasks",
+            "5",
+            "--archive",
+            str(path),
+            "--metrics",
+            str(tmp_path / "m.csv"),
+        ],
+    }[command]
+    assert run_cli(args) == EXIT_AUDIT == 3
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert events[-1]["event"] == "archive_corrupt"
+    assert events[-1]["entry"] == found
+    assert path.read_text() == "".join(lines)  # resume must not rewrite it
 
 
 def test_small_run_and_audit_cli(tmp_path):

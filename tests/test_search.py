@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,19 @@ from autodidact.meta import (
     META_ISA,
     MetaContext,
     MetaProgram,
+    Meter,
+    Proposal,
     ScratchStore,
     decode_meta,
     invent_task,
+    run_meta,
+    undo_storage,
     well_formed,
 )
 from autodidact.prior import Prior
+from autodidact.costs import least_bill
 from autodidact.search import (
+    EXTERNAL_KEY,
     BoundaryVerdicts,
     SearchCeilingReached,
     SearchProblem,
@@ -30,14 +37,15 @@ from autodidact.search import (
     ceil_fraction,
     max_affordable_bits,
     oops_search,
+    static_record,
     static_verdict,
     stochastic_search,
     try_candidate,
 )
 from autodidact.tasks import PatternTask
 from autodidact.templates import copy_query_loop, grid_walk
-from autodidact.validate import RepertoireItem
-from autodidact.vm import SolverProgram
+from autodidact.validate import BudgetExhausted, RepertoireItem
+from autodidact.vm import Append, SetEntry, SolverProgram, apply_modification
 
 from conftest import install_segment
 
@@ -322,6 +330,70 @@ def test_static_verdicts_equal_executed_records(context):
     assert expected <= reasons
 
 
+@pytest.mark.parametrize("context", ["empty", "mid_run", "external"])
+def test_append_only_records_bill_exactly_certain_and_only_append(context):
+    # What the table rule relies on: once its key passes the boundary, an
+    # append-only candidate's run_meta bills exactly ``certain`` and proposes
+    # its key's task with Appends and the automatic SetEntry only.
+    ctx, external, max_bits, _expected = _context(context)
+    space = candidate_space("mixed", external)
+    boundary = BoundaryVerdicts(ctx)
+    base = ctx.solver.component_count
+    checked = 0
+    for total in range(15, max_bits + 1):
+        entries, records = space.compiled_bucket(total)
+        for (v, i1, i2, i3), rec in zip(entries, records):
+            if not rec.append_only or boundary[rec.key] is not None:
+                continue
+            meta = MetaProgram(BitString(v, total), i1, i2, i3)
+            meter = Meter(rec.certain)
+            proposal = run_meta(meta, ctx, meter)
+            task = ctx.external_task if rec.key == EXTERNAL_KEY else invent_task(*rec.key, ctx)
+            *appends, entry = proposal.edits
+            assert meter.spent == rec.certain, meta.code.to_hex()
+            assert proposal.task is task
+            assert appends and all(isinstance(e, Append) for e in appends)
+            assert entry == SetEntry(task.entry_key, base)
+            checked += 1
+            undo_storage(ctx.scratch)
+    assert checked > 1000
+
+
+def test_a_table_bill_decides_without_runs_and_one_step_high_is_caught(monkeypatch):
+    # The planted judge bills 14 steps before anything else, as if read off a
+    # table.  A table_bill of 14 decides exactly the candidates that judge
+    # cuts: the phase is billed the same with fewer runs, and paranoid mode
+    # agrees.  One of 15 also "decides" the two-op candidates at budget 16,
+    # which the judge rejects instead.
+    ran = []
+    real_try = search.try_candidate
+
+    def spying_try(meta, problem, budget, caches=None):
+        ran.append(meta.code)
+        return real_try(meta, problem, budget, caches)
+
+    monkeypatch.setattr(search, "try_candidate", spying_try)
+    searched = []
+    for owed, paranoid in ((None, False), (14, False), (14, True)):
+        _target, problem = planted_problem(needed_steps=14)
+        if owed is not None:
+            problem.table_bill = lambda task, caches: owed
+        problem.paranoid = paranoid
+        ran.clear()
+        acc, stats = oops_search(problem, step_ceiling=2**60)
+        searched.append((acc.meta, stats, len(ran)))
+    (plain_meta, plain, plain_runs), (meta, decided, runs), (paranoid_meta, checked, _) = searched
+    assert plain_meta == meta == paranoid_meta
+    assert plain == decided == checked
+    assert runs < plain_runs
+
+    _target, problem = planted_problem(needed_steps=14)
+    problem.table_bill = lambda task, caches: 15
+    problem.paranoid = True
+    with pytest.raises(AssertionError, match="table verdict"):
+        oops_search(problem, step_ceiling=2**60)
+
+
 def test_on_candidate_sees_every_candidate_of_a_mixed_run(tmp_path, monkeypatch):
     executed, calls, phases = set(), [], []
 
@@ -418,25 +490,53 @@ def test_stochastic_search_keeps_one_cache_per_phase(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _novelty_table_bill(problem, task, caches):
+    """The judge's first-stage bill for task, read straight off its tables."""
+    engine = problem.judge.__self__
+    if engine.config.variant == "I":
+        hit = caches["novelty"].get(task.identity())
+        return None if hit is None else hit[1]
+    ledger = engine._ledger
+    memo = None if ledger is None else ledger.novelty.get(task.identity())
+    return None if memo is None else max(1, least_bill(memo[2], ledger.params.t_max))
+
+
 def _classified_run(tmp_path, monkeypatch, name, **overrides):
     """Grow an engine run, sorting every candidate visit by how it was decided.
 
     Returns (archive bytes, per-phase stats, visits): each visit is
     (phase, code, budget, (verdict, steps, reason), kind) with kind
-    "executed", "static" (a bulk StaticRecord verdict) or "parked" (cut
-    below the floor an earlier run of the same candidate reported).
+    "executed", "static" (a bulk StaticRecord verdict), "parked" (cut
+    below the floor an earlier run of the same candidate reported) or
+    "table" (an append-only candidate whose task's novelty bill was in a
+    table at its turn and more than its budget leaves).  No candidate that
+    the table rule decides may run.
     """
-    calls, executed, phases = [], [], []
+    calls, executed, phases, ctxs = [], [], [], []
     real_try, real_search = search.try_candidate, search.oops_search
 
     def spying_try(meta, problem, budget, caches=None):
-        executed.append((len(phases), meta.code, budget))
-        return real_try(meta, problem, budget, caches)
+        rec = static_record(meta.inventor, meta.modifier, meta.directives)
+        if rec.append_only and not problem.paranoid:
+            ctx = problem.ctx
+            task = ctx.external_task if rec.key == EXTERNAL_KEY else invent_task(*rec.key, ctx)
+            owed = _novelty_table_bill(problem, task, caches)
+            if owed is not None and task.entry_key not in ctx.solver.frozen_entry_keys:
+                assert rec.certain + owed <= budget, ("ran a table-decided candidate", budget)
+        record, acc = real_try(meta, problem, budget, caches)
+        executed.append((len(phases), meta.code, budget, record.floor))
+        return record, acc
 
     def hooked_search(problem, step_ceiling, log=None):
         phase = len(phases)
+        # The engine's repertoire and segment lists grow at the commit.
+        ctx = problem.ctx
+        phase_ctx = replace(
+            ctx, repertoire=list(ctx.repertoire), segments=list(ctx.segments), task_memo={}
+        )
+        ctxs.append(BoundaryVerdicts(phase_ctx))
         problem.on_candidate = lambda meta, record, budget, undone: calls.append(
-            (phase, meta.code, budget, (record.verdict, record.steps, record.reason), undone)
+            (phase, meta, budget, (record.verdict, record.steps, record.reason), undone)
         )
         acc, stats = real_search(problem, step_ceiling, log)
         phases.append(stats)
@@ -445,48 +545,66 @@ def _classified_run(tmp_path, monkeypatch, name, **overrides):
     monkeypatch.setattr(search, "try_candidate", spying_try)
     monkeypatch.setattr("autodidact.engine.oops_search", hooked_search)
     cfg = RunConfig(
-        max_tasks=3,
         archive_path=str(tmp_path / f"{name}.jsonl"),
         metrics_path=str(tmp_path / f"{name}.csv"),
-        **overrides,
+        **{"max_tasks": 3, **overrides},
     )
     try:
-        assert Engine(cfg).run().accepted == 3
+        assert Engine(cfg).run().accepted == cfg.max_tasks
     finally:
         monkeypatch.setattr(search, "try_candidate", real_try)
         monkeypatch.setattr("autodidact.engine.oops_search", real_search)
-    ran = set(executed)
-    ran_codes = {(phase, code) for phase, code, _budget in executed}
+    floors = {(phase, code, budget): floor for phase, code, budget, floor in executed}
+    last_floor = {}  # (phase, code) -> the floor its latest run so far reported
     visits = []
-    for phase, code, budget, record, undone in calls:
-        if (phase, code, budget) in ran:
+    for phase, meta, budget, record, undone in calls:
+        code = meta.code
+        if (phase, code, budget) in floors:
             kind = "executed"
+            last_floor[(phase, code)] = floors[(phase, code, budget)]
         else:
             assert undone == 0
-            # A candidate that once ran is never decided statically again.
-            kind = "parked" if (phase, code) in ran_codes else "static"
+            rec = static_record(meta.inventor, meta.modifier, meta.directives)
+            floor = last_floor.get((phase, code))
+            if static_verdict(rec, budget, ctxs[phase]) is not None:
+                kind = "static"
+            elif floor is not None and floor > budget:
+                kind = "parked"
+            else:
+                assert rec.append_only, code.to_hex()
+                kind = "table"
         visits.append((phase, code, budget, record, kind))
     with open(cfg.archive_path, "rb") as fh:
         return fh.read(), phases, visits
 
 
+KINDS = ("executed", "static", "parked", "table")
+
+
+# In variant I with the uniform gridworld run, the candidates that a cut
+# with a floor would park are all append-only and decided by their table
+# entry first, so that run has no parked visit.  In prefix mode the table
+# rule must step aside for tasks whose entry key is frozen.
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, kinds_seen",
     [
-        {"variant": "I", "domain": "gridworld"},
-        {"variant": "I", "domain": "gridworld", "adapt_prior": True},
-        {"variant": "II", "domain": "gridworld"},
+        ({"variant": "I", "domain": "gridworld"}, {"executed", "static", "table"}),
+        ({"variant": "I", "domain": "gridworld", "adapt_prior": True}, set(KINDS)),
+        ({"variant": "II", "domain": "gridworld"}, set(KINDS)),
+        ({"variant": "I", "domain": "pattern", "prefix_mode": True, "max_tasks": 2}, set(KINDS)),
     ],
-    ids=["v1-uniform", "v1-adapted", "v2"],
+    ids=["v1-uniform", "v1-adapted", "v2", "v1-prefix"],
 )
-def test_bulk_and_parked_verdicts_equal_paranoid_executions(tmp_path, monkeypatch, overrides):
+def test_bulk_and_parked_verdicts_equal_paranoid_executions(
+    tmp_path, monkeypatch, overrides, kinds_seen
+):
     archive, phases, visits = _classified_run(tmp_path, monkeypatch, "fast", **overrides)
     assert len(visits) == sum(stats.candidates_run for stats in phases)
-    kinds = {kind: sum(1 for v in visits if v[4] == kind) for kind in ("executed", "static", "parked")}
-    assert min(kinds.values()) > 0, kinds
+    kinds = {kind: sum(1 for v in visits if v[4] == kind) for kind in KINDS}
+    assert {kind for kind, n in kinds.items() if n} == kinds_seen, kinds
     assert kinds["executed"] < kinds["static"]
     for phase, _code, budget, (verdict, steps, _reason), kind in visits:
-        if kind == "parked":
+        if kind in ("parked", "table"):
             assert (verdict, steps) == ("budget", budget)
 
     # Paranoid mode runs every candidate, decided or not, and raises on any
@@ -614,3 +732,56 @@ def test_judge_floors_are_exact(tmp_path, monkeypatch, variant):
     )
     assert Engine(cfg).run().accepted == 3
     assert len(checked) > 100
+
+
+@pytest.mark.parametrize("variant", ["I", "II"])
+def test_the_table_bill_is_the_least_the_judges_first_stage_needs(tmp_path, monkeypatch, variant):
+    # After each phase's search, every task the scheduler asked about whose
+    # table entry exists gets an append-only proposal and is judged with no
+    # pair entries: one step short of the table bill the novelty stage cuts
+    # it (a cut with a floor), and at the bill it gets past that stage.
+    checked = []
+    real_search = search.oops_search
+
+    def checking_search(problem, step_ceiling, log=None):
+        seen = {}
+        real_bill = problem.table_bill
+
+        def recording_bill(task, caches):
+            seen[task.identity()] = (task, caches)
+            return real_bill(task, caches)
+
+        problem.table_bill = recording_bill
+        acc, stats = real_search(problem, step_ceiling, log)
+        solver = problem.ctx.solver
+        for task, caches in seen.values():
+            owed = real_bill(task, caches)
+            if owed is None or task.entry_key in solver.frozen_entry_keys:
+                continue
+            edits = [Append(ins) for ins in copy_query_loop()]
+            edits.append(SetEntry(task.entry_key, solver.component_count))
+            proposal = Proposal(task, edits, (), 0, len(edits) - 1, solver.component_count)
+            q, changed = apply_modification(solver, edits)
+            for left in (owed - 1, owed):
+                if left < 0:
+                    continue
+                tables = {"novelty": dict(caches["novelty"]), "pair": {}}
+                try:
+                    problem.judge(q, changed, proposal, Meter(left), tables)
+                    floor = None
+                except BudgetExhausted as exc:
+                    floor = exc.floor
+                assert (floor is not None) == (left < owed), (task.identity(), owed, left)
+            checked.append(owed)
+        return acc, stats
+
+    monkeypatch.setattr("autodidact.engine.oops_search", checking_search)
+    cfg = RunConfig(
+        variant=variant,
+        domain="mixed",
+        max_tasks=4,
+        archive_path=str(tmp_path / "a.jsonl"),
+        metrics_path=str(tmp_path / "m.csv"),
+    )
+    assert Engine(cfg).run().accepted == 4
+    assert len(checked) > 20
