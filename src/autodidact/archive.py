@@ -6,6 +6,10 @@ file otherwise) and enough metadata to resume or re-audit without any other
 engine state.  Frozen entries never change: the digest of lines 1..k is
 stable once entry k+1 exists, and a truncated final line (crash) is dropped
 on reload.
+
+Reading fails with ArchiveCorrupt, naming the entry, on any line that parses
+but is not a well-formed entry in sequence; ``Replay`` is the one way to
+rebuild the state the entries add up to.
 """
 
 from __future__ import annotations
@@ -15,28 +19,43 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
+from .costs import CostParams
 from .tasks import Task, Trace, task_from_json
+from .validate import RepertoireItem
 from .vm import SolverProgram
 
 TRACE_INLINE_LIMIT = 4096  # bytes of serialized trace kept in the main file
 
 
-class ArchiveIndexError(ValueError):
-    """An archive entry whose index breaks the 1, 2, 3, ... sequence."""
+class ArchiveCorrupt(ValueError):
+    """An archive line that parses as JSON but is no well-formed entry in sequence."""
 
-    def __init__(self, message: str, entry: int):
-        super().__init__(message)
-        self.entry = entry  # the index found out of sequence
-
-
-class IndexGap(ArchiveIndexError):
-    pass
+    def __init__(self, entry: int, reason: str):
+        super().__init__(f"archive entry {entry}: {reason}")
+        self.entry = entry  # the damaged entry's index, or its place in the file
 
 
-class DuplicateIndex(ArchiveIndexError):
-    pass
+class IndexGap(ArchiveCorrupt):
+    """An entry whose index skips ahead of the 1, 2, 3, ... sequence."""
+
+
+class DuplicateIndex(ArchiveCorrupt):
+    """An entry whose index repeats one already in the archive."""
+
+
+# What reading data of the wrong shape raises: a missing key, a list where a
+# dict belongs, a string that is no number, an unknown task kind.
+_SHAPE_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+
+
+def _decoded(entry: int, what: str, decode, *args):
+    """decode(*args), raising ArchiveCorrupt when the data has the wrong shape."""
+    try:
+        return decode(*args)
+    except _SHAPE_ERRORS as exc:
+        raise ArchiveCorrupt(entry, f"{what} does not decode ({exc!r})") from exc
 
 
 class IndexOutOfRange(IndexError):
@@ -94,20 +113,22 @@ class ArchiveEntry:
         )
 
     def solver_program(self) -> SolverProgram:
-        return SolverProgram.from_json(self.solver)
+        return _decoded(self.i, "solver", SolverProgram.from_json, self.solver)
 
     def task_obj(self) -> Task:
-        return task_from_json(self.task)
+        return _decoded(self.i, "task", task_from_json, self.task)
 
-    def trace_obj(self, archive_path: Optional[str] = None) -> Optional[Trace]:
+    def trace_obj(self, archive_path) -> Optional[Trace]:
         if self.trace is not None:
-            return Trace.from_json(self.trace)
-        if self.trace_ref is not None:
-            if archive_path is None:
-                raise FileNotFoundError("sidecar trace needs the archive path")
-            side = _sidecar_dir(archive_path) / f"{self.trace_ref}.json"
-            return Trace.from_json(json.loads(side.read_text()))
-        return None
+            return _decoded(self.i, "trace", Trace.from_json, self.trace)
+        if self.trace_ref is None:
+            return None
+        side = _sidecar_dir(archive_path) / f"{self.trace_ref}.json"
+        try:
+            text = side.read_text()
+        except FileNotFoundError as exc:
+            raise ArchiveCorrupt(self.i, f"sidecar trace {side.name} is missing") from exc
+        return _decoded(self.i, "sidecar trace", lambda: Trace.from_json(json.loads(text)))
 
 
 def _sidecar_dir(archive_path) -> Path:
@@ -123,9 +144,9 @@ def append_entry(archive_path, entry: ArchiveEntry, existing: list) -> None:
     """Persist one acceptance; flushed to disk before the search resumes."""
     expected = (existing[-1].i + 1) if existing else 1
     if entry.i < expected:
-        raise DuplicateIndex(f"entry {entry.i} already frozen", entry.i)
+        raise DuplicateIndex(entry.i, "already frozen")
     if entry.i > expected:
-        raise IndexGap(f"expected entry {expected}, got {entry.i}", entry.i)
+        raise IndexGap(entry.i, f"appended where entry {expected} was expected")
     if entry.trace is not None:
         blob = json.dumps(entry.trace, separators=(",", ":"))
         if len(blob) > TRACE_INLINE_LIMIT:
@@ -144,7 +165,12 @@ def append_entry(archive_path, entry: ArchiveEntry, existing: list) -> None:
 
 
 def load_archive(archive_path) -> list:
-    """Read back all complete entries; a truncated final line is discarded."""
+    """Read back all complete entries; a truncated final line is discarded.
+
+    Raises ArchiveCorrupt for a line that parses but is no entry, naming it
+    by its place in the file, and IndexGap or DuplicateIndex for an entry
+    out of sequence.
+    """
     path = Path(archive_path)
     if not path.exists():
         return []
@@ -156,12 +182,72 @@ def load_archive(archive_path) -> list:
             data = json.loads(raw)
         except json.JSONDecodeError:
             break  # crash tail: resume from the last complete entry
-        entry = ArchiveEntry.from_json(data)
         expected = (entries[-1].i + 1) if entries else 1
-        if entry.i != expected:
-            raise IndexGap(f"archive entry {entry.i} where {expected} expected", entry.i)
+        entry = _decoded(expected, "line", ArchiveEntry.from_json, data)
+        if entry.i < expected:
+            raise DuplicateIndex(entry.i, f"repeated where entry {expected} was expected")
+        if entry.i > expected:
+            raise IndexGap(entry.i, f"found where entry {expected} was expected")
         entries.append(entry)
     return entries
+
+
+class ReplayStep(NamedTuple):
+    entry: ArchiveEntry
+    task: Task
+    trace: Optional[Trace]
+    params: Optional[CostParams]  # a ledger entry's stored cost parameters
+
+
+class Replay:
+    """The state that an archive's acceptances add up to, rebuilt entry by entry.
+
+    Resume, audit and report all iterate one over entries they loaded.  Each
+    step carries an entry with its decoded task and trace and, for a ledger
+    entry, its cost parameters with the external rewards known so far.
+    While a step is out, ``repertoire`` still holds only the tasks of earlier
+    entries, the set the entry was judged against, and ``origins`` and
+    ``external_rewards`` already include the entry.  Each distinct task joins
+    the repertoire once, with the trace and origin of its first entry.
+    Solvers are left to the caller: only the audit needs every one.
+    """
+
+    def __init__(self, entries: list, archive_path):
+        self.entries = entries
+        self.archive_path = archive_path
+        self.repertoire: list[RepertoireItem] = []
+        self.items: dict[str, RepertoireItem] = {}  # task identity -> repertoire item
+        self.origins: dict[str, str] = {}  # task identity -> origin of its first entry
+        self.external_rewards: dict[str, int] = {}  # task identity -> user reward
+
+    def __iter__(self) -> Iterator[ReplayStep]:
+        last = last_stored = None  # the latest ledger entry's parameters, decoded and as stored
+        for entry in self.entries:
+            task = entry.task_obj()
+            trace = entry.trace_obj(self.archive_path)
+            identity = task.identity()
+            self.origins.setdefault(identity, entry.origin)
+            if entry.origin == "external" and "reward" in entry.meta:
+                self.external_rewards[identity] = entry.meta["reward"]
+            params = None
+            if entry.c is not None:
+                # A run stores the same parameters in every ledger entry, so
+                # they are decoded again only when they or the rewards change.
+                stored = entry.meta.get("cost_params")
+                rewards = self.external_rewards
+                if last is None or stored != last_stored or last.external_rewards != rewards:
+                    last = _decoded(
+                        entry.i,
+                        "cost_params",
+                        lambda: CostParams.from_json(entry.meta["cost_params"], rewards),
+                    )
+                    last_stored = stored
+                params = last
+            yield ReplayStep(entry, task, trace, params)
+            if identity not in self.items:
+                item = RepertoireItem(len(self.repertoire) + 1, task, trace, origin=entry.origin)
+                self.repertoire.append(item)
+                self.items[identity] = item
 
 
 def repair_archive(archive_path, entries: list) -> bool:

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .archive import load_archive
-from .costs import CostParams, cost, measure_task, parse_ratio, reward
+from .archive import Replay, load_archive
+from .costs import cost, measure_task, parse_ratio, reward
 from .tasks import DecisionTask, solves
-from .validate import RepertoireItem, _preservation_run
+from .validate import RepertoireItem, preservation_run
 from .vm import EMPTY_SOLVER
 
 
@@ -43,94 +43,34 @@ class AuditReport:
         return min((f.phase for f in self.failures), default=0)
 
 
-def _cost_params(entry_meta: dict, alpha, epsilon, external_rewards) -> CostParams:
-    """Cost parameters for one ledger entry.
-
-    Entries written by this engine carry their parameters, so the archive is
-    self-sufficient; the caller-supplied values only cover older files.
-    """
-    stored = entry_meta.get("cost_params", {})
-    return CostParams(
-        alpha=parse_ratio(stored["alpha"]) if "alpha" in stored else alpha,
-        epsilon=parse_ratio(stored["epsilon"]) if "epsilon" in stored else epsilon,
-        t_max=stored.get("t_max", 500),
-        l_max=stored.get("l_max", 256),
-        r_new=stored.get("r_new", 1000),
-        external_rewards=external_rewards,
-    )
-
-
-def audit_archive(
-    archive_path,
-    alpha: Fraction = Fraction(1),
-    epsilon: Fraction = Fraction(1),
-) -> AuditReport:
+def audit_archive(archive_path) -> AuditReport:
     """Re-verify every frozen acceptance from the archive alone.
 
     Variant is detected per entry (cost fields present or not).  For the
     no-forgetting variant each phase must show: the previous solver fails the
     new task within bounds, the frozen solver handles it, and the frozen
     solver still passes every earlier task (patterns re-run, decisions
-    replayed against their stored traces).
+    replayed against their stored traces).  An entry that does not decode
+    raises ArchiveCorrupt.
     """
     report = AuditReport()
     entries = load_archive(archive_path)
     report.phases = len(entries)
-
+    replay = Replay(entries, archive_path)
     prev_solver = EMPTY_SOLVER
-    repertoire: list[RepertoireItem] = []
-    identities: dict[str, int] = {}
-    external_rewards: dict[str, int] = {}
-    origins: dict[str, str] = {}
-
-    for entry in entries:
-        i = entry.i
-        try:
-            solver = entry.solver_program()
-            task = entry.task_obj()
-            trace = entry.trace_obj(archive_path)
-        except Exception as exc:  # corrupt entry: stop here, report the phase
-            report.failures.append(AuditFailure(i, "decode", str(exc)))
-            break
-        identity = task.identity()
-        origins.setdefault(identity, entry.origin)
-        if entry.origin == "external" and "reward" in entry.meta:
-            external_rewards[identity] = entry.meta["reward"]
-
-        if entry.c is not None:
-            _audit_cost_entry(
-                report,
-                entry,
-                prev_solver,
-                solver,
-                task,
-                trace,
-                repertoire,
-                identities,
-                alpha,
-                epsilon,
-                external_rewards,
-                origins,
+    for entry, task, trace, params in replay:
+        solver = entry.solver_program()
+        if params is None:
+            _audit_strict_entry(
+                report, entry.i, prev_solver, solver, task, trace, replay.repertoire
             )
         else:
-            _audit_strict_entry(report, entry, prev_solver, solver, task, trace, repertoire)
-
-        if identity not in identities:
-            identities[identity] = len(repertoire) + 1
-            repertoire.append(
-                RepertoireItem(
-                    index=len(repertoire) + 1,
-                    task=task,
-                    trace=trace,
-                    origin=entry.origin,
-                )
-            )
+            _audit_cost_entry(report, entry, prev_solver, solver, task, trace, replay, params)
         prev_solver = solver
     return report
 
 
-def _audit_strict_entry(report, entry, prev_solver, solver, task, trace, repertoire):
-    i = entry.i
+def _audit_strict_entry(report, i, prev_solver, solver, task, trace, repertoire):
     prev_report, _ = solves(prev_solver, task)
     if prev_report.success:
         report.failures.append(
@@ -144,7 +84,7 @@ def _audit_strict_entry(report, entry, prev_solver, solver, task, trace, reperto
             report.failures.append(AuditFailure(i, "trace", "decision task without a trace"))
             return
         new_item = RepertoireItem(index=0, task=task, trace=trace)
-        rep, _ = _preservation_run(solver, new_item)
+        rep, _ = preservation_run(solver, new_item)
         if not rep.success:
             report.failures.append(
                 AuditFailure(i, "solves_new", "stored trace does not replay on the frozen solver")
@@ -157,7 +97,7 @@ def _audit_strict_entry(report, entry, prev_solver, solver, task, trace, reperto
             )
 
     for item in repertoire:
-        rep, _ = _preservation_run(solver, item)
+        rep, _ = preservation_run(solver, item)
         report.preservation_checked += 1
         if not rep.success:
             report.failures.append(
@@ -167,30 +107,14 @@ def _audit_strict_entry(report, entry, prev_solver, solver, task, trace, reperto
             )
 
 
-def _audit_cost_entry(
-    report,
-    entry,
-    prev_solver,
-    solver,
-    task,
-    trace,
-    repertoire,
-    identities,
-    alpha,
-    epsilon,
-    external_rewards,
-    origins,
-):
+def _audit_cost_entry(report, entry, prev_solver, solver, task, trace, replay, params):
     i = entry.i
-    params = _cost_params(entry.meta, alpha, epsilon, dict(external_rewards))
     identity = task.identity()
-    is_new = identity not in identities
+    known = replay.items.get(identity)
+    is_new = known is None
 
-    task_set: dict[str, tuple] = {}
-    for item in repertoire:
-        task_set[item.task.identity()] = (item.task, item.trace)
-    new_task_trace = trace if is_new else task_set[identity][1]
-    task_set[identity] = (task, new_task_trace)
+    task_set = {ident: (item.task, item.trace) for ident, item in replay.items.items()}
+    task_set[identity] = (task, trace if is_new else known.trace)
 
     def total(which_solver, live_new: bool) -> Fraction:
         measures = {}
@@ -201,7 +125,7 @@ def _audit_cost_entry(
                 use_trace = None  # the solve that froze this entry ran live
             m, _new_tr, _rep = measure_task(which_solver, t, params, use_trace)
             measures[ident] = m
-            rewards[ident] = reward(m, ident, origins, params)
+            rewards[ident] = reward(m, ident, replay.origins, params)
         return cost(which_solver, measures, rewards, params)
 
     c_star = total(prev_solver, live_new=is_new)

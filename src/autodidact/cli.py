@@ -1,8 +1,9 @@
 """Command line harness: run experiments, audit archives, emit reports.
 
-Exit codes: 0 success, 2 configuration error, 3 audit mismatch or an archive
-whose entry indices break sequence (any subcommand; an ``archive_corrupt``
-event names the entry), 4 search ceiling reached with zero acceptances.
+Exit codes: 0 success, 2 configuration error, 3 audit mismatch or a damaged
+archive: an entry that does not decode or whose index breaks sequence (any
+subcommand; an ``archive_corrupt`` event names the entry), 4 search ceiling
+reached with zero acceptances.
 Progress events stream as one JSON object per line on standard error; all
 result files are deterministic functions of (config, seed).
 """
@@ -13,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .archive import ArchiveIndexError
+from .archive import ArchiveCorrupt
 from .audit import audit_archive
 from .config import DOMAINS, SEARCHERS, VARIANTS, ConfigError, RunConfig
 from .costs import parse_ratio
@@ -30,7 +31,7 @@ def _log_stderr(event: dict) -> None:
     sys.stderr.write(json.dumps(event, sort_keys=True) + "\n")
 
 
-def _archive_corrupt(exc: ArchiveIndexError) -> int:
+def _archive_corrupt(exc: ArchiveCorrupt) -> int:
     _log_stderr({"event": "archive_corrupt", "entry": exc.entry, "error": str(exc)})
     return EXIT_AUDIT
 
@@ -63,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", help="re-verify every acceptance in an archive")
     audit.add_argument("archive")
-    audit.add_argument("--alpha", default=str(d.alpha))
-    audit.add_argument("--epsilon", default=str(d.epsilon))
 
     rep = sub.add_parser("report", help="emit summary and plottable CSVs from an archive")
     rep.add_argument("archive")
@@ -105,7 +104,7 @@ def cmd_run(args) -> int:
     try:
         engine = Engine(config, log=_log_stderr)
         result = engine.run()
-    except ArchiveIndexError as exc:
+    except ArchiveCorrupt as exc:
         return _archive_corrupt(exc)
     except OSError as exc:
         _log_stderr({"event": "io_error", "error": str(exc)})
@@ -134,10 +133,8 @@ def cmd_audit(args) -> int:
         _log_stderr({"event": "io_error", "error": f"no archive at {args.archive}"})
         return EXIT_CONFIG
     try:
-        report = audit_archive(
-            args.archive, alpha=parse_ratio(args.alpha), epsilon=parse_ratio(args.epsilon)
-        )
-    except ArchiveIndexError as exc:
+        report = audit_archive(args.archive)
+    except ArchiveCorrupt as exc:
         return _archive_corrupt(exc)
     except OSError as exc:
         _log_stderr({"event": "io_error", "error": str(exc)})
@@ -166,7 +163,7 @@ def cmd_report(args) -> int:
         return EXIT_CONFIG
     try:
         info = write_report(args.archive, args.out)
-    except ArchiveIndexError as exc:
+    except ArchiveCorrupt as exc:
         return _archive_corrupt(exc)
     except OSError as exc:
         _log_stderr({"event": "io_error", "error": str(exc)})

@@ -31,6 +31,27 @@ class CostParams:
         if self.r_new <= self.t_max:
             raise ValueError("r_new must exceed t_max")
 
+    def to_json(self) -> dict:
+        """What a ledger entry stores, so the archive alone recomputes it."""
+        return {
+            "alpha": str(self.alpha),
+            "epsilon": str(self.epsilon),
+            "t_max": self.t_max,
+            "l_max": self.l_max,
+            "r_new": self.r_new,
+        }
+
+    @classmethod
+    def from_json(cls, data: dict, external_rewards: Optional[dict] = None) -> "CostParams":
+        return cls(
+            alpha=parse_ratio(data["alpha"]),
+            epsilon=parse_ratio(data["epsilon"]),
+            t_max=int(data["t_max"]),
+            l_max=int(data["l_max"]),
+            r_new=int(data["r_new"]),
+            external_rewards=dict(external_rewards or {}),
+        )
+
 
 @dataclass(frozen=True)
 class TaskMeasure:

@@ -19,6 +19,7 @@ from .archive import (
     AlreadySolvable,
     ArchiveEntry,
     ExternalTask,
+    Replay,
     append_entry,
     load_archive,
     load_external_queue,
@@ -55,6 +56,7 @@ from .validate import (
     UsageIndex,
     ValidationReport,
     demonstrate,
+    rebuild_usage,
     revalidate_set,
     update_usage,
 )
@@ -138,19 +140,10 @@ class Engine:
     # -- state reconstruction -------------------------------------------
 
     def _resume(self) -> None:
-        self.entries = load_archive(self.config.archive_path)
-        if repair_archive(self.config.archive_path, self.entries):
-            self.log({"event": "archive_repaired", "entries": len(self.entries)})
-        if not self.entries:
-            return
-        self.solver = self.entries[-1].solver_program()
-        seen: set[str] = set()
-        for entry in self.entries:
-            task = entry.task_obj()
-            identity = task.identity()
-            self.task_origin.setdefault(identity, entry.origin)
-            if entry.origin == "external" and "reward" in entry.meta:
-                self.external_rewards[identity] = entry.meta["reward"]
+        path = self.config.archive_path
+        entries = load_archive(path)
+        replay = Replay(entries, path)
+        for entry, _task, _trace, _params in replay:
             span = entry.meta.get("appended")
             if span:
                 self.segments.append((span[0], span[1]))
@@ -159,31 +152,20 @@ class Engine:
             for c in meta.opcode_sequence:
                 if c != TERMINATOR:
                     self.theta[c] = self.theta.get(c, 1) * 2
-            if identity in seen:
-                continue
-            seen.add(identity)
-            item = RepertoireItem(
-                index=len(self.repertoire) + 1,
-                task=task,
-                trace=entry.trace_obj(self.config.archive_path),
-                origin=entry.origin,
-            )
-            self.repertoire.append(item)
-        params = self._params()
-        for item in self.repertoire:
-            if self.config.variant == "II":
-                measure, _tr, rep = measure_task(self.solver, item.task, params, item.trace)
-                self.cost_measures[item.task.identity()] = measure
-                item.components_used = rep.components_used
-                item.steps = rep.steps
-            else:
-                from .validate import _preservation_run
-
-                rep, _ = _preservation_run(self.solver, item)
-                item.components_used = rep.components_used
-                item.steps = rep.steps
-            self.usage.record(item.index, item.components_used, item.entry_key)
-        self.log({"event": "resumed", "phases": len(self.entries)})
+        if entries:
+            self.solver = entries[-1].solver_program()
+        # Only an archive that decoded throughout may be rewritten.
+        if repair_archive(path, entries):
+            self.log({"event": "archive_repaired", "entries": len(entries)})
+        self.entries = entries
+        if not entries:
+            return
+        self.repertoire = replay.repertoire
+        self.task_origin = replay.origins
+        self.external_rewards = replay.external_rewards
+        params = self._params() if self.config.variant == "II" else None
+        self.usage, self.cost_measures = rebuild_usage(self.solver, self.repertoire, params)
+        self.log({"event": "resumed", "phases": len(entries)})
 
     def _params(self) -> CostParams:
         return self.config.cost_params(self.external_rewards)
@@ -610,15 +592,7 @@ class Engine:
             meta_info["solved_count"] = details.solved_count
             meta_info["sum_t_old_before"] = details.sum_t_old_before
             meta_info["sum_t_old_after"] = details.sum_t_old_after
-            params = self._params()
-            # The ledger must be recomputable from the archive alone.
-            meta_info["cost_params"] = {
-                "alpha": str(params.alpha),
-                "epsilon": str(params.epsilon),
-                "t_max": params.t_max,
-                "l_max": params.l_max,
-                "r_new": params.r_new,
-            }
+            meta_info["cost_params"] = self._params().to_json()
 
         entry = ArchiveEntry(
             i=i,

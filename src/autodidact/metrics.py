@@ -11,8 +11,8 @@ import csv
 import json
 from pathlib import Path
 
-from .archive import load_archive
-from .validate import RepertoireItem, rebuild_usage
+from .archive import Replay, load_archive
+from .validate import rebuild_usage
 
 METRICS_FIELDS = [
     "i",
@@ -134,45 +134,19 @@ def write_summary(entries: list, path, config=None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _final_usage(entries: list, archive_path):
-    solver = entries[-1].solver_program()
-    cost_archive = any(e.c is not None for e in entries)
-    seen = set()
-    repertoire = []
-    for e in entries:
-        task = e.task_obj()
-        if task.identity() in seen:
-            continue
-        seen.add(task.identity())
-        repertoire.append(
-            RepertoireItem(
-                index=len(repertoire) + 1,
-                task=task,
-                trace=e.trace_obj(archive_path),
-                origin=e.origin,
-            )
-        )
-    if not cost_archive:
-        return rebuild_usage(solver, repertoire)
-    # Cost archives judge tasks under t_max rather than per-task bounds.
-    from .audit import _cost_params
-    from .costs import measure_task
-    from .validate import UsageIndex
-
-    from fractions import Fraction
-
-    params = _cost_params(entries[-1].meta, Fraction(1), Fraction(1), {})
-    usage = UsageIndex()
-    for item in repertoire:
-        _m, _tr, rep = measure_task(solver, item.task, params, item.trace)
-        usage.record(item.index, rep.components_used, item.entry_key)
-    return usage
-
-
 def write_report(archive_path, out_dir) -> dict:
     """Emit the summary plus CSVs: solver growth, per-acceptance search cost,
     component-reuse histogram, and the novel-versus-efficiency task mix."""
     entries = load_archive(archive_path)
+    histogram: dict[int, int] = {}
+    if entries:
+        # The final solver's usage over every learned task; a cost archive
+        # measures its tasks as they were judged, under the stored parameters.
+        replay = Replay(entries, archive_path)
+        last = list(replay)[-1]
+        usage, _ = rebuild_usage(entries[-1].solver_program(), replay.repertoire, last.params)
+        histogram = {k: len(v) for k, v in sorted(usage.by_component.items()) if v}
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = metrics_rows(entries)
@@ -198,10 +172,6 @@ def write_report(archive_path, out_dir) -> dict:
                 ]
             )
 
-    histogram: dict[int, int] = {}
-    if entries:
-        usage = _final_usage(entries, archive_path)
-        histogram = {k: len(v) for k, v in sorted(usage.by_component.items()) if v}
     with open(out / "component_reuse_histogram.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["component", "task_count"])

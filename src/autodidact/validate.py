@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import costs
 from .tasks import DecisionTask, SolveReport, Trace, replay_check, solves
 from .vm import Changed, SolverProgram
 
@@ -89,13 +90,28 @@ class UsageIndex:
         return isinstance(other, UsageIndex) and self.snapshot() == other.snapshot()
 
 
-def rebuild_usage(solver: SolverProgram, repertoire: list[RepertoireItem]) -> UsageIndex:
-    """Recompute the whole index from stored solutions (the rebuild oracle)."""
+def rebuild_usage(
+    solver: SolverProgram, repertoire: list[RepertoireItem], params=None
+) -> tuple[UsageIndex, dict]:
+    """Recompute the whole index from stored solutions (the rebuild oracle).
+
+    Each item's ``components_used`` and ``steps`` are refreshed from its run.
+    Given CostParams, tasks are measured as the cost variant judges them
+    (``costs.measure_task``) and their measures come back by task identity;
+    otherwise they are re-run or replayed, and the dict is empty.
+    """
     fresh = UsageIndex()
+    measures = {}
     for item in repertoire:
-        report, _trace = _preservation_run(solver, item)
+        if params is None:
+            report, _trace = preservation_run(solver, item)
+        else:
+            measure, _trace, report = costs.measure_task(solver, item.task, params, item.trace)
+            measures[item.task.identity()] = measure
+        item.components_used = report.components_used
+        item.steps = report.steps
         fresh.record(item.index, report.components_used, item.entry_key)
-    return fresh
+    return fresh, measures
 
 
 def update_usage(
@@ -142,7 +158,7 @@ class ValidationReport:
         return self.novel and self.solves_new and self.preserved
 
 
-def _preservation_run(
+def preservation_run(
     solver: SolverProgram, item: RepertoireItem, budget: Optional[int] = None
 ) -> tuple[SolveReport, Optional[Trace]]:
     """Pattern tasks are re-run; decision tasks replay their stored trace."""
@@ -210,7 +226,7 @@ def demonstrate(
     done = []
     for j in todo:
         item = by_index[j]
-        rep, _ = _preservation_run(q, item, meter)
+        rep, _ = preservation_run(q, item, meter)
         meter -= rep.steps
         done.append(j)
         report.revalidation_reports[j] = rep
@@ -235,7 +251,7 @@ def demonstrate(
 def full_revalidation(q: SolverProgram, repertoire: list[RepertoireItem]) -> bool:
     """The naive oracle: re-test q on every stored task, no index involved."""
     for item in repertoire:
-        rep, _ = _preservation_run(q, item)
+        rep, _ = preservation_run(q, item)
         if not rep.success:
             return False
     return True

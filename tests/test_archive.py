@@ -56,6 +56,17 @@ def test_index_gap_and_duplicate_detection(tmp_path):
         append_entry(path, entry(3), entries)
     with pytest.raises(DuplicateIndex):
         append_entry(path, entry(1), entries)
+    # Reading tells the two kinds of damage apart as well.
+    append_entry(path, entry(2), entries)
+    first, second = path.read_text().splitlines(keepends=True)
+    path.write_text(first + first + second)
+    with pytest.raises(DuplicateIndex) as repeated:
+        load_archive(path)
+    assert repeated.value.entry == 1
+    path.write_text(second)
+    with pytest.raises(IndexGap) as skipped:
+        load_archive(path)
+    assert skipped.value.entry == 2
 
 
 def test_digest_over_frozen_prefix_never_changes(tmp_path):

@@ -89,24 +89,56 @@ def test_run_flags_default_to_the_run_config_defaults():
 
 
 @pytest.fixture(scope="module")
-def four_entry_archive(tmp_path_factory):
-    cfg, res = small_run(tmp_path_factory.mktemp("four"), max_tasks=4)
-    assert res.accepted == 4
-    return open(cfg.archive_path).read().splitlines(keepends=True)
+def four_entry_archives(tmp_path_factory):
+    """The lines of a variant I and a variant II gridworld archive, four entries each."""
+    out = {}
+    for variant in ("I", "II"):
+        cfg, res = small_run(tmp_path_factory.mktemp("four"), variant=variant, max_tasks=4)
+        assert res.accepted == 4
+        out[variant] = open(cfg.archive_path).read().splitlines(keepends=True)
+    return out
 
 
-@pytest.mark.parametrize("damage", ["line 2 deleted", "line 2 repeated"])
-@pytest.mark.parametrize("command", ["audit", "report", "run"])
-def test_an_archive_out_of_sequence_exits_three_and_names_the_entry(
-    tmp_path, capsys, four_entry_archive, command, damage
-):
-    lines = list(four_entry_archive)
+# Damage to entry 2 of a gridworld archive: (variant, entry the error names).
+DAMAGE = {
+    "line 2 deleted": ("I", 3),
+    "line 2 repeated": ("I", 2),
+    "task kind bogus": ("I", 2),
+    "solver missing": ("I", 2),
+    "sidecar trace missing": ("I", 2),
+    "cost_params missing": ("II", 2),
+}
+
+
+def _damaged(lines, damage):
+    lines = list(lines)
     if damage == "line 2 deleted":
         del lines[1]
-        found = 3
-    else:
+        return lines
+    if damage == "line 2 repeated":
         lines.insert(2, lines[1])
-        found = 2
+        return lines
+    data = json.loads(lines[1])
+    if damage == "task kind bogus":
+        data["task"]["kind"] = "bogus"
+    elif damage == "solver missing":
+        del data["solver"]
+    elif damage == "sidecar trace missing":
+        del data["trace"]
+        data["trace_ref"] = "0" * 24
+    else:
+        del data["meta"]["cost_params"]
+    lines[1] = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    return lines
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+@pytest.mark.parametrize("command", ["audit", "report", "run"])
+def test_an_archive_out_of_sequence_exits_three_and_names_the_entry(
+    tmp_path, capsys, four_entry_archives, command, damage
+):
+    variant, found = DAMAGE[damage]
+    lines = _damaged(four_entry_archives[variant], damage)
     path = tmp_path / "archive.jsonl"
     path.write_text("".join(lines))
     args = {
@@ -115,6 +147,8 @@ def test_an_archive_out_of_sequence_exits_three_and_names_the_entry(
         "run": [
             "run",
             "--resume",
+            "--variant",
+            variant,
             "--domain",
             "gridworld",
             "--max-tasks",
@@ -130,6 +164,7 @@ def test_an_archive_out_of_sequence_exits_three_and_names_the_entry(
     assert events[-1]["event"] == "archive_corrupt"
     assert events[-1]["entry"] == found
     assert path.read_text() == "".join(lines)  # resume must not rewrite it
+    assert not (tmp_path / "report").exists()  # nor report write a partial one
 
 
 def test_small_run_and_audit_cli(tmp_path):
@@ -505,3 +540,92 @@ def test_variant2_paranoid_judge_checks_the_phase_ledger(tmp_path, monkeypatch):
     eng._ledger = None
     with pytest.raises(AssertionError, match="phase ledger"):
         judge_many(200)
+
+
+def _engine_state(engine, stochastic):
+    state = {
+        "solver": engine.solver.to_json(),
+        "repertoire": [
+            (
+                item.index,
+                item.task.to_json(),
+                item.trace,
+                item.components_used,
+                item.steps,
+                item.origin,
+            )
+            for item in engine.repertoire
+        ],
+        "usage": engine.usage.snapshot(),
+        "cost_measures": engine.cost_measures,
+        "segments": engine.segments,
+        "prior": (engine.prior.adapted, engine.prior.weights),
+        "origins": engine.task_origin,
+        "external_rewards": engine.external_rewards,
+    }
+    if stochastic:
+        # Only the stochastic searcher reads theta; under oops only resume fills it.
+        state["theta"] = engine.theta
+    return state
+
+
+RESUME_SCENARIOS = {
+    "v1-grid": dict(variant="I", domain="gridworld", max_tasks=4),
+    "v1-mixed-adapted": dict(variant="I", domain="mixed", adapt_prior=True, max_tasks=4),
+    "v1-pattern-prefix": dict(variant="I", domain="pattern", prefix_mode=True, max_tasks=4),
+    "v2-pattern": dict(variant="II", domain="pattern", max_tasks=4),
+    "v2-grid": dict(variant="II", domain="gridworld", max_tasks=4),
+    "v1-stochastic": dict(
+        variant="I", domain="gridworld", searcher="stochastic", seed=5, max_tasks=3
+    ),
+    "v2-stochastic": dict(
+        variant="II", domain="pattern", searcher="stochastic", seed=5, max_tasks=3
+    ),
+}
+
+
+@pytest.mark.parametrize("overrides", RESUME_SCENARIOS.values(), ids=RESUME_SCENARIOS.keys())
+def test_a_resumed_engine_equals_the_live_one_and_continues_it(tmp_path, overrides):
+    import dataclasses
+
+    cfg = RunConfig(
+        archive_path=str(tmp_path / "live.jsonl"),
+        metrics_path=str(tmp_path / "m.csv"),
+        **overrides,
+    )
+    live = Engine(cfg)
+    assert live.run().accepted == cfg.max_tasks
+    stochastic = cfg.searcher == "stochastic"
+    resumed = Engine(dataclasses.replace(cfg, resume=True))
+    assert _engine_state(resumed, stochastic) == _engine_state(live, stochastic)
+
+    # Resuming after all but the last entry writes the same last entry.
+    whole = open(cfg.archive_path, "rb").read()
+    part = tmp_path / "part.jsonl"
+    part.write_bytes(b"".join(whole.splitlines(keepends=True)[:-1]))
+    Engine(dataclasses.replace(cfg, archive_path=str(part), resume=True)).run()
+    assert part.read_bytes() == whole
+
+
+def test_a_reward_brought_in_mid_archive_replays_exactly(tmp_path):
+    import dataclasses
+
+    from autodidact.archive import ExternalTask, save_external_queue
+    from autodidact.audit import audit_archive
+
+    cfg = RunConfig(
+        variant="II",
+        domain="pattern",
+        max_tasks=2,
+        archive_path=str(tmp_path / "archive.jsonl"),
+        metrics_path=str(tmp_path / "m.csv"),
+    )
+    Engine(cfg).run()
+    queue = tmp_path / "queue.jsonl"
+    save_external_queue(queue, [ExternalTask(PatternTask(3, nibble(5), nibble(9), 64, 1024), 9)])
+    cfg = dataclasses.replace(cfg, max_tasks=3, external_tasks_path=str(queue), resume=True)
+    live = Engine(cfg)
+    assert live.run().entries[-1].meta["reward"] == 9
+    # The third ledger row counts the reward, which the first two did not know.
+    assert audit_archive(cfg.archive_path).ok
+    assert _engine_state(Engine(cfg), False) == _engine_state(live, False)

@@ -13,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from autodidact.audit import audit_archive
 from autodidact.config import RunConfig, variant2_demo_config
 from autodidact.engine import Engine
+from autodidact.metrics import write_report
 
 FINGERPRINTS = Path(__file__).resolve().parents[1] / "bench" / "fingerprints.json"
 
@@ -47,19 +49,48 @@ ARCHIVE_DIGESTS = [
     (dict(variant="I", domain="pattern", prefix_mode=True, max_tasks=8), "248bdb06619a2900"),
 ]
 
+# What replaying two of those archives gives: the AuditReport counters
+# (phases, novelty_confirmed, preservation_checked, cost_rows_checked,
+# failures) and the sha256 prefix of each `autodidact report` file.  One per
+# variant, so the way state is rebuilt from an archive cannot change what the
+# audit checks or what the report says without failing here.
+REPLAY_OUTPUTS = {
+    "v1-grid-prefix-10": (
+        (10, 10, 45, 0, 0),
+        {
+            "component_reuse_histogram.csv": "25ceefc77d57fec2",
+            "report_summary.json": "4fc341b0c5ff0dcf",
+            "search_cost_per_acceptance.csv": "c6df02d9ca43f6b9",
+            "solver_size_over_time.csv": "e801a0bbe025eb26",
+            "task_mix.csv": "fd769d8a1b0bb8ce",
+        },
+    ),
+    "v2-grid-4": (
+        (4, 0, 0, 4, 0),
+        {
+            "component_reuse_histogram.csv": "2123033ee40f3dd3",
+            "report_summary.json": "f7e5841be0611a56",
+            "search_cost_per_acceptance.csv": "e3dda320d185e1dc",
+            "solver_size_over_time.csv": "11ee762fb72fea19",
+            "task_mix.csv": "b951d5706708d824",
+        },
+    ),
+}
+SCENARIO_IDS = [
+    "v1-grid-prefix-10",
+    "v2-grid-4",
+    "v2-mixed-6",
+    "v1-mixed-adapted-6",
+    "v1-pattern-prefix-8",
+]
+
 
 @pytest.mark.parametrize(
-    "overrides, digest",
-    ARCHIVE_DIGESTS,
-    ids=[
-        "v1-grid-prefix-10",
-        "v2-grid-4",
-        "v2-mixed-6",
-        "v1-mixed-adapted-6",
-        "v1-pattern-prefix-8",
-    ],
+    "overrides, digest, replayed",
+    [(o, d, REPLAY_OUTPUTS.get(name)) for (o, d), name in zip(ARCHIVE_DIGESTS, SCENARIO_IDS)],
+    ids=SCENARIO_IDS,
 )
-def test_archive_bytes_match_the_recorded_digest(tmp_path, overrides, digest):
+def test_archive_bytes_match_the_recorded_digest(tmp_path, overrides, digest, replayed):
     cfg = RunConfig(
         archive_path=str(tmp_path / "archive.jsonl"),
         metrics_path=str(tmp_path / "metrics.csv"),
@@ -68,3 +99,18 @@ def test_archive_bytes_match_the_recorded_digest(tmp_path, overrides, digest):
     Engine(cfg).run()
     data = Path(cfg.archive_path).read_bytes()
     assert hashlib.sha256(data).hexdigest()[:16] == digest
+    if replayed is None:
+        return
+    counters, files = replayed
+    audit = audit_archive(cfg.archive_path)
+    assert (
+        audit.phases,
+        audit.novelty_confirmed,
+        audit.preservation_checked,
+        audit.cost_rows_checked,
+        len(audit.failures),
+    ) == counters
+    out = tmp_path / "report"
+    write_report(cfg.archive_path, out)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in out.iterdir()}
+    assert written == files

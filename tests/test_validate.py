@@ -7,7 +7,7 @@ from autodidact.bits import nibble
 from autodidact.tasks import solves
 from autodidact.validate import (
     BudgetExhausted,
-    _preservation_run,
+    preservation_run,
     demonstrate,
     full_revalidation,
     rebuild_usage,
@@ -105,7 +105,7 @@ def test_update_usage_drops_stale_components():
 def test_incremental_index_equals_rebuild_oracle():
     rng = random.Random(5)
     solver, items, usage = build_repertoire(rng, 5)
-    assert usage == rebuild_usage(solver, items)
+    assert usage == rebuild_usage(solver, items)[0]
 
 
 def test_budget_exhaustion_rejects_rather_than_accepts():
@@ -154,7 +154,7 @@ def test_monotone_repertoire_after_acceptance():
     report = demonstrate(q, solver, task, items, usage, changed, BIG)
     assert report.accepted
     for item in items:
-        rep, _ = _preservation_run(q, item)
+        rep, _ = preservation_run(q, item)
         assert rep.success
 
 
