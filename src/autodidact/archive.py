@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
-from .costs import CostParams
+from .bits import BitString
+from .costs import CostParams, parse_ratio
+from .meta import MetaProgram, decode_meta
 from .tasks import Task, Trace, task_from_json
 from .validate import RepertoireItem
 from .vm import SolverProgram
@@ -46,8 +48,9 @@ class DuplicateIndex(ArchiveCorrupt):
 
 
 # What reading data of the wrong shape raises: a missing key, a list where a
-# dict belongs, a string that is no number, an unknown task kind.
-_SHAPE_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError)
+# dict belongs, a string that is no number (or a ratio over 0), an unknown
+# task kind, candidate bits that are no program.
+_SHAPE_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError)
 
 
 def _decoded(entry: int, what: str, decode, *args):
@@ -99,6 +102,9 @@ class ArchiveEntry:
 
     @classmethod
     def from_json(cls, data: dict) -> "ArchiveEntry":
+        meta = data.get("meta", {})
+        if not isinstance(meta, dict):
+            raise TypeError(f"meta is a {type(meta).__name__}, not an object")
         return cls(
             i=int(data["i"]),
             origin=data["origin"],
@@ -109,7 +115,13 @@ class ArchiveEntry:
             trace_ref=data.get("trace_ref"),
             c=data.get("c"),
             c_star=data.get("c_star"),
-            meta=data.get("meta", {}),
+            meta=meta,
+        )
+
+    def candidate(self) -> MetaProgram:
+        """The accepted candidate, decoded from its bits ``p``."""
+        return _decoded(
+            self.i, "candidate bits", lambda: decode_meta(BitString.from_hex(self.meta_code))
         )
 
     def solver_program(self) -> SolverProgram:
@@ -194,17 +206,20 @@ def load_archive(archive_path) -> list:
 
 class ReplayStep(NamedTuple):
     entry: ArchiveEntry
+    candidate: MetaProgram  # the accepted candidate, decoded from p
     task: Task
     trace: Optional[Trace]
     params: Optional[CostParams]  # a ledger entry's stored cost parameters
+    ledger: Optional[tuple]  # a ledger entry's stored (c, c*), as Fractions
 
 
 class Replay:
     """The state that an archive's acceptances add up to, rebuilt entry by entry.
 
     Resume, audit and report all iterate one over entries they loaded.  Each
-    step carries an entry with its decoded task and trace and, for a ledger
-    entry, its cost parameters with the external rewards known so far.
+    step carries an entry with its decoded candidate, task and trace and,
+    for a ledger entry, its cost parameters with the external rewards known
+    so far and its c and c*.
     While a step is out, ``repertoire`` still holds only the tasks of earlier
     entries, the set the entry was judged against, and ``origins`` and
     ``external_rewards`` already include the entry.  Each distinct task joins
@@ -223,14 +238,19 @@ class Replay:
     def __iter__(self) -> Iterator[ReplayStep]:
         last = last_stored = None  # the latest ledger entry's parameters, decoded and as stored
         for entry in self.entries:
+            candidate = entry.candidate()
             task = entry.task_obj()
             trace = entry.trace_obj(self.archive_path)
             identity = task.identity()
             self.origins.setdefault(identity, entry.origin)
             if entry.origin == "external" and "reward" in entry.meta:
                 self.external_rewards[identity] = entry.meta["reward"]
-            params = None
+            params = ledger = None
             if entry.c is not None:
+                ledger = (
+                    _decoded(entry.i, "c", parse_ratio, entry.c),
+                    _decoded(entry.i, "c_star", parse_ratio, entry.c_star),
+                )
                 # A run stores the same parameters in every ledger entry, so
                 # they are decoded again only when they or the rewards change.
                 stored = entry.meta.get("cost_params")
@@ -243,7 +263,7 @@ class Replay:
                     )
                     last_stored = stored
                 params = last
-            yield ReplayStep(entry, task, trace, params)
+            yield ReplayStep(entry, candidate, task, trace, params, ledger)
             if identity not in self.items:
                 item = RepertoireItem(len(self.repertoire) + 1, task, trace, origin=entry.origin)
                 self.repertoire.append(item)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .archive import Replay, load_archive
-from .costs import cost, measure_task, parse_ratio, reward
+from .costs import cost, measure_task, reward
 from .tasks import DecisionTask, solves
 from .validate import RepertoireItem, preservation_run
 from .vm import EMPTY_SOLVER
@@ -58,14 +58,16 @@ def audit_archive(archive_path) -> AuditReport:
     report.phases = len(entries)
     replay = Replay(entries, archive_path)
     prev_solver = EMPTY_SOLVER
-    for entry, task, trace, params in replay:
+    for entry, _candidate, task, trace, params, ledger in replay:
         solver = entry.solver_program()
         if params is None:
             _audit_strict_entry(
                 report, entry.i, prev_solver, solver, task, trace, replay.repertoire
             )
         else:
-            _audit_cost_entry(report, entry, prev_solver, solver, task, trace, replay, params)
+            _audit_cost_entry(
+                report, entry, prev_solver, solver, task, trace, replay, params, ledger
+            )
         prev_solver = solver
     return report
 
@@ -107,7 +109,7 @@ def _audit_strict_entry(report, i, prev_solver, solver, task, trace, repertoire)
             )
 
 
-def _audit_cost_entry(report, entry, prev_solver, solver, task, trace, replay, params):
+def _audit_cost_entry(report, entry, prev_solver, solver, task, trace, replay, params, ledger):
     i = entry.i
     identity = task.identity()
     known = replay.items.get(identity)
@@ -139,7 +141,8 @@ def _audit_cost_entry(report, entry, prev_solver, solver, task, trace, replay, p
                 f"recomputed c={c} c*={c_star}, stored c={entry.c} c*={entry.c_star}",
             )
         )
-    if not (parse_ratio(entry.c_star) - parse_ratio(entry.c) > params.epsilon):
+    stored_c, stored_c_star = ledger
+    if not (stored_c_star - stored_c > params.epsilon):
         report.failures.append(
             AuditFailure(i, "savings", "stored ledger row violates the strict savings rule")
         )

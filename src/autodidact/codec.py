@@ -9,10 +9,9 @@ length-prior search wants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .bits import BitString
 from .isa import ARG_BITS, OPCODE_BITS, SOLVER_ISA, TERMINATOR, InstructionSet
@@ -34,37 +33,46 @@ class UnknownOpcode(KeyError):
     """encode() was handed an instruction not in the table."""
 
 
-@dataclass(frozen=True)
-class DecodedProgram:
+class DecodedProgram(NamedTuple):
     instructions: tuple[tuple[int, tuple[int, ...]], ...]
     consumed_bits: int
 
 
-def decode(bits: BitString, isa: InstructionSet = SOLVER_ISA) -> DecodedProgram:
-    """Decode the self-delimiting program at the head of ``bits``.
+def decode(bits: BitString, isa: InstructionSet = SOLVER_ISA, start: int = 0) -> DecodedProgram:
+    """Decode the self-delimiting program at bit ``start`` of ``bits``.
 
     Trailing bits after the terminator are ignored; consumed_bits reports how
-    far decoding actually read.
+    far decoding actually read, from ``start``.
     """
     value, length = bits.value, bits.length
-    pos = 0
+    nibbles = isa.nibbles
+    opcode_mask = (1 << OPCODE_BITS) - 1
+    pos = start
     out = []
     while True:
         if pos + OPCODE_BITS > length:
             raise IncompleteProgram(f"ran out of bits at {pos}")
-        code = (value >> (length - pos - OPCODE_BITS)) & ((1 << OPCODE_BITS) - 1)
         pos += OPCODE_BITS
+        code = (value >> (length - pos)) & opcode_mask
         if code == TERMINATOR:
-            return DecodedProgram(tuple(out), pos)
-        spec = isa.by_code.get(code)
-        if spec is None:
+            return DecodedProgram(tuple(out), pos - start)
+        n = nibbles.get(code)
+        if n is None:
             raise InvalidOpcode(f"opcode {code} at bit {pos - OPCODE_BITS}")
-        args = []
-        for _ in range(spec.nibbles):
-            if pos + ARG_BITS > length:
-                raise IncompleteProgram(f"ran out of bits in immediate at {pos}")
-            args.append((value >> (length - pos - ARG_BITS)) & 0xF)
+        if not n:
+            out.append((code, ()))
+            continue
+        if pos + ARG_BITS * n > length:
+            missing = pos + ARG_BITS * ((length - pos) // ARG_BITS)
+            raise IncompleteProgram(f"ran out of bits in immediate at {missing}")
+        if n == 1:
             pos += ARG_BITS
+            out.append((code, ((value >> (length - pos)) & 0xF,)))
+            continue
+        args = []
+        for _ in range(n):
+            pos += ARG_BITS
+            args.append((value >> (length - pos)) & 0xF)
         out.append((code, tuple(args)))
 
 

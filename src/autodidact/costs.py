@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .tasks import DecisionTask, PatternTask, Task, replay_check, solves
-from .vm import RunOutcome, SolverProgram
+from .vm import SolverProgram
 
 
 @dataclass(frozen=True)
@@ -88,44 +88,6 @@ def measure_task(
         return TaskMeasure(rep.success, rep.steps, len(rep.components_used)), None, rep
     rep, new_trace = solves(solver, probe, budget)
     return TaskMeasure(rep.success, rep.steps, len(rep.components_used)), new_trace, rep
-
-
-def measure_within(
-    full: TaskMeasure, outcome: RunOutcome, grant: int, t_max: int
-) -> tuple[Optional[TaskMeasure], int]:
-    """What a live measure_task under ``grant`` steps returns, read off a t_max run.
-
-    ``full`` and ``outcome`` come from one live run at the whole t_max.  A
-    run granted fewer steps is a prefix of that run, because runs are
-    deterministic, so: a halt or an end at step e <= grant bills e and
-    measures the same; a fault at e <= grant bills the whole grant; a timeout
-    is conclusive only when the grant is t_max itself; anything else,
-    including a grant of 0, which runs nothing, is cut and bills the grant.
-    Returns (measure, steps billed); the measure is None when the run is cut.
-    """
-    if grant >= 1:
-        if outcome.halted or outcome.fault:
-            if outcome.executed <= grant:
-                if outcome.halted:
-                    return full, outcome.executed
-                return TaskMeasure(False, grant, full.components), grant
-        elif grant == t_max:
-            return full, grant
-    return None, grant
-
-
-def least_bill(outcome: RunOutcome, t_max: int) -> int:
-    """No conclusive answer measure_within reads off this run bills less.
-
-    A halt or a fault at step e bills at least e, and a timeout bills t_max.
-    A cut under a grant below this bound is therefore cut again under any
-    smaller grant, and every cached verdict that includes this measure
-    bills at least this much.  (A run that ends at step 0 is cut only under
-    a grant of 0, so its bound, 0, parks nothing.)
-    """
-    if outcome.halted or outcome.fault:
-        return outcome.executed
-    return t_max
 
 
 def task_with_cost_bounds(task: Task, params: CostParams) -> Task:

@@ -31,33 +31,41 @@ from .costs import (
     TaskMeasure,
     contribution,
     cost,
-    least_bill,
     measure_task,
-    measure_within,
     reward,
     task_with_cost_bounds,
 )
-from .meta import MetaContext, Meter, ScratchStore, decode_meta
+from .meta import MetaContext, Meter, ScratchStore
 from .prior import Prior
 from .search import (
     Acceptance,
     PhaseStats,
     SearchCeilingReached,
     SearchProblem,
+    edit_record,
     oops_search,
     stochastic_search,
 )
 from .isa import TERMINATOR
 from .meta import META_ISA
-from .tasks import DecisionTask, Task, solves
+from .tasks import (
+    DecisionTask,
+    Task,
+    least_grant,
+    report_within,
+    run_record,
+    solves,
+)
 from .validate import (
     BudgetExhausted,
+    ChainFloor,
     RepertoireItem,
     UsageIndex,
     ValidationReport,
     demonstrate,
     rebuild_usage,
-    revalidate_set,
+    table_answer,
+    table_run,
     update_usage,
 )
 from .vm import EMPTY_SOLVER, SolverProgram, size_change
@@ -102,7 +110,7 @@ class PhaseLedger:
     contrib: dict  # identity -> contribution under s
     items: dict  # identity -> RepertoireItem
     probes: dict  # identity -> task_with_cost_bounds(task)
-    novelty: dict = field(default_factory=dict)  # identity -> (probe, measure, outcome, contrib)
+    novelty: dict = field(default_factory=dict)  # identity -> (probe, run at t_max, contrib)
 
     def contribution(self, identity: str, measure: TaskMeasure) -> Fraction:
         params = self.params
@@ -143,13 +151,12 @@ class Engine:
         path = self.config.archive_path
         entries = load_archive(path)
         replay = Replay(entries, path)
-        for entry, _task, _trace, _params in replay:
+        for entry, candidate, _task, _trace, _params, _ledger in replay:
             span = entry.meta.get("appended")
             if span:
                 self.segments.append((span[0], span[1]))
-            meta = decode_meta(_bits(entry.meta_code))
-            self.prior.adapt(meta.opcode_sequence)
-            for c in meta.opcode_sequence:
+            self.prior.adapt(candidate.opcode_sequence)
+            for c in candidate.opcode_sequence:
                 if c != TERMINATOR:
                     self.theta[c] = self.theta.get(c, 1) * 2
         if entries:
@@ -288,30 +295,41 @@ class Engine:
         """The least bill with which the judge's first stage can conclude on task.
 
         Read off this phase's tables, without running anything; None while
-        they have no entry for the task.  The first stage is novelty: in
-        variant I the novelty cache's bill, in variant II the least bill
-        the t_max memo answers a grant with, at least 1 because a grant of 0
-        is always cut.  A repertoire task in variant II skips novelty, and
-        the memo never holds one.  Each entry is written once per phase and
-        never changes, and every pair-cache bill for the task includes a
-        novelty bill at least this large, so a candidate that reaches the
-        judge with fewer steps left is cut whichever table answers it.
+        they have no entry for the task.  The first stage is novelty.  In
+        variant I a novelty-cache hit bills what the cache holds, and the
+        first run to conclude writes what the previous solver's run at the
+        task's whole bound bills under its grant: a halt or a timeout bills
+        the same under every concluding grant, a fault its whole grant.  So
+        the bill is the cache's once it holds the task, and until then what
+        that run bills under its least grant, which no later entry
+        undercuts.  In variant II, whose memo is that run at t_max and
+        answers a grant of 0 with a cut, it is the least grant itself.  A
+        repertoire task in variant II skips novelty, and the memo never
+        holds one.  Every pair-cache bill for the task includes a novelty
+        bill at least this large, so a candidate that reaches the judge
+        with fewer steps left is cut whichever table answers it.
         """
         identity = task.identity()
         if self.config.variant == "I":
             hit = caches["novelty"].get(identity)
-            return None if hit is None else hit[1]
+            if hit is not None:
+                return hit[1]
+            run = caches["prev"].get(identity)
+            if run is None:
+                return None
+            return report_within(run, least_grant(run, task.t), task.t)[1]
         ledger = self._ledger
         memo = None if ledger is None else ledger.novelty.get(identity)
         if memo is None:
             return None
-        return max(1, least_bill(memo[2], ledger.params.t_max))
+        return least_grant(memo[1], ledger.params.t_max)
 
     # -- Variant I ----------------------------------------------------------
 
     def _judge_v1(self, q, changed, proposal, meter: Meter, caches):
-        pair_key = (proposal.task.identity(), tuple(proposal.edits))
-        hit = caches["pair"].get(pair_key)
+        edit = proposal.record or edit_record(caches, proposal.edits, self.solver)
+        identity = proposal.task.identity()
+        hit = edit.pairs.get(identity)
         if hit is not None:
             details, billed = hit
             meter.charge(billed, known=True)
@@ -327,28 +345,25 @@ class Engine:
                 meter.left,
                 paranoid=self.config.paranoid,
                 novelty_cache=caches["novelty"],
+                prev_runs=caches["prev"],
+                edit=edit,
             )
         except BudgetExhausted as exc:
-            floor = None if exc.floor is None else meter.spent + exc.floor
-            meter.charge(min(exc.steps_spent, meter.left))
+            floor = meter.spent + exc.floor
+            meter.charge(meter.left)
             raise BudgetExhausted(meter.spent, floor)
+        finally:
+            edit.release()
         meter.charge(report.steps_spent)
         if not report.accepted:
-            caches["pair"][pair_key] = (None, report.steps_spent)
+            edit.pairs[identity] = (None, report.steps_spent)
             return None
         wow = proposal.task.entry_key in self.usage.by_entry
         details = V1Details(report, wow)
-        caches["pair"][pair_key] = (details, report.steps_spent)
+        edit.pairs[identity] = (details, report.steps_spent)
         return details
 
     # -- Variant II ----------------------------------------------------------
-
-    def _measure(self, solver, task, trace, meter: Meter, params):
-        measure, new_trace, rep = measure_task(solver, task, params, trace, meter.left)
-        meter.charge(rep.steps)
-        if not rep.conclusive:
-            raise BudgetExhausted(meter.spent)
-        return measure, new_trace, rep
 
     def _phase_ledger(self) -> PhaseLedger:
         params = self._params()
@@ -372,73 +387,109 @@ class Engine:
             },
         )
 
-    def _novelty(self, ledger: PhaseLedger, task: Task, meter: Meter):
-        """The previous solver's measure of a proposed task, billed to the meter.
+    def _novelty(self, ledger: PhaseLedger, task: Task):
+        """The previous solver's run on a proposed task: (probe, run, contribution).
 
         The solver runs on each proposed task once per phase, at the whole
-        t_max; every later grant is answered from that run (measure_within).
-        Returns (probe task, measure, contribution under the previous solver).
+        t_max, and its measure there gives the task's contribution to c*;
+        every grant is answered from that run.
         """
-        params = ledger.params
         identity = task.identity()
         memo = ledger.novelty.get(identity)
         if memo is None:
+            params = ledger.params
             probe = task_with_cost_bounds(task, params)
             full, _trace, rep = measure_task(self.solver, probe, params)
-            memo = (probe, full, rep.outcome, ledger.contribution(identity, full))
+            memo = (probe, run_record(rep), ledger.contribution(identity, full))
             ledger.novelty[identity] = memo
-        probe, full, outcome, contrib = memo
-        floor = meter.spent + least_bill(outcome, params.t_max)
-        measure, billed = measure_within(full, outcome, min(params.t_max, meter.left), params.t_max)
-        if self.config.paranoid:
-            live, _trace, rep = measure_task(self.solver, probe, params, None, meter.left)
-            if (live if rep.conclusive else None, rep.steps) != (measure, billed):
-                raise AssertionError(
-                    f"novelty memo gave {measure} billing {billed}, "
-                    f"a live run {live} billing {rep.steps}"
-                )
-        meter.charge(billed)
-        if measure is None:
-            raise BudgetExhausted(meter.spent, floor)
-        return probe, measure, contrib
+        return memo
+
+    def _stages(self, stages: list, meter: Meter, params: CostParams) -> list:
+        """Each stage's measure under what the meter has left, billed to it.
+
+        ``stages`` are (live, run) in order: ``run`` is the stage's run at
+        the whole t_max, which answers every grant (validate.table_answer),
+        and ``live(budget)`` is its SolveReport from measure_task.  A cut
+        raises BudgetExhausted with the floor, the least budget under which
+        every stage concludes: each stage needs its least grant on top of
+        what the stages before it bill under theirs.  A fault bills its whole
+        grant, so one before the last stage leaves the stages after it
+        anything only when granted all of t_max.
+        """
+        t_max = params.t_max
+        chain = ChainFloor(meter.spent)
+        cut = False
+        measures = []
+        last = len(stages) - 1
+        for n, (live, run) in enumerate(stages):
+            chain.add(run, t_max, n == last)
+            if cut:
+                continue
+            solved, billed = table_answer(run, live, meter.left, t_max, self.config.paranoid)
+            if solved is None:
+                cut = True
+                continue
+            meter.charge(billed)
+            measures.append(TaskMeasure(solved, billed, run[3]))
+        if cut:
+            meter.charge(meter.left)
+            raise BudgetExhausted(meter.spent, chain.floor)
+        return measures
 
     def _judge_v2(self, q, changed, proposal, meter: Meter, caches):
-        task = proposal.task
-        new_id = task.identity()
-        pair_key = (new_id, tuple(proposal.edits))
-        hit = caches["pair"].get(pair_key)
+        edit = proposal.record or edit_record(caches, proposal.edits, self.solver)
+        hit = edit.pairs.get(proposal.task.identity())
         if hit is not None:
             details, billed = hit
             meter.charge(billed, known=True)
             return details
+        try:
+            return self._judge_ledger(edit, proposal, meter)
+        finally:
+            edit.release()
+
+    def _judge_ledger(self, edit, proposal, meter: Meter):
+        task = proposal.task
+        new_id = task.identity()
         if self._ledger is None:
             self._ledger = self._phase_ledger()
         ledger = self._ledger
         params = ledger.params
         spent_before = meter.spent
+        if edit.size is None:
+            edit.size = size_change(self.solver, *edit.applied())
 
-        # c* is the ledger of the previous solver with the proposed task in it.
+        def q_stage(key, probe, trace):
+            live = lambda b: measure_task(edit.applied()[0], probe, params, trace, b)[2]  # noqa: E731
+            return live, table_run(edit.runs, key, live)
+
+        # The stages: the previous solver on a new task (c* is its ledger
+        # with the task in it), q on every stored task the edit may touch,
+        # and q on the proposed task.  A re-proposed task keeps being judged
+        # against its original trace, so the ledger stays exactly
+        # reproducible from the archive alone.
         known = ledger.items.get(new_id)
+        stages = []
         if known is None:
-            probe, m_prev, contrib_prev = self._novelty(ledger, task, meter)
+            probe, run, contrib_prev = self._novelty(ledger, task)
             c_star = ledger.base + params.alpha * contrib_prev
+            live = lambda b: measure_task(self.solver, probe, params, None, b)[2]  # noqa: E731
+            stages.append((live, run))
         else:
             m_prev, contrib_prev = self.cost_measures[new_id], ledger.contrib[new_id]
             probe, c_star = ledger.probes[new_id], ledger.base
-
-        measures: dict = {}  # identity -> measure under q, for re-measured tasks only
-        usage_updates: dict = {}
-        for j in sorted(revalidate_set(self.usage, changed)):
-            item = self.repertoire[j - 1]
-            identity = item.task.identity()
-            m_q, _tr, rep = self._measure(q, ledger.probes[identity], item.trace, meter, params)
-            measures[identity] = m_q
-            usage_updates[j] = (rep.components_used, item.entry_key, rep.steps)
-        # A re-proposed task keeps being judged against its original trace so
-        # the ledger stays exactly reproducible from the archive alone.
-        trace_for_new = known.trace if known is not None else None
-        m_new, new_trace, rep_new = self._measure(q, probe, trace_for_new, meter, params)
-        measures[new_id] = m_new
+        redone = [self.repertoire[j - 1] for j in edit.revalidation(self.usage)]
+        for item in redone:
+            stages.append(q_stage(item.index, ledger.probes[item.task.identity()], item.trace))
+        if known is None:
+            stages.append(q_stage(new_id, probe, None))
+        else:
+            stages.append(q_stage(known.index, probe, known.trace))
+        found = self._stages(stages, meter, params)
+        if known is None:
+            m_prev = found.pop(0)
+        measures = {item.task.identity(): m for item, m in zip(redone, found)}
+        measures[new_id] = found[-1]
 
         # Every other task keeps its contribution, so c differs from c* only
         # in L(q) - L(s) and in the tasks measured again.
@@ -446,25 +497,31 @@ class Engine:
             ledger.contribution(identity, m) - ledger.contrib.get(identity, contrib_prev)
             for identity, m in measures.items()
         )
-        c = c_star + size_change(self.solver, q, changed) + params.alpha * moved
+        c = c_star + edit.size + params.alpha * moved
         if self.config.paranoid:
-            self._check_ledger(ledger, q, new_id, m_prev, measures, c, c_star)
+            self._check_ledger(ledger, edit.applied()[0], new_id, m_prev, measures, c, c_star)
         if c_star - c <= params.epsilon:
-            caches["pair"][pair_key] = (None, meter.spent - spent_before)
+            edit.pairs[new_id] = (None, meter.spent - spent_before)
             return None
 
+        # Accepted: the winner's runs again, live, for what the run table
+        # does not keep: the components each run used, and the trace.
+        q = edit.applied()[0]
+        usage_updates: dict = {}
+        for item in redone:
+            probe_j = ledger.probes[item.task.identity()]
+            _m, _tr, rep = measure_task(q, probe_j, params, item.trace)
+            usage_updates[item.index] = (rep.components_used, item.entry_key, rep.steps)
+        trace_for_new = known.trace if known is not None else None
+        _m, new_trace, rep_new = measure_task(q, probe, params, trace_for_new)
+        if known is not None:
+            usage_updates[known.index] = (rep_new.components_used, task.entry_key, rep_new.steps)
         old = self.cost_measures
         q_measures = dict(old)
         q_measures.update(measures)
         before = sum(m.t_prime(params) for m in old.values())
         after = sum(q_measures[i].t_prime(params) for i in old)
         forgotten = [i for i, m in measures.items() if i in old and old[i].solved and not m.solved]
-        if known is not None:
-            usage_updates[known.index] = (
-                rep_new.components_used,
-                task.entry_key,
-                rep_new.steps,
-            )
         details = V2Details(
             c=c,
             c_star=c_star,
@@ -478,7 +535,7 @@ class Engine:
             sum_t_old_after=after,
             billed=meter.spent - spent_before,
         )
-        caches["pair"][pair_key] = (details, details.billed)
+        edit.pairs[new_id] = (details, details.billed)
         return details
 
     def _check_ledger(self, ledger, q, new_id, m_prev, measures, c, c_star) -> None:
@@ -606,12 +663,6 @@ class Engine:
             meta=meta_info,
         )
         append_entry(cfg.archive_path, entry, self.entries)
-
-
-def _bits(hex_form: str):
-    from .bits import BitString
-
-    return BitString.from_hex(hex_form)
 
 
 def inject_external_task(

@@ -39,6 +39,7 @@ class InstructionSet:
                 raise ValueError(f"opcode {op.code} out of range")
             self.by_code[op.code] = op
             self.by_name[op.name] = op
+        self.nibbles: dict[int, int] = {op.code: op.nibbles for op in ops}
         self.max_width = OPCODE_BITS + ARG_BITS * max(op.nibbles for op in ops)
         self.min_width = OPCODE_BITS
 

@@ -190,11 +190,10 @@ def opcode_sequence(inventor: tuple, modifier: tuple, directives: tuple) -> tupl
 def decode_meta(bits: BitString) -> MetaProgram:
     """Split a candidate into its three subprograms; all bits must be used."""
     p1 = decode(bits, META_ISA)
-    rest = bits.drop(p1.consumed_bits)
-    p2 = decode(rest, META_ISA)
-    rest2 = rest.drop(p2.consumed_bits)
-    p3 = decode(rest2, META_ISA)
-    if p3.consumed_bits != rest2.length:
+    p2 = decode(bits, META_ISA, p1.consumed_bits)
+    start = p1.consumed_bits + p2.consumed_bits
+    p3 = decode(bits, META_ISA, start)
+    if start + p3.consumed_bits != bits.length:
         raise DecodeError("trailing bits after the third subprogram")
     return MetaProgram(bits, p1.instructions, p2.instructions, p3.instructions)
 
@@ -267,6 +266,8 @@ class Proposal:
     steps: int
     appended: int  # number of appended slots
     append_start: Optional[int]
+    # The phase's validate.EditRecord for these edits, set by the search.
+    record: Optional[object] = field(default=None, compare=False, repr=False)
 
 
 class Meter:

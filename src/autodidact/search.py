@@ -32,21 +32,33 @@ decided runs write nothing that outlives them, only the count matters, and
 when a winner appears mid-bucket the entries before it are counted by
 bisecting each group's sorted indices.
 
-Some cuts are read off a table written once per phase: a pair-cache hit in
-either judge, a variant I novelty-cache hit, and a variant II novelty check
-answered from the memoised t_max run.  Such a cut carries a floor
-(BudgetExhausted.floor): the steps billed before that stage plus the least
-bill with which the stage can conclude, the cached bill or, for the
-variant II memo, g_min (the halt or fault step, or t_max on a timeout).
-Below its floor the candidate is cut at every budget.  Its run is
-deterministic up to that stage and the entry it read never changes.  What
-else the stage can meet later, a pair entry written since, bills at least
-as much: every conclusive novelty bill for a task is at least the one the
-floor counts (variant I's cached bill, variant II's g_min), and every pair
-bill for the task includes a novelty bill.  Such a run writes no table
-entry either, so the scheduler parks the candidate and bills it its
-budget, without running it, at every doubling below its floor.  Cuts of a
-live run carry no floor.
+The judge runs nothing twice in a phase.  Each edit script is applied to
+the phase's solver once (EditRecord, in the ``edits`` table), and each
+stage of the judge, the previous solver on a proposed task, the modified
+solver on it and on every stored task the edit may touch, runs once at its
+task's whole bound.  Every grant is then answered from that run by the
+prefix rule (tasks.report_within): a run granted fewer steps is a prefix of
+the whole one, because runs are deterministic, so the answer is what a live
+run under the grant returns, verdict, bill and cut alike.  The tables hold
+nothing but such runs, the edit's outcome, and the verdict tables the judge
+kept before (pair and novelty caches), so they change no verdict.
+
+So every judge cut knows its floor (BudgetExhausted.floor): the least
+budget under which the whole chain of stages concludes, each stage's least
+grant on top of what the stages before it bill under theirs.  A pair-cache
+hit's floor is its cached bill.  Below its floor the candidate is cut at
+every budget: its run is deterministic up to the judge, each stage's run
+never changes within the phase, and what the judge can meet later instead
+bills at least as much, since a pair entry written since bills a whole
+chain of stages, each at least its least grant.  Such a run writes no table
+entry that depends on its grant either, so the scheduler parks the
+candidate and bills it its budget, without running it, at every doubling
+below its floor.  The one entry whose bill depends on the grant is variant
+I's novelty cache when the previous solver faults: the first run that
+concludes the novelty stage writes the bill it was granted.  So while the
+cache lacks such a task, the floor stops at the budget where the novelty
+stage first concludes; past it, the candidate runs and writes the entry as
+it would have.  Cuts inside the meta program carry no floor.
 
 Many such cuts are known before the candidate ever runs.  An append-only
 record (StaticRecord.append_only) walks to its end with no fault, no context
@@ -56,16 +68,18 @@ automatic SetEntry.  apply_modification accepts that edit unless the task's
 entry key is frozen (prefix mode), and the judge starts with
 budget - certain steps left.  The judge's first stage is novelty, and
 SearchProblem.table_bill reports the least bill B with which it concludes
-on the task, once a table holds it: variant I's novelty-cache bill, or the
-least bill variant II's t_max memo answers a grant with (at least 1, since
-a grant of 0 is cut).  When certain + B > budget the novelty stage cuts the
-run, and so does a pair-cache hit, which the judge reads first: every pair
-bill for the task includes a novelty bill of at least B.  The candidate is
-billed its budget without running.  A table entry is written at most once
-per phase and never changes, so a group whose entry exists when its unit's
-visit starts is decided in one go; members visited before the entry is
-written run, and those after it are decided at their own turn, as are
-candidates an earlier live run cut.
+on the task, once the previous solver's run on the task is in a table:
+in variant I, whose novelty cache can answer a grant of 0, the cache's
+bill once it holds the task and until then what that run bills under its
+least grant; in variant II that least grant.  When certain + B > budget
+the novelty stage cuts the run, and so does a pair-cache hit, which the
+judge reads first: every pair bill for the task includes a novelty bill of
+at least B.  The candidate is billed its budget without running.  A table
+entry is written at most once per phase and never changes, and B only
+rises when the novelty cache is written, so a group whose B exists when
+its unit's visit starts is decided in one go; members visited before the
+entry is written run, and those after it are decided at their own turn,
+as are candidates an earlier live run cut.
 
 Everything else still runs, one at a time in shortlex order, because the
 pair and novelty tables make verdicts depend on the order of execution.
@@ -109,7 +123,7 @@ from .meta import (
     undo_storage,
 )
 from .prior import Prior
-from .validate import BudgetExhausted
+from .validate import BudgetExhausted, EditRecord
 from .vm import Changed, FrozenViolation, InvalidResult, SolverProgram, apply_modification
 
 
@@ -146,7 +160,8 @@ class PhaseStats:
 
 # Judge: (q, changed, proposal, meter, caches) -> details or None when
 # rejected; raises BudgetExhausted when the verdict is out of reach for now.
-# ``caches`` is the phase's fresh_caches() dict.
+# ``caches`` is the phase's fresh_caches() dict, and proposal.record the
+# edit script's EditRecord in it.
 Judge = Callable[..., Optional[object]]
 
 
@@ -572,25 +587,51 @@ class CandidateRecord:
     verdict: str  # "accepted" | "rejected" | "budget"
     steps: int
     reason: str = ""
-    floor: Optional[int] = None  # a cut's least concluding budget, when a table gave it
+    floor: Optional[int] = None  # a judge cut's least concluding budget
 
 
 def fresh_caches() -> dict:
-    """Per-phase memoization shared by all candidates of one phase.
+    """Per-phase tables shared by all candidates of one phase.
 
-    ``novelty`` (variant I only) maps task identity to the previous solver's
-    verdict and its step bill; ``pair`` maps (task identity, edit script) to
-    the judge's conclusive outcome and bill.  Candidates differing only in
-    dead compute prefixes hit the pair cache.
+    ``edits`` maps an edit script (a tuple of edits) to its EditRecord: the
+    modified solver or the edit's fault, the revalidation set, the pair
+    cache (task identity -> the judge's conclusive verdict and bill) and one
+    run of the modified solver per task at the task's whole bound.  So each
+    script is applied once per phase, and each (script, task) run once.
+    ``prev`` (variant I) maps a task identity to the previous solver's run
+    at the task's whole bound, and ``novelty`` to its first conclusive
+    novelty verdict and step bill.  Every judge stage is answered from these
+    runs by the prefix rule (tasks.report_within), which returns what a live
+    run under the stage's grant returns.  Candidates differing only in dead
+    compute prefixes share a record and so hit the pair cache.
 
-    A hit is charged the bill of the first run and gets its verdict, which
-    is not always what a fresh run under the hit's own allowance gives: a
-    faulting run bills its whole grant, which depends on the allowance it
-    ran under, so a fresh run can bill a different amount and can even be
-    cut where the hit is rejected.  Archives record these bills, so making
-    hits exact changes archive bytes.
+    A pair or novelty hit is charged the bill of the first conclusive run
+    and gets its verdict, which is not always what a fresh run under the
+    hit's own allowance gives: a faulting run bills its whole grant, which
+    depends on the allowance it ran under, so a fresh run can bill a
+    different amount and can even be cut where the hit is rejected.
+    Archives record these bills, so making hits exact changes archive bytes.
     """
-    return {"novelty": {}, "pair": {}}
+    return {"edits": {}, "prev": {}, "novelty": {}}
+
+
+def edit_record(caches: dict, edits, solver: SolverProgram) -> EditRecord:
+    """The phase's record of an edit script, applied to solver on first use.
+
+    Every application, a released record's included, goes through this
+    module's apply_modification.
+    """
+    table = caches["edits"]
+    script = tuple(edits)
+    record = table.get(script)
+    if record is None:
+        try:
+            q, changed = apply_modification(solver, script)
+            record = EditRecord(q, changed, None, script, solver, apply_modification)
+        except (FrozenViolation, InvalidResult) as exc:
+            record = EditRecord(fault=(type(exc), str(exc)))
+        table[script] = record
+    return record
 
 
 def try_candidate(
@@ -603,22 +644,28 @@ def try_candidate(
 
     All effects of a rejected candidate are confined to the journaled scratch
     store, which is always rewound, so rejection leaves the engine state
-    bit-identical.
+    bit-identical.  The edit script is looked up once in the phase's
+    ``edits`` table and applied only on a miss; the judge finds its record
+    on the proposal.  The engine's judges release the record's q after
+    each call, so they may be passed q = changed = None.
     """
     ctx = problem.ctx
     digest_before = ctx.scratch.digest() if problem.paranoid else None
     meter = Meter(budget)
     record: CandidateRecord
     accepted: Optional[Acceptance] = None
+    if caches is None:
+        caches = fresh_caches()
     try:
         proposal = run_meta(meta, ctx, meter)
-        q, changed = apply_modification(ctx.solver, proposal.edits)
-        details = problem.judge(
-            q, changed, proposal, meter, caches if caches is not None else fresh_caches()
-        )
+        edit = proposal.record = edit_record(caches, proposal.edits, ctx.solver)
+        if edit.fault is not None:
+            kind, message = edit.fault
+            raise kind(message)
+        details = problem.judge(edit.q, edit.changed, proposal, meter, caches)
         if details is not None:
             record = CandidateRecord("accepted", meter.spent)
-            accepted = Acceptance(meta, proposal, q, changed, details)
+            accepted = Acceptance(meta, proposal, *edit.applied(), details)
         else:
             record = CandidateRecord("rejected", meter.spent, "validation")
     except MalformedTask as exc:
@@ -697,24 +744,25 @@ def oops_search(
     deferred: dict[int, tuple] = {}  # adapted mode: total -> (entries, unaffordable groups)
     enumerated_upto = 3 * OPCODE_BITS - 1
 
-    bills: dict = {}  # task key -> its table bill, once written (it never changes)
+    key_tasks: dict = {}  # task key -> its task, None when its entry key is frozen
 
     def table_cut(rec: StaticRecord, budget: int) -> bool:
         """True when the record is append-only and its task's table bill,
         if a table holds it yet, is more than the budget leaves."""
         if not rec.append_only or table_bill is None:
             return False
-        owed = bills.get(rec.key)
-        if owed is None:
-            key = rec.key
+        key = rec.key
+        if key in key_tasks:
+            task = key_tasks[key]
+        else:
             task = ctx.external_task if key == EXTERNAL_KEY else invent_task(*key, ctx)
             if task.entry_key in ctx.solver.frozen_entry_keys:
-                return False  # apply_modification may refuse the automatic SetEntry
-            owed = table_bill(task, caches)
-            if owed is None:
-                return False
-            bills[key] = owed
-        return rec.certain + owed > budget
+                task = None  # apply_modification may refuse the automatic SetEntry
+            key_tasks[key] = task
+        if task is None:
+            return False
+        owed = table_bill(task, caches)
+        return owed is not None and rec.certain + owed > budget
 
     def check_known(meta: MetaProgram, budget: int, decided: tuple, what: str) -> None:
         if paranoid:

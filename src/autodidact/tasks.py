@@ -332,6 +332,60 @@ def solves(
 
 
 # ---------------------------------------------------------------------------
+# The prefix rule: every budget answered from one run at the whole bound
+# ---------------------------------------------------------------------------
+
+HALTED, FAULTED, TIMED_OUT = 0, 1, 2  # how a run at the whole bound ended
+
+
+def run_record(report: SolveReport) -> tuple:
+    """What the prefix rule needs of one run at the task's whole bound.
+
+    A small tuple (how the run ended, steps executed, success, number of
+    components used): per-phase run tables hold thousands of them.
+    """
+    outcome = report.outcome
+    kind = HALTED if outcome.halted else FAULTED if outcome.fault else TIMED_OUT
+    return kind, outcome.executed, report.success, len(outcome.components_used)
+
+
+def report_within(run: tuple, budget: Optional[int], bound: int) -> tuple[Optional[bool], int]:
+    """What a live solves or replay_check under ``budget`` returns, read off ``run``.
+
+    ``run`` is the run_record of one run at the whole ``bound``.  A run
+    granted g = min(bound, budget) steps is a prefix of that run, because
+    runs are deterministic, so: a halt at step e <= g is returned as it is
+    and bills e; a fault at e <= g fails and bills g; a timeout is
+    conclusive only when g is the whole bound; anything else, a grant of 0
+    included, which runs nothing, is cut and bills g.  Returns (success, or
+    None when the run is cut; steps billed).
+    """
+    grant = bound if budget is None or budget > bound else budget
+    kind, executed, success, _components = run
+    if grant >= 1:
+        if kind == TIMED_OUT:
+            if grant == bound:
+                return False, bound
+        elif executed <= grant:
+            return (success, executed) if kind == HALTED else (False, grant)
+    return None, grant
+
+
+def least_grant(run: tuple, bound: int, last: bool = True) -> int:
+    """The least grant under which report_within concludes on ``run``.
+
+    A halt or a fault at step e needs max(1, e) and a timeout the whole
+    bound.  A fault bills its whole grant, so a fault followed by another
+    stage (``last`` false) leaves that stage anything only when its grant
+    was the whole bound.  Below this grant the run is cut at every grant.
+    """
+    kind, executed, _success, _components = run
+    if kind == TIMED_OUT or (kind == FAULTED and not last):
+        return bound
+    return max(1, executed)
+
+
+# ---------------------------------------------------------------------------
 # Efficiency ("wow") tasks
 # ---------------------------------------------------------------------------
 

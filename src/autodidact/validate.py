@@ -15,16 +15,28 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import costs
-from .tasks import DecisionTask, SolveReport, Trace, replay_check, solves
+from .tasks import (
+    FAULTED,
+    DecisionTask,
+    SolveReport,
+    Trace,
+    least_grant,
+    replay_check,
+    report_within,
+    run_record,
+    solves,
+)
 from .vm import Changed, SolverProgram
 
 
 class BudgetExhausted(Exception):
     """Validation ran out of steps before reaching a verdict: reject, retry later.
 
-    ``floor``, when set, is the least budget at which the cut stage can
-    conclude.  Only cuts read off a table written once per phase carry one,
-    and every later run under a smaller budget is cut the same way.
+    ``floor``, when set, is the least budget under which the run gets past
+    the cut: the judge's whole chain of stages concludes there, or, where a
+    table entry the run would write depends on its grant, that stage does.
+    Every run under a smaller budget is cut the same way and writes nothing.
+    Every judge cut carries one; cuts inside the meta program do not.
 
     The scheduler raises one per cut and never prints it, so the message is
     only built when something asks for it.
@@ -142,6 +154,102 @@ def revalidate_set(usage: UsageIndex, changed: Changed) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
+class EditRecord:
+    """One edit script applied to the phase's solver, and what judging it ran.
+
+    Built once per script and phase, on the first candidate that proposes
+    it.  ``q`` and ``changed`` are apply_modification's result, or ``fault``
+    holds the (exception type, message) it raised.  ``todo`` is the sorted
+    revalidation set and ``size`` is L(q) - L(s), each filled on first use.
+    ``pairs`` maps a task identity to the judge's conclusive verdict and
+    bill (the pair cache), and ``runs`` holds one run_record of q per task
+    at the task's whole bound, keyed by task identity for a proposed task
+    and by repertoire index for a stored one.
+
+    The tables outlive q: a record made with ``apply`` may release q and
+    changed, and applied() rebuilds them from ``script`` and ``base``, the
+    phase's solver, on the rare table miss after that.  A phase keeps
+    thousands of records, and q is a whole solver.
+    """
+
+    __slots__ = (
+        "q", "changed", "fault", "script", "base", "apply", "todo", "size", "pairs", "runs"
+    )
+
+    def __init__(self, q=None, changed=None, fault=None, script=(), base=None, apply=None):
+        self.q = q
+        self.changed = changed
+        self.fault = fault
+        self.script = script
+        self.base = base
+        self.apply = apply
+        self.todo = None
+        self.size = None
+        self.pairs: dict = {}
+        self.runs: dict = {}
+
+    def applied(self) -> tuple:
+        """(q, changed), applying the script again if they were released."""
+        if self.q is None:
+            self.q, self.changed = self.apply(self.base, self.script)
+        return self.q, self.changed
+
+    def release(self) -> None:
+        if self.apply is not None:
+            self.q = self.changed = None
+
+    def revalidation(self, usage: UsageIndex) -> tuple:
+        if self.todo is None:
+            self.todo = tuple(sorted(revalidate_set(usage, self.applied()[1])))
+        return self.todo
+
+
+def table_run(runs: dict, key, live) -> tuple:
+    """runs[key], made on first use from live(None), a run at the whole bound."""
+    run = runs.get(key)
+    if run is None:
+        run = runs[key] = run_record(live(None))
+    return run
+
+
+class ChainFloor:
+    """The least budget under which a judge's chain of stages concludes.
+
+    Stages are added in order, cut or not: each stage needs its least grant
+    on top of what the stages before it bill under theirs.  ``floor`` is
+    that budget so far and ``least`` what the stages bill under it; both
+    start at what the judge billed before the first stage added.
+    """
+
+    __slots__ = ("floor", "least")
+
+    def __init__(self, billed: int = 0):
+        self.floor = self.least = billed
+
+    def add(self, run: tuple, bound: int, last: bool = True) -> None:
+        need = least_grant(run, bound, last)
+        self.floor = max(self.floor, self.least + need)
+        self.least += report_within(run, need, bound)[1]
+
+
+def table_answer(run: tuple, live, budget: int, bound: int, paranoid: bool = False):
+    """A stage's answer under ``budget``, read off its run by the prefix rule.
+
+    ``run`` is the run_record of ``live(None)``, the stage at the whole
+    bound, and ``live(budget)`` returns the stage's SolveReport.  Paranoid
+    mode runs it under ``budget`` too and raises on any difference, the
+    component count of a conclusive run included.  Returns (success or None
+    when cut, steps billed).
+    """
+    answer = report_within(run, budget, bound)
+    if paranoid:
+        rep = live(budget)
+        seen = (rep.success if rep.conclusive else None, rep.steps)
+        if seen != answer or (rep.conclusive and len(rep.components_used) != run[3]):
+            raise AssertionError(f"run table gave {answer} of {run}, a live run {rep}")
+    return answer
+
+
 @dataclass
 class ValidationReport:
     novel: bool = False
@@ -177,6 +285,8 @@ def demonstrate(
     budget: int,
     paranoid: bool = False,
     novelty_cache: Optional[dict] = None,
+    prev_runs: Optional[dict] = None,
+    edit: Optional[EditRecord] = None,
 ) -> ValidationReport:
     """Run the full acceptance obligation for candidate q against task.
 
@@ -185,63 +295,103 @@ def demonstrate(
     still passes.  All step usage is charged against ``budget``; running dry
     before a verdict raises BudgetExhausted (the candidate is rejected now
     and retried when the scheduler doubles its allowance).
+
+    Every stage is answered by the prefix rule (tasks.report_within) from
+    one run at the task's whole bound: ``prev_runs`` maps a task identity
+    to the previous solver's run, and ``edit.runs`` holds q's (q and changed
+    then come from ``edit``).  ``novelty_cache`` maps a task identity to the
+    first conclusive novelty verdict and its bill.  Without them the tables
+    last for this call only.
+
+    A cut carries its floor, the least budget under which the whole chain
+    concludes: each stage needs its least grant (the cached bill for
+    novelty) on top of what the stages before it bill under theirs.  One
+    exception: while the cache lacks the task, a novelty run that faults
+    bills its whole grant, and the first run to conclude writes that bill
+    to the cache; so the floor stops where the novelty stage concludes.
+    Only an accepted report carries the new task's SolveReport, its trace
+    and the revalidation reports, from live runs of the winner.
     """
+    if novelty_cache is None:
+        novelty_cache = {}
+    if prev_runs is None:
+        prev_runs = {}
+    if edit is None:
+        edit = EditRecord(q, changed)
     report = ValidationReport()
-    meter = budget
+    left = budget
+    cut = False
+    cap = None  # where a faulting novelty run would first conclude
 
     # Novelty: identical candidates cannot be both novel and newly solving.
     identity = task.identity()
-    if novelty_cache is not None and identity in novelty_cache:
-        prev_solves, billed = novelty_cache[identity]
-        meter -= billed
-        if meter < 0:
-            raise BudgetExhausted(budget, billed)
+    hit = novelty_cache.get(identity)
+    if hit is not None:
+        prev_solves, billed = hit
+        cut = billed > left
     else:
-        prev_report, _ = solves(s_prev, task, meter)
-        meter -= prev_report.steps
-        if not prev_report.conclusive:
-            raise BudgetExhausted(budget - meter)
-        prev_solves, billed = prev_report.success, prev_report.steps
-        if novelty_cache is not None:
+        live = lambda b: solves(s_prev, task, b)[0]  # noqa: E731
+        run = table_run(prev_runs, identity, live)
+        prev_ok, billed = table_answer(run, live, left, task.t, paranoid)
+        if prev_ok is not None:
+            prev_solves = prev_ok
             novelty_cache[identity] = (prev_solves, billed)
+        else:
+            cut, prev_solves = True, run[2]
+            if run[0] == FAULTED:
+                cap = max(1, run[1])
+    if identity in novelty_cache:  # later runs bill what the cache holds
+        chain = ChainFloor(novelty_cache[identity][1])
+    else:
+        chain = ChainFloor()
+        chain.add(run, task.t)
+    if not cut:
+        left -= billed
+
+    def stage(key, live, bound) -> bool:
+        """Bill one stage of q's, or note its cut; returns its verdict."""
+        nonlocal left, cut
+        run = table_run(edit.runs, key, live)
+        if cut:  # the verdicts still set the chain, and so the floor
+            ok = run[2]
+        else:
+            ok, billed = table_answer(run, live, left, bound, paranoid)
+            if ok is None:
+                cut, ok = True, run[2]
+            else:
+                left -= billed
+        chain.add(run, bound)
+        return ok
+
+    # Then q on the new task, then every stored task the edit may touch, in
+    # order; the chain stops at its first failure.
     report.novel = not prev_solves
-    if not report.novel:
-        report.steps_spent = budget - meter
-        return report
-
-    new_report, new_trace = solves(q, task, meter)
-    meter -= new_report.steps
-    if not new_report.conclusive:
-        raise BudgetExhausted(budget - meter)
-    report.solves_new = new_report.success
-    report.new_outcome = new_report
-    report.new_trace = new_trace
-    if not report.solves_new:
-        report.steps_spent = budget - meter
-        return report
-
-    todo = sorted(revalidate_set(usage, changed))
-    by_index = {item.index: item for item in repertoire}
-    preserved = True
-    done = []
-    for j in todo:
-        item = by_index[j]
-        rep, _ = preservation_run(q, item, meter)
-        meter -= rep.steps
-        done.append(j)
-        report.revalidation_reports[j] = rep
-        if not rep.conclusive:
-            raise BudgetExhausted(budget - meter)
-        if not rep.success:
-            preserved = False
-            break
+    todo, done = (), []
+    if report.novel:
+        live = lambda b: solves(edit.applied()[0], task, b)[0]  # noqa: E731
+        report.solves_new = stage(identity, live, task.t)
+    if report.solves_new:
+        todo = edit.revalidation(usage)
+        by_index = {item.index: item for item in repertoire} if todo else {}
+        report.preserved = True
+        for j in todo:
+            item = by_index[j]
+            done.append(j)
+            live = lambda b, item=item: preservation_run(edit.applied()[0], item, b)[0]  # noqa: E731
+            if not stage(j, live, item.task.t):
+                report.preserved = False
+                break
+    if cut:
+        raise BudgetExhausted(budget, chain.floor if cap is None else cap)
     report.revalidated_tasks = tuple(done)
-    report.preserved = preserved
-    report.steps_spent = budget - meter
+    report.steps_spent = budget - left
 
-    if paranoid and report.accepted:
-        full = full_revalidation(q, repertoire)
-        if not full:
+    if report.accepted:
+        q = edit.applied()[0]
+        report.new_outcome, report.new_trace = solves(q, task)
+        for j in done:
+            report.revalidation_reports[j] = preservation_run(q, by_index[j])[0]
+        if paranoid and not full_revalidation(q, repertoire):
             raise AssertionError(
                 "incremental revalidation accepted a candidate the full oracle rejects"
             )

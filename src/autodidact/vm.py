@@ -145,8 +145,9 @@ class SolverProgram:
 
     @classmethod
     def from_json(cls, data: dict) -> "SolverProgram":
-        decoded = decode(BitString.from_hex(data["code"]))
-        if decoded.consumed_bits != BitString.from_hex(data["code"]).length:
+        bits = BitString.from_hex(data["code"])
+        decoded = decode(bits)
+        if decoded.consumed_bits != bits.length:
             raise InvalidResult("solver code has trailing bits")
         return cls(
             decoded.instructions,
@@ -173,23 +174,23 @@ EMPTY_SOLVER = SolverProgram()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetSlot:
     index: int  # 0-based slot
     instruction: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Append:
     instruction: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Truncate:
     new_len: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetEntry:
     key: str  # identifier bits in "len:hex" form
     slot: int

@@ -9,13 +9,21 @@ from autodidact.costs import (
     TaskMeasure,
     cost,
     measure_task,
-    measure_within,
     parse_ratio,
 )
 from autodidact.bits import nibble
 from autodidact.grid import WORLDS
 from autodidact.isa import SOLVER_ISA
-from autodidact.tasks import DecisionTask, GoalSpec, PatternTask, solves
+from autodidact.tasks import (
+    DecisionTask,
+    GoalSpec,
+    PatternTask,
+    least_grant,
+    replay_check,
+    report_within,
+    run_record,
+    solves,
+)
 from autodidact.templates import copy_query_loop, grid_walk
 from autodidact.vm import SolverProgram
 
@@ -98,20 +106,49 @@ _WORLD = WORLDS[0]
     ],
 )
 def test_measure_within_equals_a_live_measure_at_every_grant(code):
-    # One run at the whole t_max answers every smaller budget exactly as a
-    # live measure_task under that budget would: same measure, same bill,
-    # same cut.
+    # One run at the whole bound answers every smaller budget exactly as a
+    # live run under that budget would: same verdict, same bill, same cut,
+    # for solves, replay_check and measure_task (live and replayed), and
+    # the least grant is the first budget that concludes.
     params = CostParams(t_max=100)
     pattern = PatternTask(1, nibble(5), nibble(5), 64, 1024)
     decision = DecisionTask(nibble(0) + nibble(0), GoalSpec(_WORLD.goals[0]), 48, 1024, _WORLD)
     for task in (pattern, decision):
         solver = SolverProgram(tuple(code), {task.identifier.to_hex(): 0} if code else {})
-        full, _tr, rep = measure_task(solver, task, params)
-        for b in range(0, params.t_max + 2):
-            live, _tr, live_rep = measure_task(solver, task, params, None, b)
-            want = (live if live_rep.conclusive else None, live_rep.steps)
-            got = measure_within(full, rep.outcome, min(params.t_max, b), params.t_max)
-            assert got == want, (task.kind, b)
+        report, trace = solves(solver, task)
+        checks = [(lambda b: solves(solver, task, b)[0], task.t)]
+        traces = [None]
+        if trace is not None:
+            checks.append((lambda b: replay_check(solver, task, trace, b), task.t))
+            traces.append(trace)
+        for live, bound in checks:
+            run = run_record(live(None))
+            for b in range(0, bound + 2):
+                rep = live(b)
+                want = (rep.success if rep.conclusive else None, rep.steps)
+                assert report_within(run, b, bound) == want, (task.kind, b)
+                assert (want[0] is None) == (b < least_grant(run, bound)), (task.kind, b)
+        for stored in traces:
+            _m, _tr, rep = measure_task(solver, task, params, stored)
+            run = run_record(rep)
+            for b in range(0, params.t_max + 2):
+                live, _tr, live_rep = measure_task(solver, task, params, stored, b)
+                want = (live if live_rep.conclusive else None, live_rep.steps)
+                solved, billed = report_within(run, b, params.t_max)
+                got = (None if solved is None else TaskMeasure(solved, billed, run[3]), billed)
+                assert got == want, (task.kind, stored is not None, b)
+
+
+def test_a_fault_before_another_stage_needs_the_whole_bound():
+    # A fault bills its whole grant, so a stage after it gets anything only
+    # when the fault was granted the whole bound.
+    solver = SolverProgram(tuple(SOLVER_ISA.assemble("POP")))
+    task = PatternTask(1, nibble(5), nibble(5), 64, 1024)
+    run = run_record(solves(solver, task)[0])
+    assert least_grant(run, task.t) == 1
+    assert least_grant(run, task.t, last=False) == task.t
+    assert report_within(run, 1, task.t) == (False, 1)
+    assert report_within(run, task.t - 1, task.t) == (False, task.t - 1)
 
 
 def test_parse_ratio_accepts_fractions_and_decimals():

@@ -107,6 +107,10 @@ DAMAGE = {
     "solver missing": ("I", 2),
     "sidecar trace missing": ("I", 2),
     "cost_params missing": ("II", 2),
+    "p not bits": ("I", 2),
+    "p no program": ("I", 2),
+    "meta not an object": ("I", 2),
+    "c not a ratio": ("II", 2),
 }
 
 
@@ -126,6 +130,14 @@ def _damaged(lines, damage):
     elif damage == "sidecar trace missing":
         del data["trace"]
         data["trace_ref"] = "0" * 24
+    elif damage == "p not bits":
+        data["p"] = "zz"
+    elif damage == "p no program":
+        data["p"] = "5:00"  # a lone terminator: the modifier is missing
+    elif damage == "meta not an object":
+        data["meta"] = []
+    elif damage == "c not a ratio":
+        data["c"] = "abc"
     else:
         del data["meta"]["cost_params"]
     lines[1] = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
@@ -444,8 +456,9 @@ def test_variant2_paranoid_run(tmp_path):
 
 
 def test_variant2_paranoid_judge_checks_the_phase_ledger(tmp_path, monkeypatch):
-    # Paranoid mode re-derives every judge call from scratch: each novelty
-    # check runs live, and c and c* are summed again with the full cost().
+    # Paranoid mode re-derives every judge call from scratch: each stage
+    # answered from a run table runs live too, and c and c* are summed again
+    # with the full cost().
     # Random edits on a built repertoire reach every branch: cuts, faults,
     # timeouts, revalidated tasks and re-proposed tasks.
     import random
@@ -454,6 +467,7 @@ def test_variant2_paranoid_judge_checks_the_phase_ledger(tmp_path, monkeypatch):
     from conftest import build_repertoire, install_segment, random_edit, random_task
     from autodidact.isa import SOLVER_ISA
     from autodidact import engine as engine_mod
+    from autodidact import validate as validate_mod
     from autodidact.costs import measure_task
     from autodidact.meta import Meter, Proposal
     from autodidact.search import fresh_caches
@@ -517,19 +531,19 @@ def test_variant2_paranoid_judge_checks_the_phase_ledger(tmp_path, monkeypatch):
     verdicts = judge_many(400)
     assert all(verdicts.values()), verdicts
 
-    # The oracle bites: a memo that bills one step too few, or a ledger
-    # that gets one contribution wrong, is caught.
-    real_within = engine_mod.measure_within
+    # The oracle bites: a run table that bills one step too few, or a
+    # ledger that gets one contribution wrong, is caught.
+    real_within = validate_mod.report_within
 
-    def off_by_one(full, outcome, grant, t_max):
-        measure, billed = real_within(full, outcome, grant, t_max)
-        return measure, max(billed - 1, 0)
+    def off_by_one(run, budget, bound):
+        solved, billed = real_within(run, budget, bound)
+        return solved, max(billed - 1, 0)
 
-    monkeypatch.setattr(engine_mod, "measure_within", off_by_one)
+    monkeypatch.setattr(validate_mod, "report_within", off_by_one)
     eng._ledger = None
-    with pytest.raises(AssertionError, match="novelty memo"):
+    with pytest.raises(AssertionError, match="run table"):
         judge_many(200)
-    monkeypatch.setattr(engine_mod, "measure_within", real_within)
+    monkeypatch.setattr(validate_mod, "report_within", real_within)
 
     real_contribution = engine_mod.PhaseLedger.contribution
     monkeypatch.setattr(

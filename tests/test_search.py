@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -27,7 +28,6 @@ from autodidact.meta import (
     well_formed,
 )
 from autodidact.prior import Prior
-from autodidact.costs import least_bill
 from autodidact.search import (
     EXTERNAL_KEY,
     BoundaryVerdicts,
@@ -42,7 +42,7 @@ from autodidact.search import (
     stochastic_search,
     try_candidate,
 )
-from autodidact.tasks import PatternTask
+from autodidact.tasks import FAULTED, PatternTask, least_grant, report_within
 from autodidact.templates import copy_query_loop, grid_walk
 from autodidact.validate import BudgetExhausted, RepertoireItem
 from autodidact.vm import Append, SetEntry, SolverProgram, apply_modification
@@ -467,7 +467,7 @@ def test_stochastic_search_keeps_one_cache_per_phase(tmp_path, monkeypatch):
 
     def fresh():
         made.append(1)
-        return {"novelty": HitCountingDict(), "pair": HitCountingDict()}
+        return {"edits": HitCountingDict(), "prev": HitCountingDict(), "novelty": HitCountingDict()}
 
     monkeypatch.setattr(search, "fresh_caches", fresh)
     monkeypatch.setattr(HitCountingDict, "hits", 0)
@@ -495,10 +495,13 @@ def _novelty_table_bill(problem, task, caches):
     engine = problem.judge.__self__
     if engine.config.variant == "I":
         hit = caches["novelty"].get(task.identity())
-        return None if hit is None else hit[1]
+        if hit is not None:
+            return hit[1]
+        run = caches["prev"].get(task.identity())
+        return None if run is None else report_within(run, least_grant(run, task.t), task.t)[1]
     ledger = engine._ledger
     memo = None if ledger is None else ledger.novelty.get(task.identity())
-    return None if memo is None else max(1, least_bill(memo[2], ledger.params.t_max))
+    return None if memo is None else least_grant(memo[1], ledger.params.t_max)
 
 
 def _classified_run(tmp_path, monkeypatch, name, **overrides):
@@ -581,14 +584,13 @@ def _classified_run(tmp_path, monkeypatch, name, **overrides):
 KINDS = ("executed", "static", "parked", "table")
 
 
-# In variant I with the uniform gridworld run, the candidates that a cut
-# with a floor would park are all append-only and decided by their table
-# entry first, so that run has no parked visit.  In prefix mode the table
-# rule must step aside for tasks whose entry key is frozen.
+# Every judge cut carries a floor, so every run parks some candidates.  In
+# prefix mode the table rule must step aside for tasks whose entry key is
+# frozen.
 @pytest.mark.parametrize(
     "overrides, kinds_seen",
     [
-        ({"variant": "I", "domain": "gridworld"}, {"executed", "static", "table"}),
+        ({"variant": "I", "domain": "gridworld"}, set(KINDS)),
         ({"variant": "I", "domain": "gridworld", "adapt_prior": True}, set(KINDS)),
         ({"variant": "II", "domain": "gridworld"}, set(KINDS)),
         ({"variant": "I", "domain": "pattern", "prefix_mode": True, "max_tasks": 2}, set(KINDS)),
@@ -700,6 +702,144 @@ def test_a_mid_bucket_winner_bills_only_the_candidates_before_it(monkeypatch):
     )
 
 
+def _judging_engine(tmp_path, variant, rng):
+    """A paranoid engine on a built repertoire, with tasks to propose.
+
+    Two of the new tasks are routed at code the previous solver times out
+    or faults on (at step 5); variant II also re-proposes two stored tasks.
+    """
+    from conftest import build_repertoire, random_task
+    from autodidact.costs import measure_task
+    from autodidact.isa import SOLVER_ISA
+
+    cfg = RunConfig(
+        variant=variant,
+        domain="mixed",
+        max_tasks=0,
+        alpha=Fraction(3, 2),
+        paranoid=True,
+        archive_path=str(tmp_path / "a.jsonl"),
+        metrics_path=str(tmp_path / "m.csv"),
+    )
+    eng = Engine(cfg)
+    eng.solver, eng.repertoire, eng.usage = build_repertoire(rng, 5)
+    used = {item.entry_key for item in eng.repertoire}
+    proposed = []  # (task, code that solves it)
+    for _ in range(4):
+        task, code = random_task(rng, used)
+        used.add(task.identifier.to_hex())
+        proposed.append((task, code))
+    for (task, _code), text in zip(proposed, ("JMP -1", "PUSH 1\nPUSH 2\nPOP\nPOP\nPOP")):
+        code = SOLVER_ISA.assemble(text)
+        eng.solver, _ = install_segment(eng.solver, code, task.identifier.to_hex())
+    if variant == "II":
+        proposed += [(item.task, None) for item in eng.repertoire[:2]]
+        for item in eng.repertoire:
+            m, _t, _r = measure_task(eng.solver, item.task, eng._params(), item.trace)
+            eng.cost_measures[item.task.identity()] = m
+    return eng, proposed
+
+
+def _judge_calls(eng, proposed, rng, n):
+    """n random judge calls, (proposal, budget, caches); each 20 share one
+    phase's tables."""
+    from conftest import random_edit
+    from autodidact.meta import Proposal
+    from autodidact.vm import FrozenViolation, InvalidResult
+
+    for i in range(n):
+        if i % 20 == 0:
+            caches = search.fresh_caches()
+        task, code = rng.choice(proposed)
+        edits = random_edit(rng, eng.solver, eng.repertoire)
+        if code is not None and rng.random() < 0.4:  # install a solution, as acceptances do
+            start = eng.solver.component_count
+            install = [Append(i) for i in code] + [SetEntry(task.identifier.to_hex(), start)]
+            edits = install + (edits if rng.random() < 0.5 else [])
+        try:
+            apply_modification(eng.solver, edits)
+        except (InvalidResult, FrozenViolation):
+            continue
+        proposal = Proposal(task, edits, (), 0, 0, None)
+        yield proposal, rng.choice([0, 1, 3, 20, 60, 150, 400, 2000, 10**6]), caches
+
+
+def _copy_tables(caches: dict) -> dict:
+    """The phase's tables as they stand, for judge calls that must not touch them."""
+    import copy
+
+    edits = {}
+    for script, record in caches["edits"].items():
+        twin = edits[script] = copy.copy(record)
+        twin.pairs, twin.runs = dict(record.pairs), dict(record.runs)
+    return {"edits": edits, "prev": dict(caches["prev"]), "novelty": dict(caches["novelty"])}
+
+
+def _judge(eng, proposal, budget, caches):
+    """(verdict, floor) of one direct judge call; the verdict is None when cut."""
+    from autodidact.meta import Meter
+
+    judge = eng._judge_v1 if eng.config.variant == "I" else eng._judge_v2
+    proposal.record = None  # a direct call finds its record in the caches
+    try:
+        return judge(None, None, proposal, Meter(budget), caches) is not None, None
+    except BudgetExhausted as exc:
+        assert exc.floor is not None, "a judge cut without a floor"
+        return None, exc.floor
+
+
+@pytest.mark.parametrize("variant", ["I", "II"])
+def test_judge_cuts_on_a_built_repertoire_have_exact_floors(tmp_path, variant):
+    # Every judge cut carries a floor.  On the tables as the cut left them,
+    # a judge one step below the floor is cut with the same floor, and one
+    # at the floor concludes.  The exception is variant I's capped case: the
+    # novelty cache lacks the task and the previous solver faults, so the
+    # floor is where the novelty stage first concludes, and there it does.
+    # The engine is paranoid, so every table answer is also run live.
+    rng = random.Random(47)
+    eng, proposed = _judging_engine(tmp_path, variant, rng)
+    seen = {"cut": 0, "capped": 0, "concluded": 0}
+    for proposal, budget, caches in _judge_calls(eng, proposed, rng, 500):
+        verdict, floor = _judge(eng, proposal, budget, caches)
+        if floor is None:
+            seen["concluded"] += 1
+            continue
+        assert floor > budget
+        identity = proposal.task.identity()
+        run = caches["prev"].get(identity)
+        capped = identity not in caches["novelty"] and run is not None and run[0] == FAULTED
+        below = _judge(eng, proposal, floor - 1, _copy_tables(caches))
+        assert below == (None, floor), (identity, budget, floor, below)
+        tables = _copy_tables(caches)
+        at = _judge(eng, proposal, floor, tables)
+        if capped:
+            assert identity in tables["novelty"]
+            seen["capped"] += 1
+        else:
+            assert at[1] is None, (identity, budget, floor, at)
+        seen["cut"] += 1
+    assert seen["cut"] > 50 and seen["concluded"] > 50, seen
+    assert (seen["capped"] > 5) == (variant == "I"), seen
+
+
+@pytest.mark.parametrize("variant", ["I", "II"])
+def test_a_table_answer_one_step_off_is_caught_by_paranoid_mode(tmp_path, monkeypatch, variant):
+    from autodidact import validate
+
+    rng = random.Random(48)
+    eng, proposed = _judging_engine(tmp_path, variant, rng)
+    real_within = validate.report_within
+
+    def one_step_more(run, budget, bound):
+        ok, billed = real_within(run, budget, bound)
+        return ok, billed if ok is None else billed + 1
+
+    monkeypatch.setattr(validate, "report_within", one_step_more)
+    with pytest.raises(AssertionError, match="run table gave"):
+        for proposal, budget, caches in _judge_calls(eng, proposed, rng, 200):
+            _judge(eng, proposal, budget, caches)
+
+
 @pytest.mark.parametrize("variant", ["I", "II"])
 def test_judge_floors_are_exact(tmp_path, monkeypatch, variant):
     # Right after a cut that carries a floor, the same candidate is cut by
@@ -715,9 +855,9 @@ def test_judge_floors_are_exact(tmp_path, monkeypatch, variant):
         assert record.floor is None or record.floor >= budget
         if record.floor is not None and record.floor > budget:
             floor = record.floor
-            below, _ = real_try(meta, problem, floor - 1, {k: dict(v) for k, v in caches.items()})
+            below, _ = real_try(meta, problem, floor - 1, _copy_tables(caches))
             assert (below.verdict, below.steps, below.floor) == ("budget", floor - 1, floor)
-            at, _ = real_try(meta, problem, floor, {k: dict(v) for k, v in caches.items()})
+            at, _ = real_try(meta, problem, floor, _copy_tables(caches))
             assert at.verdict != "budget" or at.floor != floor, (meta.code.to_hex(), floor)
             checked.append(floor)
         return record, acc
@@ -734,45 +874,114 @@ def test_judge_floors_are_exact(tmp_path, monkeypatch, variant):
     assert len(checked) > 100
 
 
+def _watch_table_answers(monkeypatch) -> list:
+    """Record (run, success or None when cut) of each table answer a judge reads."""
+    from autodidact import engine as engine_module, validate
+
+    answers = []
+
+    def watch(module):
+        real = module.table_answer
+
+        def spy(run, live, budget, bound, paranoid=False):
+            answer = real(run, live, budget, bound, paranoid)
+            answers.append((run, answer[0]))
+            return answer
+
+        monkeypatch.setattr(module, "table_answer", spy)
+
+    watch(validate)
+    watch(engine_module)
+    return answers
+
+
+def _check_table_bill(eng, task, caches, answers) -> Optional[int]:
+    """Check the table bill of task on the phase's tables; returns it, or
+    None when there is none to check.
+
+    An append-only proposal for the task is judged with no pair entries:
+    one step short of the bill the novelty stage cuts it, and at the bill
+    it gets past that stage.  The stage is watched through the table
+    answers the judge reads: the novelty stage's own answer is read off the
+    previous solver's run, and every later stage is asked only once the
+    judge got past novelty.  A variant I novelty hit reads no run; it
+    concludes the stage when the judge concludes or asks a later stage.
+    While the variant I novelty cache lacks the task, the stage concludes
+    under the run's least grant and writes the bill to the cache (a run
+    that halts at step 0 bills 0 but needs a grant of 1).
+    """
+    owed = eng._table_bill(task, caches)
+    solver = eng.solver
+    if owed is None or task.entry_key in solver.frozen_entry_keys:
+        return None
+    identity = task.identity()
+    if eng.config.variant == "I":
+        judge, novelty_run = eng._judge_v1, caches["prev"][identity]
+    else:
+        judge, novelty_run = eng._judge_v2, eng._ledger.novelty[identity][1]
+    edits = [Append(ins) for ins in copy_query_loop()]
+    edits.append(SetEntry(task.entry_key, solver.component_count))
+    q, changed = apply_modification(solver, edits)
+    uncached = eng.config.variant == "I" and identity not in caches["novelty"]
+    concluding = least_grant(novelty_run, task.t) if uncached else owed
+    for left in (owed - 1, concluding):
+        if left < 0:
+            continue
+        tables = search.fresh_caches()
+        tables["prev"].update(caches["prev"])
+        tables["novelty"].update(caches["novelty"])
+        proposal = Proposal(task, edits, (), 0, len(edits) - 1, solver.component_count)
+        answers.clear()
+        try:
+            judge(q, changed, proposal, Meter(left), tables)
+            floor = None
+        except BudgetExhausted as exc:
+            floor = exc.floor
+        passed = floor is None or any(
+            run is not novelty_run or ok is not None for run, ok in answers
+        )
+        where = (identity, owed, left, floor, answers)
+        assert passed == (left == concluding), where
+        if left < owed:
+            assert floor >= owed, where
+            assert tables["novelty"] == caches["novelty"], where
+        elif uncached:
+            assert tables["novelty"][identity][1] == owed, where
+    return owed
+
+
 @pytest.mark.parametrize("variant", ["I", "II"])
 def test_the_table_bill_is_the_least_the_judges_first_stage_needs(tmp_path, monkeypatch, variant):
     # After each phase's search, every task the scheduler asked about whose
-    # table entry exists gets an append-only proposal and is judged with no
-    # pair entries: one step short of the table bill the novelty stage cuts
-    # it (a cut with a floor), and at the bill it gets past that stage.
-    checked = []
+    # table entry exists has its bill checked on the phase's last tables;
+    # in variant I also on the tables as they stood when the bill was first
+    # read off the previous solver's run alone.
+    answers = _watch_table_answers(monkeypatch)
+    checked, early_checks = [], []
     real_search = search.oops_search
 
     def checking_search(problem, step_ceiling, log=None):
         seen = {}
+        early = {}  # identity -> (task, tables) before the novelty cache held it
         real_bill = problem.table_bill
 
         def recording_bill(task, caches):
-            seen[task.identity()] = (task, caches)
-            return real_bill(task, caches)
+            identity = task.identity()
+            owed = real_bill(task, caches)
+            if variant == "I" and owed is not None and identity not in caches["novelty"]:
+                tables = {k: dict(caches[k]) for k in ("prev", "novelty")}
+                early.setdefault(identity, (task, tables))
+            seen[identity] = (task, caches)
+            return owed
 
         problem.table_bill = recording_bill
         acc, stats = real_search(problem, step_ceiling, log)
-        solver = problem.ctx.solver
-        for task, caches in seen.values():
-            owed = real_bill(task, caches)
-            if owed is None or task.entry_key in solver.frozen_entry_keys:
-                continue
-            edits = [Append(ins) for ins in copy_query_loop()]
-            edits.append(SetEntry(task.entry_key, solver.component_count))
-            proposal = Proposal(task, edits, (), 0, len(edits) - 1, solver.component_count)
-            q, changed = apply_modification(solver, edits)
-            for left in (owed - 1, owed):
-                if left < 0:
-                    continue
-                tables = {"novelty": dict(caches["novelty"]), "pair": {}}
-                try:
-                    problem.judge(q, changed, proposal, Meter(left), tables)
-                    floor = None
-                except BudgetExhausted as exc:
-                    floor = exc.floor
-                assert (floor is not None) == (left < owed), (task.identity(), owed, left)
-            checked.append(owed)
+        engine = problem.judge.__self__
+        early_checks.append(len(early))
+        for task, caches in list(early.values()) + list(seen.values()):
+            owed = _check_table_bill(engine, task, caches, answers)
+            if owed is not None:
+                checked.append(owed)
         return acc, stats
 
     monkeypatch.setattr("autodidact.engine.oops_search", checking_search)
@@ -785,3 +994,24 @@ def test_the_table_bill_is_the_least_the_judges_first_stage_needs(tmp_path, monk
     )
     assert Engine(cfg).run().accepted == 4
     assert len(checked) > 20
+    assert (sum(early_checks) > 5) == (variant == "I"), early_checks
+
+
+@pytest.mark.parametrize("variant", ["I", "II"])
+def test_the_table_bill_is_exact_where_the_previous_solver_faults(tmp_path, monkeypatch, variant):
+    # On a built repertoire whose solver times out on one proposed task and
+    # faults on another, the table bill of each call's task is checked on
+    # the tables the call left.  A variant I novelty run that faults bills
+    # its whole grant, so the cache's bill is above the run's least grant.
+    answers = _watch_table_answers(monkeypatch)
+    rng = random.Random(49)
+    eng, proposed = _judging_engine(tmp_path, variant, rng)
+    bills = {}
+    for proposal, budget, caches in _judge_calls(eng, proposed, rng, 200):
+        _judge(eng, proposal, budget, caches)
+        task = proposal.task
+        owed = _check_table_bill(eng, task, caches, answers)
+        if owed is not None:
+            bills.setdefault(task.identity(), set()).add(owed)
+    faulting = proposed[1][0].identity()
+    assert (len(bills[faulting]) > 1) == (variant == "I"), bills
