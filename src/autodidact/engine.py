@@ -82,7 +82,7 @@ class V2Details:
     c: Fraction
     c_star: Fraction
     measures: dict  # identity -> TaskMeasure under the candidate
-    usage_updates: dict  # task index -> (component set, entry key, steps)
+    usage_updates: dict  # task index -> component set
     new_trace: object
     wow: bool
     forgotten: list
@@ -511,11 +511,11 @@ class Engine:
         for item in redone:
             probe_j = ledger.probes[item.task.identity()]
             _m, _tr, rep = measure_task(q, probe_j, params, item.trace)
-            usage_updates[item.index] = (rep.components_used, item.entry_key, rep.steps)
+            usage_updates[item.index] = rep.components_used
         trace_for_new = known.trace if known is not None else None
         _m, new_trace, rep_new = measure_task(q, probe, params, trace_for_new)
         if known is not None:
-            usage_updates[known.index] = (rep_new.components_used, task.entry_key, rep_new.steps)
+            usage_updates[known.index] = rep_new.components_used
         old = self.cost_measures
         q_measures = dict(old)
         q_measures.update(measures)
@@ -564,24 +564,23 @@ class Engine:
         duplicate = any(item.task.identity() == identity for item in self.repertoire)
         trace = None
         per_task_usage: dict = {}
-        item_updates: dict = {}
 
         if isinstance(details, V1Details):
             report = details.report
             trace = report.new_trace if isinstance(task, DecisionTask) else None
             new_comps = report.new_outcome.components_used
             new_steps = report.new_outcome.steps
-            for j in report.revalidated_tasks:
-                rep = report.revalidation_reports[j]
-                item_updates[j] = (rep.components_used, rep.steps)
+            item_updates = {
+                j: report.revalidation_reports[j].components_used
+                for j in report.revalidated_tasks
+            }
             wow = details.wow
             forgotten: list = []
         else:
             trace = details.new_trace if isinstance(task, DecisionTask) else None
             new_comps = frozenset()
             new_steps = details.measures[identity].t_prime(self._params())
-            for j, (comps, _key, steps) in details.usage_updates.items():
-                item_updates[j] = (comps, steps)
+            item_updates = details.usage_updates
             wow = details.wow
             forgotten = details.forgotten
             self.cost_measures = details.measures
@@ -596,7 +595,6 @@ class Engine:
                 task=task,
                 trace=trace,
                 components_used=new_comps,
-                steps=new_steps,
                 origin=origin,
             )
             self.repertoire.append(item)
@@ -606,12 +604,10 @@ class Engine:
                     self.solver, item.task, self._params(), item.trace
                 )
                 item.components_used = rep.components_used
-                item.steps = rep.steps
                 per_task_usage[item.index] = (rep.components_used, item.entry_key)
-        for j, (comps, steps) in item_updates.items():
+        for j, comps in item_updates.items():
             target = self.repertoire[j - 1]
             target.components_used = comps
-            target.steps = steps
             per_task_usage[j] = (comps, target.entry_key)
         update_usage(self.usage, per_task_usage)
         self.prior.adapt(acc.meta.opcode_sequence)

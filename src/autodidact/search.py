@@ -11,26 +11,34 @@ Determinism of verdicts lets conclusively rejected candidates be skipped on
 later doublings without changing any observable behaviour; only candidates
 whose earlier attempt was cut by the budget are retried.
 
-Many runs are decided by the candidate's own bits.  Every meta op bills one
-step before it acts, and most ops either cannot fault or fault on their
-immediates alone (meta.static_fault); only a few read the archive, the
-solver or its segments (meta.reads_context).  Each bucket entry is therefore
-compiled once into a StaticRecord: the unit charges certain to be billed
-before the first context read, and the first context-free fault.  The one
-check in between that depends on the phase, the inventor/modifier boundary,
-reads only the inventor's task op, so it is resolved once per task key and
-phase.  A candidate whose budget is below its certain charges is cut, and
-one whose fault is within budget is rejected, with exactly the verdict,
-step bill and reason a run would produce: a run is deterministic, bills
-nothing before those points that the record does not count, and rewinds its
-scratch writes, so skipping it is observationally identical to running it.
+A candidate is skipped only when its verdict is known, and it is then billed
+exactly what a run would bill.  There is one rule: every skipped candidate
+is either rejected statically or below an exact floor, the least budget
+under which its run can conclude, and is then cut and billed its budget.  A
+floor comes from one of three sources: the record's certain steps, an
+append-only task's table bill, or the judge floor a run reported.  Each is
+exact for the reason given below, and each doubling decides a group of
+entries that share a StaticRecord, a prior and a reported floor in one go:
+a group without a floor gets static_verdict, a group with one is cut while
+its budget is below it, either kind then gets the table rule, and what is
+still undecided runs.  Decided runs write nothing that outlives them, so
+only their count matters: a group is billed count x steps, and when a
+winner appears mid-bucket the entries before it are counted by bisecting
+each group's sorted indices.
 
-The record and the prior fix a candidate's budget and so its static
-verdict, so the entries of one bucket that share both form a group that
-one static_verdict call decides; the group is billed count x steps.  As
-decided runs write nothing that outlives them, only the count matters, and
-when a winner appears mid-bucket the entries before it are counted by
-bisecting each group's sorted indices.
+Static verdicts and certain steps.  Every meta op bills one step before it
+acts, and most ops either cannot fault or fault on their immediates alone
+(meta.static_fault); only a few read the archive, the solver or its
+segments (meta.reads_context).  Each bucket entry is therefore compiled once
+into a StaticRecord: the unit charges certain to be billed before the first
+context read, and the first context-free fault.  The one check in between
+that depends on the phase, the inventor/modifier boundary, reads only the
+inventor's task op, so it is resolved once per task key and phase.  A
+candidate whose budget is below its certain charges is cut, and one whose
+fault is within budget is rejected, with exactly the verdict, step bill and
+reason a run would produce: a run is deterministic, bills nothing before
+those points that the record does not count, and rewinds its scratch
+writes, so skipping it is observationally identical to running it.
 
 The judge runs nothing twice in a phase.  Each edit script is applied to
 the phase's solver once (EditRecord, in the ``edits`` table), and each
@@ -43,49 +51,48 @@ run under the grant returns, verdict, bill and cut alike.  The tables hold
 nothing but such runs, the edit's outcome, and the verdict tables the judge
 kept before (pair and novelty caches), so they change no verdict.
 
-So every judge cut knows its floor (BudgetExhausted.floor): the least
-budget under which the whole chain of stages concludes, each stage's least
-grant on top of what the stages before it bill under theirs.  A pair-cache
-hit's floor is its cached bill.  Below its floor the candidate is cut at
-every budget: its run is deterministic up to the judge, each stage's run
-never changes within the phase, and what the judge can meet later instead
-bills at least as much, since a pair entry written since bills a whole
-chain of stages, each at least its least grant.  Such a run writes no table
-entry that depends on its grant either, so the scheduler parks the
-candidate and bills it its budget, without running it, at every doubling
-below its floor.  The one entry whose bill depends on the grant is variant
-I's novelty cache when the previous solver faults: the first run that
-concludes the novelty stage writes the bill it was granted.  So while the
-cache lacks such a task, the floor stops at the budget where the novelty
-stage first concludes; past it, the candidate runs and writes the entry as
-it would have.  Cuts inside the meta program carry no floor.
+Judge floors.  So every judge cut knows its floor (BudgetExhausted.floor):
+the least budget under which the whole chain of stages concludes, each
+stage's least grant on top of what the stages before it bill under theirs.
+A pair-cache hit's floor is its cached bill.  Below its floor the candidate
+is cut at every budget: its run is deterministic up to the judge, each
+stage's run never changes within the phase, and what the judge can meet
+later instead bills at least as much, since a pair entry written since
+bills a whole chain of stages, each at least its least grant.  Such a run
+writes no table entry that depends on its grant either, so skipping it
+below its floor changes nothing.  The one entry whose bill depends on the
+grant is variant I's novelty cache when the previous solver faults: the
+first run that concludes the novelty stage writes the bill it was granted.
+So while the cache lacks such a task, the floor stops at the budget where
+the novelty stage first concludes; past it, the candidate runs and writes
+the entry as it would have.  Cuts inside the meta program carry no floor.
 
-Many such cuts are known before the candidate ever runs.  An append-only
-record (StaticRecord.append_only) walks to its end with no fault, no context
-read and no E_TRUNC, so once its key passes the boundary its run_meta bills
-exactly ``certain`` steps and proposes the key's task with Appends and the
-automatic SetEntry.  apply_modification accepts that edit unless the task's
-entry key is frozen (prefix mode), and the judge starts with
-budget - certain steps left.  The judge's first stage is novelty, and
-SearchProblem.table_bill reports the least bill B with which it concludes
-on the task, once the previous solver's run on the task is in a table:
-in variant I, whose novelty cache can answer a grant of 0, the cache's
-bill once it holds the task and until then what that run bills under its
-least grant; in variant II that least grant.  When certain + B > budget
-the novelty stage cuts the run, and so does a pair-cache hit, which the
-judge reads first: every pair bill for the task includes a novelty bill of
-at least B.  The candidate is billed its budget without running.  A table
-entry is written at most once per phase and never changes, and B only
-rises when the novelty cache is written, so a group whose B exists when
-its unit's visit starts is decided in one go; members visited before the
-entry is written run, and those after it are decided at their own turn,
-as are candidates an earlier live run cut.
+Table bills.  An append-only record (StaticRecord.append_only) walks to its
+end with no fault, no context read and no E_TRUNC, so once its key passes
+the boundary its run_meta bills exactly ``certain`` steps and proposes the
+key's task with Appends and the automatic SetEntry.  apply_modification
+accepts that edit unless the task's entry key is frozen (prefix mode), and
+the judge starts with budget - certain steps left.  The judge's first stage
+is novelty, and SearchProblem.table_bill reports the least bill B with
+which it concludes on the task, once the previous solver's run on the task
+is in a table: in variant I, whose novelty cache can answer a grant of 0,
+the cache's bill once it holds the task and until then what that run bills
+under its least grant; in variant II that least grant.  So certain + B is a
+floor: below it the novelty stage cuts the run, and so does a pair-cache
+hit, which the judge reads first, since every pair bill for the task
+includes a novelty bill of at least B.  A table entry is written at most
+once per phase and never changes, and B only rises when the novelty cache
+is written, so a group whose B exists when its unit's visit starts is
+decided in one go; members visited before the entry is written run, and
+those after it are decided at their own turn.
 
 Everything else still runs, one at a time in shortlex order, because the
 pair and novelty tables make verdicts depend on the order of execution.
-The on_candidate hook still sees every candidate in that order; bulk-
-decided, table-decided and parked ones arrive with undone = 0.  Paranoid
-mode runs all of them too and checks the records agree.
+An entry cut at its turn, by a run or by a table entry written during the
+visit, joins the live group of its record, prior and reported floor.  The
+on_candidate hook still sees every candidate in that order; skipped ones
+arrive with undone = 0.  Paranoid mode runs all of them too and checks the
+records agree.
 """
 
 from __future__ import annotations
@@ -149,12 +156,9 @@ class Acceptance:
 class PhaseStats:
     t_lim_trace: list = field(default_factory=list)
     candidates_run: int = 0
-    rejected: int = 0
     steps_total: int = 0
     budget_violations: int = 0
-    max_len_bits: int = 0
     winner_budget: int = 0
-    winner_prior: Optional[Fraction] = None
     t_lim: int = 0  # value at acceptance
 
 
@@ -553,7 +557,7 @@ def max_affordable_bits(prior: Prior, t_lim: int, space: CandidateSpace) -> int:
     head = term_p**3
 
     best = [Fraction(1)]  # best[b] = max token-product over bodies of b bits
-    last_ok = 3 * OPCODE_BITS if head >= limit else 3 * OPCODE_BITS
+    last_ok = 3 * OPCODE_BITS
     misses = 0
     b = 0
     while misses <= window and b < 600:
@@ -678,7 +682,6 @@ def try_candidate(
         record = CandidateRecord("budget", budget, "budget", exc.floor)
     finally:
         undone = undo_storage(ctx.scratch)
-    record.steps = min(record.steps, budget)
     if problem.paranoid and ctx.scratch.digest() != digest_before:
         raise AssertionError("scratch storage not restored bit-exactly")
     if problem.on_candidate is not None:
@@ -694,21 +697,22 @@ def try_candidate(
 class _Unit:
     """The live candidates of one bucket that first became affordable together.
 
-    ``groups`` are (StaticRecord, prior, sorted indices) whose record has cut
-    them at every budget so far, or, for append-only records, whose task's
-    table bill has; ``cut`` holds (index, prior, floor, StaticRecord) for
-    the executed entries that were cut, sorted by index, where floor is the
-    least budget at which the run can conclude, or None when unknown.  The
-    prior is None in uniform mode, where P(p) = 2**-total exactly.
+    ``live`` holds (StaticRecord, prior, sorted indices, floor) groups, one
+    per set of entries that every doubling decides alike.  ``floor`` is the
+    least budget at which the judge can conclude, as an executed entry's cut
+    reported it, or None when no run has reported one; the prior is None in
+    uniform mode, where P(p) = 2**-total exactly.  Each doubling decides a
+    group by one rule: without a floor by static_verdict, with one as cut
+    while the budget is below it, then either kind by its task's table
+    bill; what is still undecided runs.
     """
 
-    __slots__ = ("total", "entries", "groups", "cut")
+    __slots__ = ("total", "entries", "live")
 
-    def __init__(self, total: int, entries: list, groups: list):
+    def __init__(self, total: int, entries: list, live: list):
         self.total = total
         self.entries = entries
-        self.groups = groups
-        self.cut: list = []
+        self.live = live
 
 
 def oops_search(
@@ -723,12 +727,9 @@ def oops_search(
     that is plain shortlex, and in adapted mode the earlier cohorts' retries
     come before the newly affordable programs.  Conclusively rejected
     candidates would return the same verdict at any budget (everything is
-    deterministic), so they are never visited again.  A group of entries
-    sharing a StaticRecord and a prior is decided by one static_verdict
-    call and billed in bulk; an executed candidate cut below its floor is
-    billed its budget without running, and so is an append-only candidate
-    whose task's table bill is more than its budget leaves.  Only the rest
-    run, one at a time.
+    deterministic), so they are never visited again.  Each live group is
+    decided by the one rule of _Unit and billed in bulk; only the rest run,
+    one at a time.
     """
     stats = PhaseStats()
     space = candidate_space(problem.domain, problem.external)
@@ -778,7 +779,6 @@ def oops_search(
         for indices, _budget, (_verdict, steps, _reason), _what in known:
             n = len(indices) if below is None else bisect_left(indices, below)
             stats.candidates_run += n
-            stats.rejected += n
             stats.steps_total += n * steps
 
     def visit(unit: _Unit) -> Optional[Acceptance]:
@@ -792,12 +792,16 @@ def oops_search(
         # known: (sorted indices, budget, (verdict, steps, reason), what decided it)
         known: list = []
         runs: list = []  # (index, prior, StaticRecord, None)
-        groups: list = []
-        for group in unit.groups:
-            rec, p, indices = group
+        live: list = []  # groups decided "budget", live at the next doubling
+        for group in unit.live:
+            rec, p, indices, floor = group
             budget = budget_of(p)
-            decided = static_verdict(rec, budget, boundary)
-            what = "static verdict"
+            if floor is None:
+                decided, what = static_verdict(rec, budget, boundary), "static verdict"
+            elif budget < floor:
+                decided, what = ("budget", budget, "budget"), "parked below its floor"
+            else:
+                decided = None
             if decided is None and table_cut(rec, budget):
                 decided, what = ("budget", budget, "budget"), "table verdict"
             if decided is None:
@@ -805,24 +809,12 @@ def oops_search(
                 continue
             known.append((indices, budget, decided, what))
             if decided[0] == "budget":
-                groups.append(group)
-        cut: list = []
-        parked: dict = {}  # budget -> indices of entries still below their floor
-        for item in unit.cut:
-            i, p, floor, rec = item
-            budget = budget_of(p)
-            if floor is not None and budget < floor:
-                parked.setdefault(budget, []).append(i)
-                cut.append(item)
-            else:
-                runs.append((i, p, rec, None))
-        for budget, indices in parked.items():
-            known.append((indices, budget, ("budget", budget, "budget"), "parked below its floor"))
+                live.append(group)
         visits = runs
         if paranoid or hook is not None:
             visits = runs + [(i, None, None, k) for k in known for i in k[0]]
         visits.sort(key=itemgetter(0))
-        held: dict = {}  # (record, prior) -> entries cut at their turn by a table entry
+        cut: dict = {}  # (record, prior, floor) -> the entries cut at their turn
         for i, p, rec, item in visits:
             v, i1, i2, i3 = entries[i]
             meta = MetaProgram(BitString(v, total), i1, i2, i3)
@@ -831,14 +823,11 @@ def oops_search(
                 continue
             budget = budget_of(p)
             if table_cut(rec, budget):  # the entry may be written since the visit began
+                record, acc = CandidateRecord("budget", budget, "budget"), None
                 if paranoid or hook is not None:
                     check_known(meta, budget, ("budget", budget, "budget"), "table verdict")
-                stats.candidates_run += 1
-                stats.rejected += 1
-                stats.steps_total += budget
-                held.setdefault((rec, p), []).append(i)
-                continue
-            record, acc = try_candidate(meta, problem, budget, caches)
+            else:
+                record, acc = try_candidate(meta, problem, budget, caches)
             stats.candidates_run += 1
             stats.steps_total += record.steps
             if record.steps > budget:
@@ -847,17 +836,12 @@ def oops_search(
                 bill(known, i)
                 stats.t_lim = t_lim
                 stats.winner_budget = budget
-                stats.winner_prior = Fraction(1, 1 << total) if p is None else p
                 return acc
-            stats.rejected += 1
             if record.verdict == "budget":
-                cut.append((i, p, record.floor, rec))
+                cut.setdefault((rec, p, record.floor), []).append(i)
         bill(known, None)
-        # Entries cut by a table entry at their turn form groups again: the
-        # next doubling decides each of them in one go.
-        groups.extend((rec, p, members) for (rec, p), members in held.items())
-        cut.sort(key=itemgetter(0))
-        unit.groups, unit.cut = groups, cut
+        live.extend((rec, p, indices, floor) for (rec, p, floor), indices in cut.items())
+        unit.live = live
         return None
 
     def affordable(total: int, entries: list, groups: list) -> list:
@@ -872,7 +856,7 @@ def oops_search(
                 nibbles = (total - OPCODE_BITS * len(seq)) // ARG_BITS
                 by_prior.setdefault(prior.program_prior(seq, nibbles), []).append(i)
             for p, members in by_prior.items():
-                (ready if p * t_lim >= 1 else later).append((rec, p, members))
+                (ready if p * t_lim >= 1 else later).append((rec, p, members, None))
         if later:
             deferred[total] = (entries, later)
         return ready
@@ -885,7 +869,6 @@ def oops_search(
             )
         stats.t_lim_trace.append(t_lim)
         max_bits = max_affordable_bits(prior, t_lim, space)
-        stats.max_len_bits = max(stats.max_len_bits, max_bits)
         if log:
             log({"event": "doubling", "t_lim": t_lim, "max_bits": max_bits})
 
@@ -895,7 +878,7 @@ def oops_search(
             acc = visit(unit)
             if acc is not None:
                 return acc, stats
-        units = [unit for unit in units if unit.groups or unit.cut]
+        units = [unit for unit in units if unit.live]
         # This doubling's cohort: adapted mode's previously enumerated but
         # then-unaffordable programs, then the newly reachable lengths.
         for total in sorted(deferred):
@@ -916,7 +899,7 @@ def oops_search(
         for total in range(enumerated_upto + 1, max_bits + 1):
             entries, groups = space.grouped_bucket(total)
             if uniform:
-                unit = _Unit(total, entries, [(rec, None, indices) for rec, indices in groups])
+                unit = _Unit(total, entries, [(rec, None, indices, None) for rec, indices in groups])
             else:
                 unit = _Unit(total, entries, affordable(total, entries, groups))
             acc = visit(unit)
@@ -996,5 +979,4 @@ def stochastic_search(
             stats.t_lim = candidate_budget
             stats.winner_budget = candidate_budget
             return acc, stats
-        stats.rejected += 1
     raise SearchCeilingReached(f"no acceptance within {max_candidates} samples")

@@ -58,7 +58,6 @@ class RepertoireItem:
     task: object
     trace: Optional[Trace]  # decision tasks only
     components_used: frozenset = frozenset()
-    steps: int = 0
     origin: str = "self"
 
     @property
@@ -107,7 +106,7 @@ def rebuild_usage(
 ) -> tuple[UsageIndex, dict]:
     """Recompute the whole index from stored solutions (the rebuild oracle).
 
-    Each item's ``components_used`` and ``steps`` are refreshed from its run.
+    Each item's ``components_used`` is refreshed from its run.
     Given CostParams, tasks are measured as the cost variant judges them
     (``costs.measure_task``) and their measures come back by task identity;
     otherwise they are re-run or replayed, and the dict is empty.
@@ -121,7 +120,6 @@ def rebuild_usage(
             measure, _trace, report = costs.measure_task(solver, item.task, params, item.trace)
             measures[item.task.identity()] = measure
         item.components_used = report.components_used
-        item.steps = report.steps
         fresh.record(item.index, report.components_used, item.entry_key)
     return fresh, measures
 

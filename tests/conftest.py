@@ -70,7 +70,6 @@ def build_repertoire(rng: random.Random, n_tasks: int):
             task=task,
             trace=trace,
             components_used=report.components_used,
-            steps=report.steps,
         )
         items.append(item)
         usage.record(index, report.components_used, item.entry_key)

@@ -416,7 +416,7 @@ def test_variant2_forgetting_is_visible_in_the_judge(tmp_path):
     )
     rep, _ = solves(eng.solver, old_task)
     assert rep.success
-    item = RepertoireItem(1, old_task, None, rep.components_used, rep.steps)
+    item = RepertoireItem(1, old_task, None, rep.components_used)
     eng.repertoire.append(item)
     eng.usage.record(1, rep.components_used, item.entry_key)
     m, _t, _r = measure_task(eng.solver, old_task, eng._params())
@@ -565,7 +565,6 @@ def _engine_state(engine, stochastic):
                 item.task.to_json(),
                 item.trace,
                 item.components_used,
-                item.steps,
                 item.origin,
             )
             for item in engine.repertoire

@@ -107,6 +107,26 @@ def test_oops_finds_the_planted_candidate_with_doubling_trace():
     assert stats.budget_violations == 0
 
 
+def test_the_budget_law_counter_sees_an_over_bill():
+    # A judge that bills past its grant breaks the budget law: the scheduler
+    # must count the candidate's real bill, not the budget in its place.
+    target, problem = planted_problem(needed_steps=4)
+    honest = problem.judge
+    over = []
+
+    def judge(q, changed, proposal, meter, caches):
+        if over or proposal.appended == 17:  # the planted winner stays honest
+            return honest(q, changed, proposal, meter, caches)
+        meter.spent = meter.budget + 1
+        over.append(proposal)
+        return None
+
+    problem.judge = judge
+    acc, stats = oops_search(problem, step_ceiling=2**60)
+    assert acc.meta.code == target.code
+    assert over and stats.budget_violations == 1
+
+
 def test_oops_total_work_bounded_by_f_over_p():
     # Order-optimality at toy scale: total work <= c * f / P(winner).
     target, problem = planted_problem(needed_steps=25)
