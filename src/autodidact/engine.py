@@ -199,6 +199,15 @@ class Engine:
                 self.log({"event": "ceiling", "i": phase})
                 ceiling = True
                 break
+            if stats.budget_violations:
+                # Some candidate billed more than ceil(P(p) * t_lim) steps.
+                if cfg.paranoid:
+                    raise AssertionError(
+                        f"phase {phase}: {stats.budget_violations} candidates broke the budget law"
+                    )
+                self.log(
+                    {"event": "budget_violation", "i": phase, "count": stats.budget_violations}
+                )
             self._commit(acceptance, stats, "external" if external else "self")
             self.log(
                 {

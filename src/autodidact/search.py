@@ -24,16 +24,22 @@ its budget is below it, either kind then gets the table rule, and what is
 still undecided runs.  Decided runs write nothing that outlives them, so
 only their count matters: a group is billed count x steps, and when a
 winner appears mid-bucket the entries before it are counted by bisecting
-each group's sorted indices.
+each group's sorted indices.  So a group decided in bulk needs no entries,
+only its size.  In uniform mode a bucket's groups and their sizes are
+counted from classes of inventor and modifier bodies that walk alike
+(CandidateSpace.counted_bucket), and the bucket is built only when one of
+its groups must run, or when paranoid mode or the hook must see every
+entry.  A winner always comes from a run, so its bucket is built.
 
 Static verdicts and certain steps.  Every meta op bills one step before it
 acts, and most ops either cannot fault or fault on their immediates alone
 (meta.static_fault); only a few read the archive, the solver or its
-segments (meta.reads_context).  Each bucket entry is therefore compiled once
-into a StaticRecord: the unit charges certain to be billed before the first
-context read, and the first context-free fault.  The one check in between
-that depends on the phase, the inventor/modifier boundary, reads only the
-inventor's task op, so it is resolved once per task key and phase.  A
+segments (meta.reads_context).  Each candidate therefore has a StaticRecord,
+composed from the walks of its inventor and modifier bodies: the unit
+charges certain to be billed before the first context read, and the first
+context-free fault.  The one check in between that depends on the phase,
+the inventor/modifier boundary, reads only the inventor's task op, so it is
+resolved once per task key and phase.  A
 candidate whose budget is below its certain charges is cut, and one whose
 fault is within budget is rejected, with exactly the verdict, step bill and
 reason a run would produce: a run is deterministic, bills nothing before
@@ -102,19 +108,19 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .bits import BitString
+from .candidates import (
+    EXTERNAL_KEY,
+    CandidateSpace,
+    SearchCeilingReached,
+    StaticRecord,
+)
 from .isa import ARG_BITS, OPCODE_BITS, TERMINATOR
 from .meta import (
-    COMPUTE_OPS,
-    EDIT_OPS,
-    GRID_TASK_OPS,
     META_ISA,
-    M_E_TRUNC,
     M_V_DESC,
-    PATTERN_TASK_OPS,
-    TASK_OPS,
     MalformedEdit,
     MalformedTask,
     MetaContext,
@@ -124,23 +130,12 @@ from .meta import (
     check_invented,
     invent_task,
     opcode_sequence,
-    reads_context,
     run_meta,
-    static_fault,
     undo_storage,
 )
 from .prior import Prior
 from .validate import BudgetExhausted, EditRecord
 from .vm import Changed, FrozenViolation, InvalidResult, SolverProgram, apply_modification
-
-
-class SearchCeilingReached(RuntimeError):
-    """No acceptable pair within the configured budget; the engine halts gracefully."""
-
-
-# Materializing one shortlex bucket beyond this many candidates would exhaust
-# memory long before the time limit matters; treat it as hitting the ceiling.
-BUCKET_GUARD = 4_000_000
 
 
 @dataclass
@@ -158,7 +153,6 @@ class PhaseStats:
     candidates_run: int = 0
     steps_total: int = 0
     budget_violations: int = 0
-    winner_budget: int = 0
     t_lim: int = 0  # value at acceptance
 
 
@@ -185,300 +179,8 @@ class SearchProblem:
 
 
 # ---------------------------------------------------------------------------
-# Candidate space: grammar-valid programs in shortlex order
+# Static verdicts: what a record and the phase decide before a run
 # ---------------------------------------------------------------------------
-
-_T_WIDTH = {c: META_ISA.width(c) for c in TASK_OPS}
-_E_WIDTH = {c: META_ISA.width(c) for c in EDIT_OPS}
-_C_WIDTH = {c: META_ISA.width(c) for c in COMPUTE_OPS}
-_V_CODE = M_V_DESC
-
-
-def _arg_space(code: int):
-    nargs = META_ISA.by_code[code].nibbles
-    if nargs == 0:
-        return ((),)
-    if nargs == 1:
-        return tuple((a,) for a in range(16))
-    return tuple((a, b) for a in range(16) for b in range(16))
-
-
-# Static stack effect of each opcode: (cells required, net change).  The
-# meta stack starts empty, so any candidate that must underflow can never be
-# well-behaved; such programs are pruned at enumeration time, which is
-# observationally identical to running and rejecting them.
-_STACK_EFFECT = {
-    "MPUSH": (0, 1),
-    "MSHL": (1, 0),
-    "MDUP": (1, 1),
-    "MADD": (2, -1),
-    "ULOAD": (1, 0),
-    "USTORE": (2, -2),
-    "RD_TASK": (1, 0),
-    "RD_SIZE": (0, 1),
-    "RD_SOLV": (1, 0),
-    "E_SET": (2, -2),
-    "E_TRUNC": (1, -1),
-}
-
-
-def _effect(code: int) -> tuple[int, int]:
-    return _STACK_EFFECT.get(META_ISA.by_code[code].name, (0, 0))
-
-
-def _compose(first: tuple[int, int], rest: tuple[int, int]) -> tuple[int, int]:
-    need = max(first[0], rest[0] - first[1])
-    return need, first[1] + rest[1]
-
-
-class CandidateSpace:
-    """Lazily materialized shortlex buckets of well-formed candidates.
-
-    A candidate is stored as (bit value, bit length, instruction parts); the
-    encoding is reconstructed arithmetically so nothing is ever re-decoded.
-    Bodies carry their static stack demands so impossible programs never
-    reach the interpreter.
-    """
-
-    def __init__(self, domain: str, external: bool):
-        task_ops = set(TASK_OPS)
-        if domain == "pattern":
-            task_ops -= GRID_TASK_OPS
-        elif domain == "gridworld":
-            task_ops -= PATTERN_TASK_OPS
-        self.task_ops = sorted(task_ops)
-        self.edit_ops = sorted(EDIT_OPS)
-        self.compute_ops = sorted(COMPUTE_OPS)
-        self.external = external
-        self._inv: dict[int, list] = {}
-        self._mod: dict[tuple, list] = {}
-        self._dir: dict[int, list] = {}
-        self._buckets: dict[int, list] = {}
-        self._static: dict[int, list] = {}
-        self._groups: dict[int, list] = {}
-        self._interned: dict = {}
-
-    # Bodies are lists of (value, bits, instrs, needs, net) for op sequences
-    # of exactly ``b`` body bits, generated in lexicographic order.
-
-    def _instr_token(self, code: int, args: tuple) -> tuple[int, int]:
-        v = code
-        for a in args:
-            v = (v << ARG_BITS) | a
-        return v, OPCODE_BITS + ARG_BITS * len(args)
-
-    def _inv_bodies(self, b: int) -> list:
-        if b in self._inv:
-            return self._inv[b]
-        out = []
-        if self.external:
-            if b == 0:
-                out.append((0, 0, (), 0, 0))
-        else:
-            for code in sorted(set(self.task_ops) | set(self.compute_ops)):
-                w = META_ISA.width(code)
-                eff = _effect(code)
-                if code in self.task_ops:
-                    if w != b:
-                        continue
-                    for args in _arg_space(code):
-                        v, n = self._instr_token(code, args)
-                        out.append((v, n, ((code, args),), 0, 0))
-                else:
-                    if w >= b:
-                        continue
-                    for args in _arg_space(code):
-                        hv, hn = self._instr_token(code, args)
-                        for tv, tn, ti, needs, net in self._inv_bodies(b - w):
-                            cneed, cnet = _compose(eff, (needs, net))
-                            out.append(
-                                ((hv << tn) | tv, hn + tn, ((code, args),) + ti, cneed, cnet)
-                            )
-        self._inv[b] = out
-        return out
-
-    def _mod_bodies(self, b: int, has_edit: bool = False) -> list:
-        key = (b, has_edit)
-        if key in self._mod:
-            return self._mod[key]
-        out = []
-        if b == 0:
-            if has_edit:
-                out.append((0, 0, (), 0, 0))
-        else:
-            for code in sorted(set(self.edit_ops) | set(self.compute_ops)):
-                w = META_ISA.width(code)
-                if w > b:
-                    continue
-                eff = _effect(code)
-                nxt = has_edit or code in EDIT_OPS
-                for args in _arg_space(code):
-                    hv, hn = self._instr_token(code, args)
-                    for tv, tn, ti, needs, net in self._mod_bodies(b - w, nxt):
-                        cneed, cnet = _compose(eff, (needs, net))
-                        out.append(
-                            ((hv << tn) | tv, hn + tn, ((code, args),) + ti, cneed, cnet)
-                        )
-        self._mod[key] = out
-        return out
-
-    def _dir_bodies(self, b: int) -> list:
-        if b in self._dir:
-            return self._dir[b]
-        out = []
-        if b % OPCODE_BITS == 0:
-            n = b // OPCODE_BITS
-            instrs = tuple((_V_CODE, ()) for _ in range(n))
-            v = 0
-            for _ in range(n):
-                v = (v << OPCODE_BITS) | _V_CODE
-            out.append((v, b, instrs))
-        self._dir[b] = out
-        return out
-
-    def bucket(self, total_bits: int) -> list:
-        """All viable candidates of exactly total_bits, sorted lexicographically.
-
-        Raises SearchCeilingReached if materializing the bucket would blow the
-        resource guard: at that point no acceptable pair is reachable within
-        realistic memory, which is the same outcome as an exhausted budget.
-        """
-        if total_bits in self._buckets:
-            return self._buckets[total_bits]
-        body = total_bits - 3 * OPCODE_BITS
-        out = []
-        if body >= 0:
-            for b1 in range(0, body + 1):
-                inv = [rec for rec in self._inv_bodies(b1) if rec[3] == 0]
-                if not inv:
-                    continue
-                for b2 in range(0, body - b1 + 1):
-                    mod = self._mod_bodies(b2)
-                    if not mod:
-                        continue
-                    dirs = self._dir_bodies(body - b1 - b2)
-                    if not dirs:
-                        continue
-                    if len(out) + len(inv) * len(mod) * len(dirs) > BUCKET_GUARD:
-                        raise SearchCeilingReached(
-                            f"candidate bucket at {total_bits} bits exceeds the resource guard"
-                        )
-                    for v1, n1, i1, _n1, net1 in inv:
-                        for v2, n2, i2, needs2, _net2 in mod:
-                            if needs2 > net1:
-                                continue  # would underflow the shared stack
-                            for v3, n3, i3 in dirs:
-                                # p1 TERM p2 TERM p3 TERM
-                                v = v1
-                                v = (v << OPCODE_BITS) | TERMINATOR
-                                v = (v << n2) | v2
-                                v = (v << OPCODE_BITS) | TERMINATOR
-                                v = (v << n3) | v3
-                                v = (v << OPCODE_BITS) | TERMINATOR
-                                out.append((v, i1, i2, i3))
-            out.sort(key=lambda rec: rec[0])
-        self._buckets[total_bits] = out
-        return out
-
-    def compiled_bucket(self, total_bits: int) -> tuple[list, list]:
-        """``bucket(total_bits)`` and, entry for entry, its StaticRecords.
-
-        Records are built on first use and interned: the 90k entries up to
-        39 bits share about 4.4k distinct records.
-        """
-        entries = self.bucket(total_bits)
-        records = self._static.get(total_bits)
-        if records is None:
-            interned = self._interned
-            records = []
-            for _v, i1, i2, i3 in entries:
-                rec = static_record(i1, i2, i3)
-                records.append(interned.setdefault(rec, rec))
-            self._static[total_bits] = records
-        return entries, records
-
-    def grouped_bucket(self, total_bits: int) -> tuple[list, list]:
-        """``bucket(total_bits)`` and its entry indices grouped by StaticRecord.
-
-        Groups are (record, sorted indices) pairs in order of first index;
-        the 90k entries up to 39 bits fall into about 5.8k groups.
-        """
-        entries, records = self.compiled_bucket(total_bits)
-        groups = self._groups.get(total_bits)
-        if groups is None:
-            by_record: dict = {}
-            for i, rec in enumerate(records):
-                by_record.setdefault(rec, []).append(i)
-            groups = self._groups[total_bits] = list(by_record.items())
-        return entries, groups
-
-    def candidates(self, max_len_bits: int):
-        """Shortlex stream of MetaPrograms up to the given encoded length."""
-        for total in range(3 * OPCODE_BITS, max_len_bits + 1):
-            for v, i1, i2, i3 in self.bucket(total):
-                yield MetaProgram(BitString(v, total), i1, i2, i3)
-
-
-# ---------------------------------------------------------------------------
-# Static verdicts: what a candidate's own bits decide before it runs
-# ---------------------------------------------------------------------------
-
-EXTERNAL_KEY = ()  # task key of an inventor without a task op: the queued task
-
-
-class StaticRecord(NamedTuple):
-    """The context-free part of one candidate's run.
-
-    ``certain`` unit charges are billed before anything that depends on the
-    context can happen; if ``fault`` is set, the run then ends with that
-    reason.  When the inventor reaches its end, ``key`` (the last task op, or
-    EXTERNAL_KEY) is checked at the inventor/modifier boundary after
-    ``key_steps`` charges; only a key that passes lets the record continue
-    into the modifier.  ``key`` is None when the walk stopped earlier.
-
-    ``append_only`` marks a walk that reached the end with no E_TRUNC: once
-    its key passes, run_meta bills exactly ``certain`` steps and proposes
-    the task of ``key`` with Appends and the automatic SetEntry only.
-    """
-
-    certain: int
-    fault: Optional[str]
-    key: Optional[tuple]
-    key_steps: int
-    append_only: bool = False
-
-
-def static_record(inventor: tuple, modifier: tuple, directives: tuple) -> StaticRecord:
-    """Walk a candidate the way run_meta would, without any context.
-
-    Every op bills one step before it acts.  The walk stops at the first op
-    whose fault or bill may depend on the context, or at the first fault its
-    immediates alone decide.  Stack faults cannot occur: the enumeration
-    prunes underflows, and overflow needs more ops than any bucket holds.
-    The edit ops a full walk can meet are templates 0 and 1 (which bill
-    nothing extra), the other appending ops, and E_TRUNC.
-    """
-    steps = 0
-    key = EXTERNAL_KEY
-    for code, args in inventor:
-        steps += 1
-        if code in TASK_OPS:
-            msg = static_fault(code, args)
-            if msg is not None:
-                return StaticRecord(steps, f"malformed_task: {msg}", None, 0)
-            key = (code, args)
-        elif reads_context(code, args):
-            return StaticRecord(steps, None, None, 0)
-    key_steps = steps
-    for code, args in modifier:
-        steps += 1
-        if reads_context(code, args):
-            return StaticRecord(steps, None, key, key_steps)
-        msg = static_fault(code, args)
-        if msg is not None:
-            return StaticRecord(steps, f"malformed_edit: {msg}", key, key_steps)
-    append_only = all(code != M_E_TRUNC for code, _args in modifier)
-    return StaticRecord(steps + len(directives), None, key, key_steps, append_only)
 
 
 class BoundaryVerdicts(dict):
@@ -697,22 +399,34 @@ def try_candidate(
 class _Unit:
     """The live candidates of one bucket that first became affordable together.
 
-    ``live`` holds (StaticRecord, prior, sorted indices, floor) groups, one
-    per set of entries that every doubling decides alike.  ``floor`` is the
-    least budget at which the judge can conclude, as an executed entry's cut
-    reported it, or None when no run has reported one; the prior is None in
-    uniform mode, where P(p) = 2**-total exactly.  Each doubling decides a
-    group by one rule: without a floor by static_verdict, with one as cut
-    while the budget is below it, then either kind by its task's table
-    bill; what is still undecided runs.
+    ``live`` holds (StaticRecord, prior, members, floor) groups, one per set
+    of entries that every doubling decides alike.  ``members`` are the
+    group's sorted entry indices, or just their number when the group holds
+    every entry of its record: each group of a uniform unit does until it
+    runs.  ``floor`` is the least budget at which the judge can conclude, as
+    an executed entry's cut reported it, or None when no run has reported
+    one; the prior is None in uniform mode, where P(p) = 2**-total exactly.
+    Each doubling decides a group by one rule: without a floor by
+    static_verdict, with one as cut while the budget is below it, then
+    either kind by its task's table bill; what is still undecided runs.
+    ``entries`` and ``groups`` (record -> sorted indices) are the built
+    bucket, None in a uniform unit until one of its groups must run.
     """
 
-    __slots__ = ("total", "entries", "live")
+    __slots__ = ("total", "live", "entries", "groups")
 
-    def __init__(self, total: int, entries: list, live: list):
+    def __init__(
+        self, total: int, live: list, entries: Optional[list] = None, groups: Optional[dict] = None
+    ):
         self.total = total
-        self.entries = entries
         self.live = live
+        self.entries = entries
+        self.groups = groups
+
+    def indices(self, group: tuple) -> list:
+        """A group's sorted entry indices; a count stands for all of its record's."""
+        rec, _p, members, _floor = group
+        return self.groups[rec] if type(members) is int else members
 
 
 def oops_search(
@@ -729,7 +443,9 @@ def oops_search(
     candidates would return the same verdict at any budget (everything is
     deterministic), so they are never visited again.  Each live group is
     decided by the one rule of _Unit and billed in bulk; only the rest run,
-    one at a time.
+    one at a time.  A uniform bucket is counted when it becomes affordable
+    and built only when one of its groups must run; an adapted one is built
+    then, because its priors are per entry.
     """
     stats = PhaseStats()
     space = candidate_space(problem.domain, problem.external)
@@ -774,27 +490,31 @@ def oops_search(
         else:
             hook(meta, CandidateRecord(*decided), budget, 0)
 
-    def bill(known: list, below: Optional[int]) -> None:
+    def bill(unit: _Unit, known: list, below: Optional[int]) -> None:
         """Bill the entries decided without a run, those before ``below`` only."""
-        for indices, _budget, (_verdict, steps, _reason), _what in known:
-            n = len(indices) if below is None else bisect_left(indices, below)
+        for group, _budget, (_verdict, steps, _reason), _what in known:
+            if below is not None:
+                n = bisect_left(unit.indices(group), below)
+            else:
+                members = group[2]
+                n = members if type(members) is int else len(members)
             stats.candidates_run += n
             stats.steps_total += n * steps
 
     def visit(unit: _Unit) -> Optional[Acceptance]:
-        total, entries = unit.total, unit.entries
+        total = unit.total
 
         def budget_of(p) -> int:
             # t_lim is a power of two at least 2**total, so t_lim >> total is
             # exactly ceil(2**-total * t_lim).
             return t_lim >> total if p is None else ceil_fraction(p * t_lim)
 
-        # known: (sorted indices, budget, (verdict, steps, reason), what decided it)
+        # known: (group, budget, (verdict, steps, reason), what decided it)
         known: list = []
-        runs: list = []  # (index, prior, StaticRecord, None)
+        runs: list = []  # groups left undecided
         live: list = []  # groups decided "budget", live at the next doubling
         for group in unit.live:
-            rec, p, indices, floor = group
+            rec, p, _members, floor = group
             budget = budget_of(p)
             if floor is None:
                 decided, what = static_verdict(rec, budget, boundary), "static verdict"
@@ -805,14 +525,18 @@ def oops_search(
             if decided is None and table_cut(rec, budget):
                 decided, what = ("budget", budget, "budget"), "table verdict"
             if decided is None:
-                runs.extend((i, p, rec, None) for i in indices)
+                runs.append(group)
                 continue
-            known.append((indices, budget, decided, what))
+            known.append((group, budget, decided, what))
             if decided[0] == "budget":
                 live.append(group)
-        visits = runs
+        if unit.entries is None and (runs or paranoid or hook is not None):
+            # A group must run, or every entry must be seen: build the bucket.
+            unit.entries, unit.groups = space.grouped_bucket(total)
+        entries = unit.entries
+        visits = [(i, group[1], group[0], None) for group in runs for i in unit.indices(group)]
         if paranoid or hook is not None:
-            visits = runs + [(i, None, None, k) for k in known for i in k[0]]
+            visits += [(i, None, None, k) for k in known for i in unit.indices(k[0])]
         visits.sort(key=itemgetter(0))
         cut: dict = {}  # (record, prior, floor) -> the entries cut at their turn
         for i, p, rec, item in visits:
@@ -833,22 +557,21 @@ def oops_search(
             if record.steps > budget:
                 stats.budget_violations += 1
             if acc is not None:
-                bill(known, i)
+                bill(unit, known, i)
                 stats.t_lim = t_lim
-                stats.winner_budget = budget
                 return acc
             if record.verdict == "budget":
                 cut.setdefault((rec, p, record.floor), []).append(i)
-        bill(known, None)
+        bill(unit, known, None)
         live.extend((rec, p, indices, floor) for (rec, p, floor), indices in cut.items())
         unit.live = live
         return None
 
-    def affordable(total: int, entries: list, groups: list) -> list:
+    def affordable(total: int, entries: list, groups: dict) -> list:
         """Split adapted-mode groups by prior; defer the ones not yet affordable."""
         ready: list = []
         later: list = []
-        for rec, indices in groups:
+        for rec, indices in groups.items():
             by_prior: dict = {}
             for i in indices:
                 _v, i1, i2, i3 = entries[i]
@@ -891,17 +614,18 @@ def oops_search(
                 deferred[total] = (entries, later)
             else:
                 del deferred[total]
-            unit = _Unit(total, entries, ready)
+            unit = _Unit(total, ready, entries)
             acc = visit(unit)
             if acc is not None:
                 return acc, stats
             units.append(unit)
         for total in range(enumerated_upto + 1, max_bits + 1):
-            entries, groups = space.grouped_bucket(total)
             if uniform:
-                unit = _Unit(total, entries, [(rec, None, indices, None) for rec, indices in groups])
+                counted = space.counted_bucket(total)
+                unit = _Unit(total, [(rec, None, n, None) for rec, n in counted])
             else:
-                unit = _Unit(total, entries, affordable(total, entries, groups))
+                entries, groups = space.grouped_bucket(total)
+                unit = _Unit(total, affordable(total, entries, groups), entries)
             acc = visit(unit)
             if acc is not None:
                 return acc, stats
@@ -937,7 +661,7 @@ def _sample_candidate(
     while rng.random() < 0.2:
         c = weighted(space.edit_ops + space.compute_ops)
         modifier.append((c, rand_args(c)))
-    directives = ((_V_CODE, ()),) if rng.random() < 1 / 16 else ()
+    directives = ((M_V_DESC, ()),) if rng.random() < 1 / 16 else ()
 
     from .codec import encode
 
@@ -977,6 +701,5 @@ def stochastic_search(
                 if c != TERMINATOR:
                     theta[c] = theta.get(c, 1) * 2
             stats.t_lim = candidate_budget
-            stats.winner_budget = candidate_budget
             return acc, stats
     raise SearchCeilingReached(f"no acceptance within {max_candidates} samples")

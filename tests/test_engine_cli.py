@@ -316,6 +316,43 @@ def test_paranoid_mode_full_run(tmp_path):
     assert run_cli(["audit", cfg.archive_path]) == 0
 
 
+@pytest.mark.parametrize("paranoid", [False, True])
+def test_a_budget_law_violation_is_logged_and_paranoid_mode_raises(
+    tmp_path, monkeypatch, paranoid
+):
+    # A judge that bills one step past its grant on its first rejection.
+    real_judge = Engine._judge_v1
+    over = []
+
+    def over_billing_judge(self, q, changed, proposal, meter, caches):
+        details = real_judge(self, q, changed, proposal, meter, caches)
+        if details is None and not over:
+            meter.spent = meter.budget + 1
+            over.append(proposal)
+        return details
+
+    monkeypatch.setattr(Engine, "_judge_v1", over_billing_judge)
+    events = []
+    cfg = RunConfig(
+        variant="I",
+        domain="gridworld",
+        max_tasks=2,
+        paranoid=paranoid,
+        archive_path=str(tmp_path / "archive.jsonl"),
+        metrics_path=str(tmp_path / "metrics.csv"),
+    )
+    engine = Engine(cfg, log=events.append)
+    if paranoid:
+        with pytest.raises(AssertionError, match="phase 1: 1 candidates broke the budget law"):
+            engine.run()
+        assert engine.entries == []
+        return
+    assert engine.run().accepted == 2
+    assert len(over) == 1
+    violations = [e for e in events if e["event"] == "budget_violation"]
+    assert violations == [{"event": "budget_violation", "i": 1, "count": 1}]
+
+
 def test_variant2_prefix_mode_run(tmp_path):
     from fractions import Fraction
 

@@ -6,8 +6,10 @@ from typing import Optional
 import pytest
 
 from autodidact.bits import BitString, nibble
+from autodidact.candidates import static_record
 from autodidact.codec import encode
-from autodidact import search
+from autodidact.isa import OPCODE_BITS
+from autodidact import candidates, search
 from autodidact.config import RunConfig
 from autodidact.engine import Engine
 from autodidact.meta import (
@@ -37,7 +39,6 @@ from autodidact.search import (
     ceil_fraction,
     max_affordable_bits,
     oops_search,
-    static_record,
     static_verdict,
     stochastic_search,
     try_candidate,
@@ -193,6 +194,103 @@ def test_enumeration_is_shortlex_and_well_formed():
     for meta in rng.sample(stream, min(200, len(stream))):
         assert well_formed(meta, "mixed", False)
         assert decode_meta(meta.code).opcode_sequence == meta.opcode_sequence
+
+
+@pytest.mark.parametrize("domain", ["mixed", "pattern", "gridworld"])
+@pytest.mark.parametrize("external", [False, True], ids=["internal", "external"])
+def test_counted_buckets_equal_the_built_groups(domain, external):
+    # External buckets stop lower: their modifiers take every body bit, and
+    # the modifier bodies of 39-bit buckets alone take seconds to build.
+    space = candidates.CandidateSpace(domain, external)
+    for total in range(15, 37 if external else 40):
+        counted = space.counted_bucket(total)
+        entries, groups = space.grouped_bucket(total)
+        assert len(counted) == len(groups)
+        assert dict(counted) == {rec: len(indices) for rec, indices in groups.items()}, total
+        assert sum(n for _rec, n in counted) == len(entries)
+        records = space.compiled_bucket(total)[1]
+        for (_v, i1, i2, i3), rec in list(zip(entries, records))[::13]:
+            assert static_record(i1, i2, i3) == rec
+
+
+def _trips_the_guard(space, total):
+    """The resource guard's rule on built bodies: before each split, the
+    entries so far plus |inventors| x |modifiers| x |directives|."""
+    body = total - 3 * OPCODE_BITS
+    entries = 0
+    for b1 in range(body + 1):
+        inv = [body1 for body1 in space._inv_bodies(b1) if body1[3] == 0]
+        for b2 in range(body - b1 + 1):
+            mod = space._mod_bodies(b2)
+            if not inv or not mod or space._directives(body - b1 - b2) is None:
+                continue
+            if entries + len(inv) * len(mod) > candidates.BUCKET_GUARD:
+                return True
+            entries += sum(1 for body1 in inv for body2 in mod if body2[3] <= body1[4])
+    return False
+
+
+# At 1,300 only the entries counted so far make external bucket 29 trip.
+@pytest.mark.parametrize("guard", [500, 1_300, 30_000])
+def test_counting_trips_the_bucket_guard_where_building_does(monkeypatch, guard):
+    monkeypatch.setattr(candidates, "BUCKET_GUARD", guard)
+    tripped = []
+    for external in (False, True):
+        reference, counting, building = (
+            candidates.CandidateSpace("mixed", external) for _ in range(3)
+        )
+        for total in range(15, 36 if external else 39):
+            expected = _trips_the_guard(reference, total)
+            for method in (counting.counted_bucket, building.bucket):
+                try:
+                    method(total)
+                    raised = False
+                except SearchCeilingReached:
+                    raised = True
+                assert raised == expected, (external, total, method)
+            tripped.append(expected)
+    assert any(tripped) and not all(tripped)
+
+
+# At 105,000 only the entries counted so far make bucket 38 trip.
+@pytest.mark.parametrize("guard, t_lim", [(3_000, 2**33), (105_000, 2**38)])
+def test_the_bucket_guard_stops_a_search_at_the_same_doubling(monkeypatch, guard, t_lim):
+    # The doubling at which a search stops was pinned before buckets were
+    # counted: the bucket that trips the guard first becomes affordable there.
+    monkeypatch.setattr(candidates, "BUCKET_GUARD", guard)
+    monkeypatch.setattr(search, "_spaces", {})
+    _target, problem = planted_problem(needed_steps=2**40)
+    events = []
+    with pytest.raises(SearchCeilingReached, match="resource guard"):
+        oops_search(problem, step_ceiling=2**60, log=events.append)
+    assert events[-1]["t_lim"] == t_lim
+
+
+def test_a_uniform_run_builds_no_bucket_that_never_runs(tmp_path, monkeypatch):
+    # Groups decided in bulk are billed from their counts, so a bucket is
+    # built only when one of its groups must run; paranoid mode sees every
+    # entry, builds them all, and must agree byte for byte.
+    archives = []
+    for paranoid in (False, True):
+        monkeypatch.setattr(search, "_spaces", {})
+        cfg = RunConfig(
+            variant="I",
+            domain="mixed",
+            max_tasks=3,
+            paranoid=paranoid,
+            archive_path=str(tmp_path / f"{paranoid}.jsonl"),
+            metrics_path=str(tmp_path / f"{paranoid}.csv"),
+        )
+        assert Engine(cfg).run().accepted == 3
+        space = search._spaces[("mixed", False)]
+        built = set(space._buckets)
+        if paranoid:
+            assert built == set(space._counted)
+        else:
+            assert max(built) <= 34 < max(space._counted)
+        with open(cfg.archive_path, "rb") as fh:
+            archives.append(fh.read())
+    assert archives[0] == archives[1]
 
 
 def test_max_affordable_bits_uniform():
@@ -712,7 +810,8 @@ def test_a_mid_bucket_winner_bills_only_the_candidates_before_it(monkeypatch):
     target, problem = floor_problem(64, 16)
     visits = spy_parked(monkeypatch, problem)
     acc, stats = oops_search(problem, step_ceiling=2**60)
-    assert acc.meta.code == target.code and stats.winner_budget == 16
+    # The winner is the hook's last visit.
+    assert acc.meta.code == target.code and visits[-1][:2] == (target.code, 16)
     assert len(visits) == stats.candidates_run
     assert sum(steps for _code, _budget, steps, _parked in visits) == stats.steps_total
     # Parked after the winner at the doubling before, and so also at its own.
@@ -720,6 +819,28 @@ def test_a_mid_bucket_winner_bills_only_the_candidates_before_it(monkeypatch):
         parked and budget == 8 and code.length == target.code.length and code > target.code
         for code, budget, _steps, parked in visits
     )
+
+
+def test_a_mid_bucket_winner_bills_only_the_counted_groups_before_it(monkeypatch):
+    # Append-only candidates of every other task are cut by their table bill
+    # at every doubling, so they never run and their groups stay counted.
+    # At the winner's doubling, those after it in shortlex order must not be
+    # billed, with or without the hook (which makes every bucket be built).
+    def only_the_winners_task_runs(task, caches):
+        return None if getattr(task, "i1", None) == 0 else 10**9
+
+    target, problem = planted_problem(needed_steps=0)
+    problem.table_bill = only_the_winners_task_runs
+    acc, stats = oops_search(problem, step_ceiling=2**60)
+    assert acc.meta.code == target.code
+
+    target, problem = planted_problem(needed_steps=0)
+    problem.table_bill = only_the_winners_task_runs
+    visits = spy_parked(monkeypatch, problem)
+    _acc, hooked = oops_search(problem, step_ceiling=2**60)
+    assert hooked == stats
+    assert len(visits) == stats.candidates_run
+    assert sum(steps for _code, _budget, steps, _parked in visits) == stats.steps_total
 
 
 def _judging_engine(tmp_path, variant, rng):
