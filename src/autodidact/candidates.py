@@ -2,17 +2,20 @@
 
 A candidate is an inventor, a modifier and directives, each terminated.
 Buckets hold every viable candidate of one encoded length in shortlex
-order, and every entry carries its StaticRecord: what the candidate's own
-bits decide before it can read any context.  Records are composed from the
-walks of the candidate's inventor and modifier bodies, and bodies that walk
-alike form classes, so a bucket's StaticRecord groups and their sizes can be
-counted without building a single entry (CandidateSpace.counted_bucket).
-The scheduler in search.py builds a bucket only when it must run some of it.
+order, and every entry has its StaticRecord: what the candidate's own bits
+decide before it can read any context.  Records are composed from the walks
+of the candidate's inventor and modifier bodies, and bodies that walk alike
+form classes, so a bucket's StaticRecord groups, their sizes and the pairs
+of classes each group is made of can be counted without building a single
+entry (CandidateSpace.counted_bucket).  A group is built on its own, from
+the bodies of its classes only (CandidateSpace.bucket), and the scheduler in
+search.py builds a group only when it must run some of it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .bits import BitString
@@ -138,30 +141,104 @@ def _then(first: tuple, rest: tuple, state: Callable) -> tuple:
     return steps + more, fault, None if later is None else state(carried, later)
 
 
-def _op_walks(codes, walk: Callable) -> tuple[dict, dict]:
-    """For each op code, [(args, the op's walk)] over every immediate it
-    takes, and {walk: how many immediates give it}."""
-    walks = {code: [(args, walk(code, args)) for args in _arg_space(code)] for code in codes}
-    return walks, {code: Counter(w for _args, w in pairs) for code, pairs in walks.items()}
+def _op_walks(codes, walk: Callable) -> dict:
+    """For each op code, {the op's walk: the immediates that give it, in order}."""
+    out: dict = {}
+    for code in sorted(codes):
+        by_walk = out[code] = {}
+        for args in _arg_space(code):
+            by_walk.setdefault(walk(code, args), []).append(args)
+    return out
 
 
-_INV_END = (0, 0, (), 0, 0, _INV_EMPTY)  # the empty inventor body
-_MOD_END = (0, 0, (), 0, 0, _MOD_EMPTY)
-_INV_END_CLASS = (_INV_EMPTY, 0, 0)
-_MOD_END_CLASS = (_MOD_EMPTY, 0, 0)
+def _instr_token(code: int, args: tuple) -> tuple[int, int]:
+    v = code
+    for a in args:
+        v = (v << ARG_BITS) | a
+    return v, OPCODE_BITS + ARG_BITS * len(args)
+
+
+_EMPTY_BODY = (0, 0, ())  # (value, bits, instrs) of the empty body
+
+
+class _Bodies:
+    """The bodies of one candidate part, classed by (walk, stack needs, stack net).
+
+    ``heads(key)`` gives (op code, tail key) for each op a body of ``key``
+    starts with; a tail key of None ends the body after that op.
+    ``empty(key)`` says whether the empty body has that key.  Every body
+    is a head op followed by a body of its tail, so a key's classes and
+    their sizes follow from the tails' classes (classes), and the bodies of
+    one class from the tails' bodies in the classes that compose to it
+    (bodies), without building any other class.
+    """
+
+    def __init__(self, codes, op_walk: Callable, state: Callable, empty_walk: tuple, heads, empty):
+        self.ops = _op_walks(codes, op_walk)
+        self.state = state
+        self.end = (empty_walk, 0, 0)  # the empty body's class
+        self.heads = heads
+        self.empty = empty
+        self._classes: dict = {}  # key -> {class: how many bodies}
+        self._splits: dict = {}  # key -> {class: [(code, head walk, tail key, tail class)]}
+        self._bodies: dict = {}  # (key, class) -> [(value, bits, instrs)]
+
+    def _compositions(self, key):
+        """(class, code, head walk, tail key, tail class, how many bodies) for each
+        head walk and tail class a body of ``key`` composes from."""
+        state = self.state
+        for code, tail in self.heads(key):
+            eff = _effect(code)
+            tails = {self.end: 1} if tail is None else self.classes(tail)
+            for head, args in self.ops[code].items():
+                for tail_cls, m in tails.items():
+                    walk, needs, net = tail_cls
+                    cls = (_then(head, walk, state), *_compose(eff, (needs, net)))
+                    yield cls, code, head, tail, tail_cls, len(args) * m
+
+    def classes(self, key) -> dict:
+        """{(walk, needs, net): how many bodies of ``key`` share it}."""
+        out = self._classes.get(key)
+        if out is None:
+            out = {self.end: 1} if self.empty(key) else {}
+            for cls, _code, _head, _tail, _tail_cls, k in self._compositions(key):
+                out[cls] = out.get(cls, 0) + k
+            self._classes[key] = out
+        return out
+
+    def bodies(self, key, cls: tuple) -> list:
+        """The bodies of ``key`` in class ``cls``, as (value, bits, instrs)."""
+        out = self._bodies.get((key, cls))
+        if out is not None:
+            return out
+        splits = self._splits.get(key)
+        if splits is None:
+            splits = self._splits[key] = {}
+            for c, code, head, tail, tail_cls, _k in self._compositions(key):
+                splits.setdefault(c, []).append((code, head, tail, tail_cls))
+        out = [_EMPTY_BODY] if cls == self.end and self.empty(key) else []
+        for code, head, tail, tail_cls in splits.get(cls, ()):
+            tails = [_EMPTY_BODY] if tail is None else self.bodies(tail, tail_cls)
+            for args in self.ops[code][head]:
+                hv, hn = _instr_token(code, args)
+                instr = ((code, args),)
+                out.extend([((hv << tn) | tv, hn + tn, instr + ti) for tv, tn, ti in tails])
+        self._bodies[key, cls] = out
+        return out
 
 
 class CandidateSpace:
     """Shortlex buckets of well-formed candidates, counted before they are built.
 
-    A candidate is stored as (bit value, bit length, instruction parts); the
-    encoding is reconstructed arithmetically so nothing is ever re-decoded.
-    Bodies carry their static stack demands so impossible programs never
-    reach the interpreter, and their walks, from which each entry's
-    StaticRecord is composed.  The same grammar also classes bodies by
-    (walk, stack needs, stack net) without building any, so counted_bucket
-    gives a bucket's StaticRecord groups and their sizes at a fraction of
-    the cost of bucket, which builds the entries.
+    A candidate is stored as (bit value, inventor, modifier, directives), the
+    last three as instruction tuples; the encoding is reconstructed
+    arithmetically so nothing is ever re-decoded.  Bodies are classed by
+    (walk, stack needs, stack net), so impossible programs never reach the
+    interpreter and every entry's StaticRecord is composed from its two
+    classes' walks.  counted_bucket gives a bucket's StaticRecord groups and
+    their sizes from the classes alone, and the parts of each group: the
+    pairs of classes that compose to it.  bucket builds one group from its
+    parts' bodies, building no body outside them.
     """
 
     def __init__(self, domain: str, external: bool):
@@ -174,34 +251,36 @@ class CandidateSpace:
         self.edit_ops = sorted(EDIT_OPS)
         self.compute_ops = sorted(COMPUTE_OPS)
         self.external = external
-        self._inv_ops, self._inv_op_classes = _op_walks(task_ops | COMPUTE_OPS, _inv_op)
-        self._mod_ops, self._mod_op_classes = _op_walks(EDIT_OPS | COMPUTE_OPS, _mod_op)
-        self._inv: dict[int, list] = {}
-        self._mod: dict[tuple, list] = {}
-        self._inv_counts: dict[int, dict] = {}
-        self._mod_counts: dict[tuple, dict] = {}
-        self._buckets: dict[int, list] = {}
-        self._static: dict[int, list] = {}
-        self._groups: dict[int, dict] = {}
+        self._inv = _Bodies(
+            task_ops | COMPUTE_OPS,
+            _inv_op,
+            _inv_state,
+            _INV_EMPTY,
+            self._inv_heads,
+            lambda b: external and b == 0,
+        )
+        self._mod = _Bodies(
+            EDIT_OPS | COMPUTE_OPS,
+            _mod_op,
+            _mod_state,
+            _MOD_EMPTY,
+            self._mod_heads,
+            lambda key: key == (0, True),
+        )
         self._counted: dict[int, list] = {}
+        self._parts: dict[tuple, list] = {}  # (total, record) -> the group's parts
+        self._buckets: dict[tuple, list] = {}  # (total, record) -> the built group
         self._interned: dict = {}
 
     # The grammar: an internal inventor body is a task op, or a compute op
-    # followed by an inventor body; an external one is empty.  A modifier
-    # body is an edit or compute op followed by a modifier body, or empty
-    # once it holds an edit op.  Bodies of exactly ``b`` bits are lists of
-    # (value, bits, instrs, needs, net, walk) in lexicographic order, and
-    # their classes map (walk, needs, net) to how many bodies share it.
-
-    def _instr_token(self, code: int, args: tuple) -> tuple[int, int]:
-        v = code
-        for a in args:
-            v = (v << ARG_BITS) | a
-        return v, OPCODE_BITS + ARG_BITS * len(args)
+    # followed by an inventor body; an external one is empty.  Inventor
+    # bodies are keyed by their bits.  A modifier body is an edit or compute
+    # op followed by a modifier body, or empty once it holds an edit op; it
+    # is keyed by (bits, whether an edit op came before it).
 
     def _inv_heads(self, b: int):
-        """(op, tail bits) for each op an internal inventor body of ``b`` bits
-        starts with, in code order; a task op ends the body (tail None)."""
+        if self.external:
+            return
         for code in sorted(set(self.task_ops) | set(self.compute_ops)):
             w = META_ISA.width(code)
             if code in self.task_ops:
@@ -210,80 +289,12 @@ class CandidateSpace:
             elif w < b:
                 yield code, b - w
 
-    def _mod_heads(self, b: int, has_edit: bool):
-        """(op, tail key) for each op a modifier body of ``b`` bits starts
-        with, in code order."""
+    def _mod_heads(self, key: tuple):
+        b, has_edit = key
         for code in sorted(set(self.edit_ops) | set(self.compute_ops)):
             w = META_ISA.width(code)
             if w <= b:
                 yield code, (b - w, has_edit or code in EDIT_OPS)
-
-    def _prepend(self, out: list, code: int, tails: list, ops: dict, state: Callable) -> None:
-        eff = _effect(code)
-        for args, head in ops[code]:
-            hv, hn = self._instr_token(code, args)
-            for tv, tn, ti, needs, net, walk in tails:
-                out.append(
-                    (
-                        (hv << tn) | tv,
-                        hn + tn,
-                        ((code, args),) + ti,
-                        *_compose(eff, (needs, net)),
-                        _then(head, walk, state),
-                    )
-                )
-
-    def _prepend_classes(
-        self, out: dict, code: int, tails: dict, classes: dict, state: Callable
-    ) -> None:
-        eff = _effect(code)
-        for head, k in classes[code].items():
-            for (walk, needs, net), m in tails.items():
-                key = (_then(head, walk, state), *_compose(eff, (needs, net)))
-                out[key] = out.get(key, 0) + k * m
-
-    def _inv_bodies(self, b: int) -> list:
-        if b not in self._inv:
-            out = []
-            if not self.external:
-                for code, tail in self._inv_heads(b):
-                    tails = [_INV_END] if tail is None else self._inv_bodies(tail)
-                    self._prepend(out, code, tails, self._inv_ops, _inv_state)
-            elif b == 0:
-                out.append(_INV_END)
-            self._inv[b] = out
-        return self._inv[b]
-
-    def _mod_bodies(self, b: int, has_edit: bool = False) -> list:
-        key = (b, has_edit)
-        if key not in self._mod:
-            out = [_MOD_END] if b == 0 and has_edit else []
-            for code, tail in self._mod_heads(b, has_edit):
-                self._prepend(out, code, self._mod_bodies(*tail), self._mod_ops, _mod_state)
-            self._mod[key] = out
-        return self._mod[key]
-
-    def _inv_classes(self, b: int) -> dict:
-        if b not in self._inv_counts:
-            out: dict = {}
-            if not self.external:
-                for code, tail in self._inv_heads(b):
-                    tails = {_INV_END_CLASS: 1} if tail is None else self._inv_classes(tail)
-                    self._prepend_classes(out, code, tails, self._inv_op_classes, _inv_state)
-            elif b == 0:
-                out[_INV_END_CLASS] = 1
-            self._inv_counts[b] = out
-        return self._inv_counts[b]
-
-    def _mod_classes(self, b: int, has_edit: bool = False) -> dict:
-        key = (b, has_edit)
-        if key not in self._mod_counts:
-            out = {_MOD_END_CLASS: 1} if b == 0 and has_edit else {}
-            for code, tail in self._mod_heads(b, has_edit):
-                tails = self._mod_classes(*tail)
-                self._prepend_classes(out, code, tails, self._mod_op_classes, _mod_state)
-            self._mod_counts[key] = out
-        return self._mod_counts[key]
 
     def _directives(self, b: int) -> Optional[tuple]:
         """The one directive body of ``b`` bits as (value, bits, instrs), if any."""
@@ -296,34 +307,33 @@ class CandidateSpace:
         return v, b, ((_V_CODE, ()),) * n
 
     def counted_bucket(self, total_bits: int) -> list:
-        """grouped_bucket's groups as (StaticRecord, size) pairs, built without entries.
+        """A bucket's StaticRecord groups as (StaticRecord, size) pairs, built without entries.
 
-        A group's size is the sum, over the body splits, of |inventor class|
-        x |modifier class| for every pair of classes whose walks compose to
-        its record and whose stack needs the inventor's net covers.  Raises
-        SearchCeilingReached where materializing the bucket would blow the
-        resource guard: at the first split whose upper bound, the entries so
-        far plus |inventors| x |modifiers| x |directives|, exceeds it.  At
-        that point no acceptable pair is reachable within realistic memory,
-        which is the same outcome as an exhausted budget.
+        A group's size is the sum, over its parts, of |inventor class| x
+        |modifier class|.  A part is (inventor bits, modifier bits, inventor
+        class, modifier class) for a pair of classes whose walks compose to
+        the group's record and whose stack needs the inventor's net covers;
+        the directives take the remaining bits.  Raises SearchCeilingReached
+        where materializing the bucket would blow the resource guard: at the
+        first split whose upper bound, the entries so far plus |inventors| x
+        |modifiers| x |directives|, exceeds it.  At that point no acceptable
+        pair is reachable within realistic memory, which is the same outcome
+        as an exhausted budget.
         """
         counted = self._counted.get(total_bits)
         if counted is not None:
             return counted
         body = total_bits - 3 * OPCODE_BITS
         sizes: dict = {}
+        parts: dict = {}
         n = 0
         for b1 in range(0, body + 1):
-            inv = [
-                (walk, net, k)
-                for (walk, needs, net), k in self._inv_classes(b1).items()
-                if needs == 0
-            ]
+            inv = [(cls, k) for cls, k in self._inv.classes(b1).items() if cls[1] == 0]
             if not inv:
                 continue
-            n_inv = sum(k for _walk, _net, k in inv)
+            n_inv = sum(k for _cls, k in inv)
             for b2 in range(0, body - b1 + 1):
-                mod = self._mod_classes(b2)
+                mod = self._mod.classes((b2, False))
                 directives = self._directives(body - b1 - b2)
                 if not mod or directives is None:
                     continue
@@ -331,99 +341,82 @@ class CandidateSpace:
                     raise SearchCeilingReached(
                         f"candidate bucket at {total_bits} bits exceeds the resource guard"
                     )
-                for walk1, net1, k1 in inv:
-                    for (walk2, needs2, _net2), k2 in mod.items():
-                        if needs2 <= net1:  # else it would underflow the shared stack
-                            rec = _record(walk1, walk2, len(directives[2]))
+                for cls1, k1 in inv:
+                    for cls2, k2 in mod.items():
+                        if cls2[1] <= cls1[2]:  # else it would underflow the shared stack
+                            rec = _record(cls1[0], cls2[0], len(directives[2]))
                             sizes[rec] = sizes.get(rec, 0) + k1 * k2
+                            parts.setdefault(rec, []).append((b1, b2, cls1, cls2))
                             n += k1 * k2
         interned = self._interned
         counted = [(interned.setdefault(rec, rec), k) for rec, k in sizes.items()]
+        self._parts.update(((total_bits, rec), parts[rec]) for rec, _k in counted)
         self._counted[total_bits] = counted
         return counted
 
-    def bucket(self, total_bits: int) -> list:
-        """All viable candidates of exactly total_bits, sorted lexicographically.
+    def _products(self, total_bits: int, record: StaticRecord):
+        """Per part of a group: (inventor bodies, shift, modifiers, directives).
 
-        Raises SearchCeilingReached where counted_bucket does.  Builds each
-        entry's StaticRecord too (see compiled_bucket), from its bodies'
-        walks.
+        An entry's value is ``((v1 << OPCODE_BITS) | TERMINATOR) << shift |
+        low`` for an inventor body of value v1 and a modifier (low, instrs):
+        p1 TERM p2 TERM p3 TERM, each modifier's bits and all below them.
         """
-        if total_bits in self._buckets:
-            return self._buckets[total_bits]
-        self.counted_bucket(total_bits)
         body = total_bits - 3 * OPCODE_BITS
-        interned = self._interned
-        out, values, records = [], [], []
-        for b1 in range(0, body + 1):
-            inv = [rec for rec in self._inv_bodies(b1) if rec[3] == 0]
-            if not inv:
-                continue
-            for b2 in range(0, body - b1 + 1):
-                mod = self._mod_bodies(b2)
-                directives = self._directives(body - b1 - b2)
-                if not mod or directives is None:
-                    continue
-                # p1 TERM p2 TERM p3 TERM: each modifier's shift and low bits,
-                # under which the inventor's p1 TERM goes, and its walk's id.
-                v3, n3, i3 = directives
-                tail = (((TERMINATOR << n3) | v3) << OPCODE_BITS) | TERMINATOR
-                below = n3 + 2 * OPCODE_BITS
-                walk_ids: dict = {}  # modifier walk -> its index in mod_walks
-                mods = []
-                for v2, n2, i2, needs2, _net2, walk2 in mod:
-                    w = walk_ids.setdefault(walk2, len(walk_ids))
-                    mods.append((n2 + below, (v2 << below) | tail, i2, needs2, w))
-                mod_walks = list(walk_ids)
-                made: dict = {}  # inventor walk -> record by modifier walk index
-                for v1, _n1, i1, _needs1, net1, walk1 in inv:
-                    head = (v1 << OPCODE_BITS) | TERMINATOR
-                    row = made.get(walk1)
-                    if row is None:
-                        row = made[walk1] = [None] * len(mod_walks)
-                    for shift, low, i2, needs2, w in mods:
-                        if needs2 > net1:
-                            continue  # would underflow the shared stack
-                        rec = row[w]
-                        if rec is None:
-                            rec = _record(walk1, mod_walks[w], len(i3))
-                            rec = row[w] = interned.setdefault(rec, rec)
-                        v = (head << shift) | low
-                        out.append((v, i1, i2, i3))
-                        values.append(v)
-                        records.append(rec)
-        order = sorted(range(len(out)), key=values.__getitem__)
-        self._static[total_bits] = [records[k] for k in order]
-        out = self._buckets[total_bits] = [out[k] for k in order]
+        for b1, b2, cls1, cls2 in self._parts[total_bits, record]:
+            v3, n3, i3 = self._directives(body - b1 - b2)
+            tail = (((TERMINATOR << n3) | v3) << OPCODE_BITS) | TERMINATOR
+            below = n3 + 2 * OPCODE_BITS
+            mods = [((v2 << below) | tail, i2) for v2, _n2, i2 in self._mod.bodies((b2, False), cls2)]
+            yield self._inv.bodies(b1, cls1), b2 + below, mods, i3
+
+    def bucket(self, total_bits: int, record: StaticRecord) -> list:
+        """The entries of one StaticRecord group of a bucket, in shortlex order.
+
+        Every entry of a bucket has the same length, so shortlex order is
+        value order.  The group is, per part, every inventor body of one
+        class under every modifier body of the other.  Raises
+        SearchCeilingReached where counted_bucket does.  The group is kept in
+        ``_buckets``; group() looks there first and builds only on a miss.
+        """
+        self.counted_bucket(total_bits)
+        out = []
+        for invs, shift, mods, i3 in self._products(total_bits, record):
+            for v1, _n1, i1 in invs:
+                head = ((v1 << OPCODE_BITS) | TERMINATOR) << shift
+                out.extend([(head | low, i1, i2, i3) for low, i2 in mods])
+        out.sort(key=itemgetter(0))
+        self._buckets[total_bits, record] = out
         return out
 
-    def compiled_bucket(self, total_bits: int) -> tuple[list, list]:
-        """``bucket(total_bits)`` and, entry for entry, its StaticRecords.
+    def group(self, total_bits: int, record: StaticRecord) -> list:
+        """bucket(total_bits, record), built on first use."""
+        built = self._buckets.get((total_bits, record))
+        return self.bucket(total_bits, record) if built is None else built
 
-        Records are interned: the 90k entries up to 39 bits share about
-        4.4k distinct records.
-        """
-        return self.bucket(total_bits), self._static[total_bits]
+    def count_below(self, total_bits: int, record: StaticRecord, value: int) -> int:
+        """How many entries of a group have a value below ``value``, counted
+        part by part without building the group."""
+        n = 0
+        for invs, shift, mods, _i3 in self._products(total_bits, record):
+            top, low = value >> shift, value & ((1 << shift) - 1)
+            for v1, _n1, _i1 in invs:
+                head = (v1 << OPCODE_BITS) | TERMINATOR
+                if head < top:
+                    n += len(mods)
+                elif head == top:
+                    n += sum(1 for low2, _i2 in mods if low2 < low)
+        return n
 
-    def grouped_bucket(self, total_bits: int) -> tuple[list, dict]:
-        """``bucket(total_bits)`` and its entry indices grouped by StaticRecord.
-
-        The groups map each record to its entries' sorted indices, in order
-        of first index; the 90k entries up to 39 bits fall into about 5.8k
-        groups.
-        """
-        entries, records = self.compiled_bucket(total_bits)
-        groups = self._groups.get(total_bits)
-        if groups is None:
-            groups = self._groups[total_bits] = {}
-            for i, rec in enumerate(records):
-                groups.setdefault(rec, []).append(i)
-        return entries, groups
+    def whole_bucket(self, total_bits: int) -> list:
+        """All viable candidates of exactly total_bits in shortlex order: the
+        merge of the bucket's groups."""
+        groups = [self.group(total_bits, rec) for rec, _k in self.counted_bucket(total_bits)]
+        return list(heapq.merge(*groups, key=itemgetter(0)))
 
     def candidates(self, max_len_bits: int):
         """Shortlex stream of MetaPrograms up to the given encoded length."""
         for total in range(3 * OPCODE_BITS, max_len_bits + 1):
-            for v, i1, i2, i3 in self.bucket(total):
+            for v, i1, i2, i3 in self.whole_bucket(total):
                 yield MetaProgram(BitString(v, total), i1, i2, i3)
 
 

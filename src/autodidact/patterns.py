@@ -36,9 +36,3 @@ def get_pattern(address: int) -> int:
     if not 0 <= address < PATTERN_COUNT:
         raise MissingPattern(address)
     return PATTERNS[address]
-
-
-def pattern_rows(address: int) -> tuple[int, ...]:
-    """The eight row bytes of one image, top row first."""
-    image = get_pattern(address)
-    return tuple((image >> (8 * (7 - r))) & 0xFF for r in range(8))

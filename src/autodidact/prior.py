@@ -63,9 +63,6 @@ class Prior:
             p *= self._dist[c]
         return p * self._arg ** nibble_count
 
-    def max_opcode_prob(self) -> Fraction:
-        return max(self._dist.values())
-
     # -- adaptation ------------------------------------------------------
 
     def adapt(self, token_codes) -> None:

@@ -23,13 +23,14 @@ a group without a floor gets static_verdict, a group with one is cut while
 its budget is below it, either kind then gets the table rule, and what is
 still undecided runs.  Decided runs write nothing that outlives them, so
 only their count matters: a group is billed count x steps, and when a
-winner appears mid-bucket the entries before it are counted by bisecting
-each group's sorted indices.  So a group decided in bulk needs no entries,
-only its size.  In uniform mode a bucket's groups and their sizes are
-counted from classes of inventor and modifier bodies that walk alike
-(CandidateSpace.counted_bucket), and the bucket is built only when one of
-its groups must run, or when paranoid mode or the hook must see every
-entry.  A winner always comes from a run, so its bucket is built.
+winner appears mid-bucket the entries valued below it are counted, by
+bisecting a built group or, part by part, from a counted one
+(CandidateSpace.count_below).  So a group decided in bulk needs no entries,
+only its size.  In uniform mode a bucket's groups, their sizes and their
+parts are counted from classes of inventor and modifier bodies that walk
+alike (CandidateSpace.counted_bucket), and a group is built from its parts
+only when it must run, or when paranoid mode or the hook must see every
+entry.  A winner always comes from a run, so its group is built.
 
 Static verdicts and certain steps.  Every meta op bills one step before it
 acts, and most ops either cannot fault or fault on their immediates alone
@@ -401,32 +402,22 @@ class _Unit:
 
     ``live`` holds (StaticRecord, prior, members, floor) groups, one per set
     of entries that every doubling decides alike.  ``members`` are the
-    group's sorted entry indices, or just their number when the group holds
-    every entry of its record: each group of a uniform unit does until it
-    runs.  ``floor`` is the least budget at which the judge can conclude, as
-    an executed entry's cut reported it, or None when no run has reported
-    one; the prior is None in uniform mode, where P(p) = 2**-total exactly.
-    Each doubling decides a group by one rule: without a floor by
-    static_verdict, with one as cut while the budget is below it, then
-    either kind by its task's table bill; what is still undecided runs.
-    ``entries`` and ``groups`` (record -> sorted indices) are the built
-    bucket, None in a uniform unit until one of its groups must run.
+    group's entries in shortlex order, or just their number while the group
+    holds every entry of its record: each group of a uniform unit does until
+    it runs, and is built (CandidateSpace.group) only then.  ``floor`` is the
+    least budget at which the judge can conclude, as an executed entry's cut
+    reported it, or None when no run has reported one; the prior is None in
+    uniform mode, where P(p) = 2**-total exactly.  Each doubling decides a
+    group by one rule: without a floor by static_verdict, with one as cut
+    while the budget is below it, then either kind by its task's table bill;
+    what is still undecided runs.
     """
 
-    __slots__ = ("total", "live", "entries", "groups")
+    __slots__ = ("total", "live")
 
-    def __init__(
-        self, total: int, live: list, entries: Optional[list] = None, groups: Optional[dict] = None
-    ):
+    def __init__(self, total: int, live: list):
         self.total = total
         self.live = live
-        self.entries = entries
-        self.groups = groups
-
-    def indices(self, group: tuple) -> list:
-        """A group's sorted entry indices; a count stands for all of its record's."""
-        rec, _p, members, _floor = group
-        return self.groups[rec] if type(members) is int else members
 
 
 def oops_search(
@@ -443,9 +434,9 @@ def oops_search(
     candidates would return the same verdict at any budget (everything is
     deterministic), so they are never visited again.  Each live group is
     decided by the one rule of _Unit and billed in bulk; only the rest run,
-    one at a time.  A uniform bucket is counted when it becomes affordable
-    and built only when one of its groups must run; an adapted one is built
-    then, because its priors are per entry.
+    one at a time.  A uniform bucket is counted when it becomes affordable,
+    and each of its groups is built only when it must run; an adapted
+    bucket's groups are all built then, because its priors are per entry.
     """
     stats = PhaseStats()
     space = candidate_space(problem.domain, problem.external)
@@ -458,7 +449,7 @@ def oops_search(
     ctx, table_bill = problem.ctx, problem.table_bill
     boundary = BoundaryVerdicts(ctx)
     units: list[_Unit] = []  # in visiting order
-    deferred: dict[int, tuple] = {}  # adapted mode: total -> (entries, unaffordable groups)
+    deferred: dict[int, list] = {}  # adapted mode: total -> its unaffordable groups
     enumerated_upto = 3 * OPCODE_BITS - 1
 
     key_tasks: dict = {}  # task key -> its task, None when its entry key is frozen
@@ -490,14 +481,21 @@ def oops_search(
         else:
             hook(meta, CandidateRecord(*decided), budget, 0)
 
-    def bill(unit: _Unit, known: list, below: Optional[int]) -> None:
-        """Bill the entries decided without a run, those before ``below`` only."""
+    def entries_of(total: int, group: tuple) -> list:
+        """A group's entries; a count stands for all of its record's."""
+        rec, _p, members, _floor = group
+        return space.group(total, rec) if type(members) is int else members
+
+    def bill(total: int, known: list, below: Optional[int]) -> None:
+        """Bill the entries decided without a run, those valued below ``below`` only."""
         for group, _budget, (_verdict, steps, _reason), _what in known:
-            if below is not None:
-                n = bisect_left(unit.indices(group), below)
-            else:
-                members = group[2]
+            members = group[2]
+            if below is None:
                 n = members if type(members) is int else len(members)
+            elif type(members) is int:
+                n = space.count_below(total, group[0], below)
+            else:
+                n = bisect_left(members, below, key=itemgetter(0))
             stats.candidates_run += n
             stats.steps_total += n * steps
 
@@ -530,17 +528,17 @@ def oops_search(
             known.append((group, budget, decided, what))
             if decided[0] == "budget":
                 live.append(group)
-        if unit.entries is None and (runs or paranoid or hook is not None):
-            # A group must run, or every entry must be seen: build the bucket.
-            unit.entries, unit.groups = space.grouped_bucket(total)
-        entries = unit.entries
-        visits = [(i, group[1], group[0], None) for group in runs for i in unit.indices(group)]
+        # Only groups that run, or every group when every entry must be
+        # seen, are built.  A bucket's entries share one length, so value
+        # order is shortlex order, and no two share a value, so the sort
+        # compares the int values alone.
+        visits = [(e[0], e, g[1], g[0], None) for g in runs for e in entries_of(total, g)]
         if paranoid or hook is not None:
-            visits += [(i, None, None, k) for k in known for i in unit.indices(k[0])]
-        visits.sort(key=itemgetter(0))
+            visits += [(e[0], e, None, None, k) for k in known for e in entries_of(total, k[0])]
+        visits.sort()
         cut: dict = {}  # (record, prior, floor) -> the entries cut at their turn
-        for i, p, rec, item in visits:
-            v, i1, i2, i3 = entries[i]
+        for v, entry, p, rec, item in visits:
+            _v, i1, i2, i3 = entry
             meta = MetaProgram(BitString(v, total), i1, i2, i3)
             if item is not None:
                 check_known(meta, *item[1:])
@@ -557,31 +555,31 @@ def oops_search(
             if record.steps > budget:
                 stats.budget_violations += 1
             if acc is not None:
-                bill(unit, known, i)
+                bill(total, known, v)
                 stats.t_lim = t_lim
                 return acc
             if record.verdict == "budget":
-                cut.setdefault((rec, p, record.floor), []).append(i)
-        bill(unit, known, None)
-        live.extend((rec, p, indices, floor) for (rec, p, floor), indices in cut.items())
+                cut.setdefault((rec, p, record.floor), []).append(entry)
+        bill(total, known, None)
+        live.extend((rec, p, entries, floor) for (rec, p, floor), entries in cut.items())
         unit.live = live
         return None
 
-    def affordable(total: int, entries: list, groups: dict) -> list:
+    def affordable(total: int) -> list:
         """Split adapted-mode groups by prior; defer the ones not yet affordable."""
         ready: list = []
         later: list = []
-        for rec, indices in groups.items():
+        for rec, _n in space.counted_bucket(total):
             by_prior: dict = {}
-            for i in indices:
-                _v, i1, i2, i3 = entries[i]
+            for entry in space.group(total, rec):
+                _v, i1, i2, i3 = entry
                 seq = opcode_sequence(i1, i2, i3)
                 nibbles = (total - OPCODE_BITS * len(seq)) // ARG_BITS
-                by_prior.setdefault(prior.program_prior(seq, nibbles), []).append(i)
+                by_prior.setdefault(prior.program_prior(seq, nibbles), []).append(entry)
             for p, members in by_prior.items():
                 (ready if p * t_lim >= 1 else later).append((rec, p, members, None))
         if later:
-            deferred[total] = (entries, later)
+            deferred[total] = later
         return ready
 
     while True:
@@ -605,16 +603,16 @@ def oops_search(
         # This doubling's cohort: adapted mode's previously enumerated but
         # then-unaffordable programs, then the newly reachable lengths.
         for total in sorted(deferred):
-            entries, later = deferred[total]
+            later = deferred[total]
             ready = [g for g in later if g[1] * t_lim >= 1]
             if not ready:
                 continue
             later = [g for g in later if g[1] * t_lim < 1]
             if later:
-                deferred[total] = (entries, later)
+                deferred[total] = later
             else:
                 del deferred[total]
-            unit = _Unit(total, ready, entries)
+            unit = _Unit(total, ready)
             acc = visit(unit)
             if acc is not None:
                 return acc, stats
@@ -624,8 +622,7 @@ def oops_search(
                 counted = space.counted_bucket(total)
                 unit = _Unit(total, [(rec, None, n, None) for rec, n in counted])
             else:
-                entries, groups = space.grouped_bucket(total)
-                unit = _Unit(total, affordable(total, entries, groups), entries)
+                unit = _Unit(total, affordable(total))
             acc = visit(unit)
             if acc is not None:
                 return acc, stats

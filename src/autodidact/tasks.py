@@ -30,10 +30,6 @@ class BelowThreshold(ValueError):
     """Requested efficiency gain smaller than the configured wow threshold."""
 
 
-class PredicateDivergence(RuntimeError):
-    """Goal predicate exceeded its evaluation budget (treated as unsatisfied)."""
-
-
 # ---------------------------------------------------------------------------
 # Traces
 # ---------------------------------------------------------------------------

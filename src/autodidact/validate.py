@@ -72,9 +72,6 @@ class UsageIndex:
         self.by_component: dict[int, set[int]] = {}
         self.by_entry: dict[str, set[int]] = {}
 
-    def tasks_for_component(self, k: int) -> set[int]:
-        return self.by_component.get(k, set())
-
     def record(self, task_index: int, components: frozenset, entry_key: str) -> None:
         """Install or refresh one task's usage, dropping stale rows."""
         for k, members in list(self.by_component.items()):

@@ -332,15 +332,6 @@ class RunOutcome:
     def fault(self) -> bool:
         return self.halt_reason in _CONCLUSIVE_FAULTS
 
-    def state_digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(
-            f"{self.output.to_hex()}|{self.steps_used}|{self.executed}|"
-            f"{sorted(self.components_used)}|{self.halted}|{self.halt_reason}|"
-            f"{self.action_log}".encode()
-        )
-        return h.hexdigest()[:16]
-
 
 def run_solver(
     program: SolverProgram,

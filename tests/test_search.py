@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
@@ -8,7 +9,6 @@ import pytest
 from autodidact.bits import BitString, nibble
 from autodidact.candidates import static_record
 from autodidact.codec import encode
-from autodidact.isa import OPCODE_BITS
 from autodidact import candidates, search
 from autodidact.config import RunConfig
 from autodidact.engine import Engine
@@ -49,6 +49,7 @@ from autodidact.validate import BudgetExhausted, RepertoireItem
 from autodidact.vm import Append, SetEntry, SolverProgram, apply_modification
 
 from conftest import install_segment
+from reference_buckets import ReferenceBuckets
 
 
 def make_ctx():
@@ -202,32 +203,37 @@ def test_counted_buckets_equal_the_built_groups(domain, external):
     # External buckets stop lower: their modifiers take every body bit, and
     # the modifier bodies of 39-bit buckets alone take seconds to build.
     space = candidates.CandidateSpace(domain, external)
+    reference = ReferenceBuckets(candidates.CandidateSpace(domain, external))
     for total in range(15, 37 if external else 40):
         counted = space.counted_bucket(total)
-        entries, groups = space.grouped_bucket(total)
-        assert len(counted) == len(groups)
-        assert dict(counted) == {rec: len(indices) for rec, indices in groups.items()}, total
-        assert sum(n for _rec, n in counted) == len(entries)
-        records = space.compiled_bucket(total)[1]
-        for (_v, i1, i2, i3), rec in list(zip(entries, records))[::13]:
-            assert static_record(i1, i2, i3) == rec
+        entries, records = reference.bucket(total)
+        groups: dict = {}
+        for entry, rec in zip(entries, records):
+            groups.setdefault(rec, []).append(entry)
+        assert dict(counted) == {rec: len(group) for rec, group in groups.items()}, total
+        for rec, n in counted:
+            group = space.group(total, rec)
+            assert group == groups[rec], (total, rec)
+            assert len(group) == n
+            for _v, i1, i2, i3 in group[::13]:
+                assert static_record(i1, i2, i3) == rec
+        assert space.whole_bucket(total) == entries, total
 
 
-def _trips_the_guard(space, total):
-    """The resource guard's rule on built bodies: before each split, the
-    entries so far plus |inventors| x |modifiers| x |directives|."""
-    body = total - 3 * OPCODE_BITS
-    entries = 0
-    for b1 in range(body + 1):
-        inv = [body1 for body1 in space._inv_bodies(b1) if body1[3] == 0]
-        for b2 in range(body - b1 + 1):
-            mod = space._mod_bodies(b2)
-            if not inv or not mod or space._directives(body - b1 - b2) is None:
-                continue
-            if entries + len(inv) * len(mod) > candidates.BUCKET_GUARD:
-                return True
-            entries += sum(1 for body1 in inv for body2 in mod if body2[3] <= body1[4])
-    return False
+@pytest.mark.parametrize("external", [False, True], ids=["internal", "external"])
+def test_counting_below_a_value_equals_bisecting_the_built_group(external):
+    # What a mid-bucket winner bills of a group it never built.
+    space = candidates.CandidateSpace("pattern", external)
+    rng = random.Random(3)
+    for total in range(24, 38):
+        values = [v for v, _i1, _i2, _i3 in space.whole_bucket(total)]
+        if not values:
+            continue
+        probes = rng.sample(values, min(16, len(values))) + [0, values[-1], 1 << total]
+        for rec, _n in space.counted_bucket(total):
+            group = [v for v, _i1, _i2, _i3 in space.group(total, rec)]
+            for value in probes:
+                assert space.count_below(total, rec, value) == bisect_left(group, value)
 
 
 # At 1,300 only the entries counted so far make external bucket 29 trip.
@@ -236,12 +242,11 @@ def test_counting_trips_the_bucket_guard_where_building_does(monkeypatch, guard)
     monkeypatch.setattr(candidates, "BUCKET_GUARD", guard)
     tripped = []
     for external in (False, True):
-        reference, counting, building = (
-            candidates.CandidateSpace("mixed", external) for _ in range(3)
-        )
+        counting, building = (candidates.CandidateSpace("mixed", external) for _ in range(2))
+        reference = ReferenceBuckets(candidates.CandidateSpace("mixed", external))
         for total in range(15, 36 if external else 39):
-            expected = _trips_the_guard(reference, total)
-            for method in (counting.counted_bucket, building.bucket):
+            expected = reference.trips_the_guard(total)
+            for method in (counting.counted_bucket, building.whole_bucket):
                 try:
                     method(total)
                     raised = False
@@ -266,13 +271,23 @@ def test_the_bucket_guard_stops_a_search_at_the_same_doubling(monkeypatch, guard
     assert events[-1]["t_lim"] == t_lim
 
 
-def test_a_uniform_run_builds_no_bucket_that_never_runs(tmp_path, monkeypatch):
-    # Groups decided in bulk are billed from their counts, so a bucket is
-    # built only when one of its groups must run; paranoid mode sees every
-    # entry, builds them all, and must agree byte for byte.
+def test_a_uniform_run_builds_only_groups_that_run(tmp_path, monkeypatch):
+    # Groups decided in bulk are billed from their counts, so a group is
+    # built only when one of its entries must run; paranoid mode runs every
+    # entry, builds every counted group, and must agree byte for byte.
     archives = []
+    run = search.try_candidate
+    ran = set()
+
+    def spy(meta, *args):
+        ran.add((meta.code.length, meta.code.value))
+        return run(meta, *args)
+
+    monkeypatch.setattr(search, "try_candidate", spy)
     for paranoid in (False, True):
-        monkeypatch.setattr(search, "_spaces", {})
+        spaces: dict = {}
+        monkeypatch.setattr(search, "_spaces", spaces)
+        ran.clear()
         cfg = RunConfig(
             variant="I",
             domain="mixed",
@@ -282,12 +297,14 @@ def test_a_uniform_run_builds_no_bucket_that_never_runs(tmp_path, monkeypatch):
             metrics_path=str(tmp_path / f"{paranoid}.csv"),
         )
         assert Engine(cfg).run().accepted == 3
-        space = search._spaces[("mixed", False)]
-        built = set(space._buckets)
+        space = spaces[("mixed", False)]
+        counted = {(total, rec) for total, groups in space._counted.items() for rec, _n in groups}
         if paranoid:
-            assert built == set(space._counted)
+            assert set(space._buckets) == counted
         else:
-            assert max(built) <= 34 < max(space._counted)
+            assert set(space._buckets) < counted
+            for (total, _rec), group in space._buckets.items():
+                assert any((total, v) in ran for v, _i1, _i2, _i3 in group), total
         with open(cfg.archive_path, "rb") as fh:
             archives.append(fh.read())
     assert archives[0] == archives[1]
@@ -312,7 +329,7 @@ def test_max_affordable_bits_adapted_covers_every_member():
     # Everything affordable sits at or below the cutoff; spot-check a window
     # of lengths just beyond it.
     for total in range(cutoff + 1, cutoff + 6):
-        for v, i1, i2, i3 in space.bucket(total)[:400]:
+        for v, i1, i2, i3 in space.whole_bucket(total)[:400]:
             meta = MetaProgram(BitString(v, total), i1, i2, i3)
             p = prior.program_prior(meta.opcode_sequence, meta.nibble_count)
             assert p * t_lim < 1
@@ -415,6 +432,13 @@ def _context(name):
     return ctx, True, 30, {DUPLICATE}
 
 
+def _entries_with_records(space, total):
+    """Every entry of a bucket with its StaticRecord, group by group."""
+    for rec, _n in space.counted_bucket(total):
+        for entry in space.group(total, rec):
+            yield entry, rec
+
+
 # Bucket sizes grow about 1.5x per bit; the limits keep each context near a
 # second while covering every op: E_TPLC first fits a self-inventing
 # candidate at 37 bits, and E_SET on an empty solver followed by a directive
@@ -429,9 +453,7 @@ def test_static_verdicts_equal_executed_records(context):
     boundary = BoundaryVerdicts(ctx)
     reasons = set()
     for total in range(15, max_bits + 1):
-        entries, records = space.compiled_bucket(total)
-        assert len(entries) == len(records)
-        for (v, i1, i2, i3), rec in zip(entries, records):
+        for (v, i1, i2, i3), rec in _entries_with_records(space, total):
             meta = MetaProgram(BitString(v, total), i1, i2, i3)
             for budget in range(1, rec.certain + 2):
                 decided = static_verdict(rec, budget, boundary)
@@ -459,8 +481,7 @@ def test_append_only_records_bill_exactly_certain_and_only_append(context):
     base = ctx.solver.component_count
     checked = 0
     for total in range(15, max_bits + 1):
-        entries, records = space.compiled_bucket(total)
-        for (v, i1, i2, i3), rec in zip(entries, records):
+        for (v, i1, i2, i3), rec in _entries_with_records(space, total):
             if not rec.append_only or boundary[rec.key] is not None:
                 continue
             meta = MetaProgram(BitString(v, total), i1, i2, i3)
@@ -825,7 +846,7 @@ def test_a_mid_bucket_winner_bills_only_the_counted_groups_before_it(monkeypatch
     # Append-only candidates of every other task are cut by their table bill
     # at every doubling, so they never run and their groups stay counted.
     # At the winner's doubling, those after it in shortlex order must not be
-    # billed, with or without the hook (which makes every bucket be built).
+    # billed, with or without the hook (which makes every group be built).
     def only_the_winners_task_runs(task, caches):
         return None if getattr(task, "i1", None) == 0 else 10**9
 
@@ -841,6 +862,51 @@ def test_a_mid_bucket_winner_bills_only_the_counted_groups_before_it(monkeypatch
     assert hooked == stats
     assert len(visits) == stats.candidates_run
     assert sum(steps for _code, _budget, steps, _parked in visits) == stats.steps_total
+
+
+def test_a_winner_late_in_its_bucket_bills_the_counted_groups_before_it(monkeypatch):
+    # T_CONST 7 comes after every T_COPY, T_WOW and T_GRID inventor of its
+    # bucket, and the table bill cuts every other task's append-only groups
+    # at every doubling, so they stay counted.  At the winner's doubling
+    # they are billed part by part up to the winner, never built, and must
+    # bill what the hook, which builds every group, sees.
+    ctx = make_ctx()
+    task = invent_task(M_T_CONST, (7,), ctx)
+    target = decode_meta(
+        encode([(M_T_CONST, (7,))], META_ISA)
+        + encode([(M_E_TPL, (0,))], META_ISA)
+        + encode([], META_ISA)
+    )
+
+    def judge(q, changed, proposal, meter, caches):
+        if proposal.task.identity() == task.identity() and proposal.appended == 17:
+            return {"winner": True}
+        return None
+
+    def only_the_winners_task_runs(proposed, caches):
+        return None if proposed.identity() == task.identity() else 10**9
+
+    counts = []
+    count_below = candidates.CandidateSpace.count_below
+
+    def counting(space, total, rec, value):
+        counts.append(count_below(space, total, rec, value))
+        return counts[-1]
+
+    monkeypatch.setattr(candidates.CandidateSpace, "count_below", counting)
+    runs = []
+    for hooked in (False, True):
+        monkeypatch.setattr(search, "_spaces", {})
+        problem = SearchProblem(ctx=ctx, prior=Prior(META_ISA), judge=judge)
+        problem.table_bill = only_the_winners_task_runs
+        visits = spy_parked(monkeypatch, problem) if hooked else None
+        acc, stats = oops_search(problem, step_ceiling=2**60)
+        assert acc.meta.code == target.code
+        runs.append(stats)
+    assert runs[0] == runs[1]
+    assert len(visits) == runs[0].candidates_run
+    assert sum(steps for _code, _budget, steps, _parked in visits) == runs[0].steps_total
+    assert sum(counts) > 0
 
 
 def _judging_engine(tmp_path, variant, rng):
