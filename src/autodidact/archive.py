@@ -7,9 +7,10 @@ engine state.  Frozen entries never change: the digest of lines 1..k is
 stable once entry k+1 exists, and a truncated final line (crash) is dropped
 on reload.
 
-Reading fails with ArchiveCorrupt, naming the entry, on any line that parses
-but is not a well-formed entry in sequence; ``Replay`` is the one way to
-rebuild the state the entries add up to.
+Reading fails with ArchiveCorrupt, naming the entry, on a torn line before
+the last and on any line that parses but is not a well-formed entry in
+sequence; ``Replay`` is the one way to rebuild the state the entries add up
+to.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
 from .bits import BitString
+from .config import ConfigError
 from .costs import CostParams, parse_ratio
 from .meta import MetaProgram, decode_meta
 from .tasks import Task, Trace, task_from_json
@@ -179,22 +181,23 @@ def append_entry(archive_path, entry: ArchiveEntry, existing: list) -> None:
 def load_archive(archive_path) -> list:
     """Read back all complete entries; a truncated final line is discarded.
 
-    Raises ArchiveCorrupt for a line that parses but is no entry, naming it
-    by its place in the file, and IndexGap or DuplicateIndex for an entry
-    out of sequence.
+    Raises ArchiveCorrupt for a line that does not parse before the last
+    one, or parses but is no entry, naming it by its place in the file, and
+    IndexGap or DuplicateIndex for an entry out of sequence.
     """
     path = Path(archive_path)
     if not path.exists():
         return []
     entries: list[ArchiveEntry] = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        if not raw.strip():
-            continue
+    lines = [raw for raw in path.read_text(encoding="utf-8").splitlines() if raw.strip()]
+    for n, raw in enumerate(lines, 1):
+        expected = (entries[-1].i + 1) if entries else 1
         try:
             data = json.loads(raw)
-        except json.JSONDecodeError:
-            break  # crash tail: resume from the last complete entry
-        expected = (entries[-1].i + 1) if entries else 1
+        except json.JSONDecodeError as exc:
+            if n == len(lines):
+                break  # crash tail: resume from the last complete entry
+            raise ArchiveCorrupt(expected, f"torn line before the end ({exc})") from exc
         entry = _decoded(expected, "line", ArchiveEntry.from_json, data)
         if entry.i < expected:
             raise DuplicateIndex(entry.i, f"repeated where entry {expected} was expected")
@@ -322,17 +325,29 @@ class ExternalTask:
     reward: Optional[int] = None
 
 
+class MalformedQueue(ConfigError):
+    """An external-task queue line that is no task."""
+
+    def __init__(self, line: int, reason: str):
+        super().__init__(f"external task line {line}: {reason}")
+        self.line = line  # 1-based, blank lines counted
+
+
 def load_external_queue(path) -> list[ExternalTask]:
+    """The queued external tasks; a line that is no task raises MalformedQueue."""
     p = Path(path)
     if not str(path) or not p.exists():
         return []
     out = []
-    for raw in p.read_text(encoding="utf-8").splitlines():
+    for n, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
         if not raw.strip():
             continue
-        data = json.loads(raw)
-        reward = data.pop("reward", None)
-        out.append(ExternalTask(task_from_json(data), reward))
+        try:
+            data = json.loads(raw)
+            reward = data.pop("reward", None)
+            out.append(ExternalTask(task_from_json(data), reward))
+        except _SHAPE_ERRORS as exc:
+            raise MalformedQueue(n, f"no task ({exc!r})") from exc
     return out
 
 

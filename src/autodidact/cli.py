@@ -1,9 +1,11 @@
 """Command line harness: run experiments, audit archives, emit reports.
 
-Exit codes: 0 success, 2 configuration error, 3 audit mismatch or a damaged
-archive: an entry that does not decode or whose index breaks sequence (any
-subcommand; an ``archive_corrupt`` event names the entry), 4 search ceiling
-reached with zero acceptances.
+Exit codes: 0 success, 2 configuration error (for a malformed
+external-task line a ``config_error`` event names the line), 3 audit mismatch
+or a damaged archive: a torn line before the last, an entry that does not
+decode or whose index breaks sequence (any subcommand; an
+``archive_corrupt`` event names the entry), 4 search ceiling reached with
+zero acceptances.
 Progress events stream as one JSON object per line on standard error; all
 result files are deterministic functions of (config, seed).
 """
@@ -14,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .archive import ArchiveCorrupt
+from .archive import ArchiveCorrupt, MalformedQueue
 from .audit import audit_archive
 from .config import DOMAINS, SEARCHERS, VARIANTS, ConfigError, RunConfig
 from .costs import parse_ratio
@@ -106,6 +108,9 @@ def cmd_run(args) -> int:
         result = engine.run()
     except ArchiveCorrupt as exc:
         return _archive_corrupt(exc)
+    except MalformedQueue as exc:
+        _log_stderr({"event": "config_error", "line": exc.line, "error": str(exc)})
+        return EXIT_CONFIG
     except OSError as exc:
         _log_stderr({"event": "io_error", "error": str(exc)})
         return EXIT_CONFIG

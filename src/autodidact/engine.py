@@ -10,7 +10,6 @@ incremental revalidation, scratch-undo isolation, and append-only archive.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -48,23 +47,14 @@ from .search import (
 )
 from .isa import TERMINATOR
 from .meta import META_ISA
-from .tasks import (
-    DecisionTask,
-    Task,
-    least_grant,
-    report_within,
-    run_record,
-    solves,
-)
+from .tasks import Task, least_grant, report_within, run_record, solves
 from .validate import (
     BudgetExhausted,
-    ChainFloor,
+    Chain,
     RepertoireItem,
     UsageIndex,
-    ValidationReport,
     demonstrate,
     rebuild_usage,
-    table_answer,
     table_run,
     update_usage,
 )
@@ -72,24 +62,28 @@ from .vm import EMPTY_SOLVER, SolverProgram, size_change
 
 
 @dataclass
-class V1Details:
-    report: ValidationReport
+class Details:
+    """What an accepted judge call hands to the commit, from live runs of the winner."""
+
+    trace: object  # the new task's fresh trace, or None
+    components: frozenset  # the components the new task's run used
+    steps: int  # the new task's steps
+    usage_updates: dict  # repertoire index -> component set, each task run again
     wow: bool
+    billed: int  # the judge's validation steps
 
 
 @dataclass
-class V2Details:
+class V2Details(Details):
+    """Variant II's ledger on top: c, c* and the measures it was summed from."""
+
     c: Fraction
     c_star: Fraction
     measures: dict  # identity -> TaskMeasure under the candidate
-    usage_updates: dict  # task index -> component set
-    new_trace: object
-    wow: bool
     forgotten: list
     solved_count: int
     sum_t_old_before: int
     sum_t_old_after: int
-    billed: int = 0
 
 
 @dataclass
@@ -142,6 +136,8 @@ class Engine:
         self.cost_measures: dict[str, TaskMeasure] = {}
         self.skipped_external: list[str] = []
         self._ledger: Optional[PhaseLedger] = None  # built by the first judge call of a phase
+        # A malformed queue fails here, before resume may repair the archive.
+        self.queue = load_external_queue(config.external_tasks_path)
         if config.resume:
             self._resume()
 
@@ -181,11 +177,10 @@ class Engine:
 
     def run(self) -> RunResult:
         cfg = self.config
-        queue = load_external_queue(cfg.external_tasks_path)
         ceiling = False
         while len(self.entries) < cfg.max_tasks:
             phase = len(self.entries) + 1
-            external = self._next_external(queue)
+            external = self._next_external(self.queue)
             self.log(
                 {
                     "event": "phase_start",
@@ -304,19 +299,21 @@ class Engine:
         """The least bill with which the judge's first stage can conclude on task.
 
         Read off this phase's tables, without running anything; None while
-        they have no entry for the task.  The first stage is novelty.  In
-        variant I a novelty-cache hit bills what the cache holds, and the
-        first run to conclude writes what the previous solver's run at the
-        task's whole bound bills under its grant: a halt or a timeout bills
-        the same under every concluding grant, a fault its whole grant.  So
-        the bill is the cache's once it holds the task, and until then what
-        that run bills under its least grant, which no later entry
-        undercuts.  In variant II, whose memo is that run at t_max and
-        answers a grant of 0 with a cut, it is the least grant itself.  A
-        repertoire task in variant II skips novelty, and the memo never
-        holds one.  Every pair-cache bill for the task includes a novelty
-        bill at least this large, so a candidate that reaches the judge
-        with fewer steps left is cut whichever table answers it.
+        they have no entry for the task.  The first stage of the judge's
+        validate.Chain is novelty.  In variant I the chain starts at the
+        novelty cache's bill once the cache holds the task; until then the
+        first run to conclude writes to the cache what the previous
+        solver's run at the task's whole bound bills under its grant: a
+        halt or a timeout bills the same under every concluding grant, a
+        fault its whole grant.  So the bill is the cache's, or else what
+        that run bills under its least grant (the chain's ``least`` after
+        the stage), which no later entry undercuts.  In variant II, whose
+        memo is that run at t_max and answers a grant of 0 with a cut, it
+        is the least grant itself.  A repertoire task in variant II skips
+        novelty, and the memo never holds one.  Every pair-cache bill for
+        the task includes a novelty bill at least this large, so a
+        candidate that reaches the judge with fewer steps left is cut
+        whichever table answers it.
         """
         identity = task.identity()
         if self.config.variant == "I":
@@ -333,9 +330,16 @@ class Engine:
             return None
         return least_grant(memo[1], ledger.params.t_max)
 
-    # -- Variant I ----------------------------------------------------------
+    # -- the judges ------------------------------------------------------------
 
-    def _judge_v1(self, q, changed, proposal, meter: Meter, caches):
+    def _judge(self, proposal, meter: Meter, caches, decide):
+        """One judge call: a pair-cache hit, or decide(edit, task, budget, caches).
+
+        ``decide`` judges under ``budget``, what the meter has left, and
+        returns (Details or None, steps billed) or raises BudgetExhausted
+        with a floor counted from the meter's spent steps.  Its conclusive
+        verdict and bill go to the pair cache.
+        """
         edit = proposal.record or edit_record(caches, proposal.edits, self.solver)
         identity = proposal.task.identity()
         hit = edit.pairs.get(identity)
@@ -344,33 +348,54 @@ class Engine:
             meter.charge(billed, known=True)
             return details
         try:
-            report = demonstrate(
-                q,
-                self.solver,
-                proposal.task,
-                self.repertoire,
-                self.usage,
-                changed,
-                meter.left,
-                paranoid=self.config.paranoid,
-                novelty_cache=caches["novelty"],
-                prev_runs=caches["prev"],
-                edit=edit,
-            )
+            details, billed = decide(edit, proposal.task, meter.left, caches)
         except BudgetExhausted as exc:
-            floor = meter.spent + exc.floor
+            exc.floor += meter.spent
             meter.charge(meter.left)
-            raise BudgetExhausted(meter.spent, floor)
+            exc.steps_spent = meter.spent
+            raise
         finally:
             edit.release()
-        meter.charge(report.steps_spent)
-        if not report.accepted:
-            edit.pairs[identity] = (None, report.steps_spent)
-            return None
-        wow = proposal.task.entry_key in self.usage.by_entry
-        details = V1Details(report, wow)
-        edit.pairs[identity] = (details, report.steps_spent)
+        meter.charge(billed)
+        edit.pairs[identity] = (details, billed)
         return details
+
+    def _judge_v1(self, q, changed, proposal, meter: Meter, caches):
+        return self._judge(proposal, meter, caches, self._demonstrate)
+
+    def _judge_v2(self, q, changed, proposal, meter: Meter, caches):
+        return self._judge(proposal, meter, caches, self._ledger_verdict)
+
+    # -- Variant I ----------------------------------------------------------
+
+    def _demonstrate(self, edit, task: Task, budget: int, caches):
+        report = demonstrate(
+            edit.q,
+            self.solver,
+            task,
+            self.repertoire,
+            self.usage,
+            edit.changed,
+            budget,
+            paranoid=self.config.paranoid,
+            novelty_cache=caches["novelty"],
+            prev_runs=caches["prev"],
+            edit=edit,
+        )
+        if not report.accepted:
+            return None, report.steps_spent
+        details = Details(
+            trace=report.new_trace,
+            components=report.new_outcome.components_used,
+            steps=report.new_outcome.steps,
+            usage_updates={
+                j: report.revalidation_reports[j].components_used
+                for j in report.revalidated_tasks
+            },
+            wow=task.entry_key in self.usage.by_entry,
+            billed=report.steps_spent,
+        )
+        return details, report.steps_spent
 
     # -- Variant II ----------------------------------------------------------
 
@@ -413,58 +438,12 @@ class Engine:
             ledger.novelty[identity] = memo
         return memo
 
-    def _stages(self, stages: list, meter: Meter, params: CostParams) -> list:
-        """Each stage's measure under what the meter has left, billed to it.
-
-        ``stages`` are (live, run) in order: ``run`` is the stage's run at
-        the whole t_max, which answers every grant (validate.table_answer),
-        and ``live(budget)`` is its SolveReport from measure_task.  A cut
-        raises BudgetExhausted with the floor, the least budget under which
-        every stage concludes: each stage needs its least grant on top of
-        what the stages before it bill under theirs.  A fault bills its whole
-        grant, so one before the last stage leaves the stages after it
-        anything only when granted all of t_max.
-        """
-        t_max = params.t_max
-        chain = ChainFloor(meter.spent)
-        cut = False
-        measures = []
-        last = len(stages) - 1
-        for n, (live, run) in enumerate(stages):
-            chain.add(run, t_max, n == last)
-            if cut:
-                continue
-            solved, billed = table_answer(run, live, meter.left, t_max, self.config.paranoid)
-            if solved is None:
-                cut = True
-                continue
-            meter.charge(billed)
-            measures.append(TaskMeasure(solved, billed, run[3]))
-        if cut:
-            meter.charge(meter.left)
-            raise BudgetExhausted(meter.spent, chain.floor)
-        return measures
-
-    def _judge_v2(self, q, changed, proposal, meter: Meter, caches):
-        edit = proposal.record or edit_record(caches, proposal.edits, self.solver)
-        hit = edit.pairs.get(proposal.task.identity())
-        if hit is not None:
-            details, billed = hit
-            meter.charge(billed, known=True)
-            return details
-        try:
-            return self._judge_ledger(edit, proposal, meter)
-        finally:
-            edit.release()
-
-    def _judge_ledger(self, edit, proposal, meter: Meter):
-        task = proposal.task
+    def _ledger_verdict(self, edit, task: Task, budget: int, _caches):
         new_id = task.identity()
         if self._ledger is None:
             self._ledger = self._phase_ledger()
         ledger = self._ledger
         params = ledger.params
-        spent_before = meter.spent
         if edit.size is None:
             edit.size = size_change(self.solver, *edit.applied())
 
@@ -472,11 +451,13 @@ class Engine:
             live = lambda b: measure_task(edit.applied()[0], probe, params, trace, b)[2]  # noqa: E731
             return live, table_run(edit.runs, key, live)
 
-        # The stages: the previous solver on a new task (c* is its ledger
-        # with the task in it), q on every stored task the edit may touch,
-        # and q on the proposed task.  A re-proposed task keeps being judged
-        # against its original trace, so the ledger stays exactly
-        # reproducible from the archive alone.
+        # The stages, each run at the whole t_max: the previous solver on a
+        # new task (c* is its ledger with the task in it), q on every stored
+        # task the edit may touch, and q on the proposed task.  A fault bills
+        # its whole grant, so one before the last stage leaves the stages
+        # after it anything only when granted all of t_max.  A re-proposed
+        # task keeps being judged against its original trace, so the ledger
+        # stays exactly reproducible from the archive alone.
         known = ledger.items.get(new_id)
         stages = []
         if known is None:
@@ -494,7 +475,13 @@ class Engine:
             stages.append(q_stage(new_id, probe, None))
         else:
             stages.append(q_stage(known.index, probe, known.trace))
-        found = self._stages(stages, meter, params)
+        chain = Chain(budget, paranoid=self.config.paranoid)
+        last = len(stages) - 1
+        answers = []
+        for n, (live, run) in enumerate(stages):
+            answers.append(chain.stage(run, live, params.t_max, n == last))
+        billed = chain.conclude()
+        found = [TaskMeasure(ok, steps, run[3]) for (ok, steps), (_, run) in zip(answers, stages)]
         if known is None:
             m_prev = found.pop(0)
         measures = {item.task.identity(): m for item, m in zip(redone, found)}
@@ -510,8 +497,7 @@ class Engine:
         if self.config.paranoid:
             self._check_ledger(ledger, edit.applied()[0], new_id, m_prev, measures, c, c_star)
         if c_star - c <= params.epsilon:
-            edit.pairs[new_id] = (None, meter.spent - spent_before)
-            return None
+            return None, billed
 
         # Accepted: the winner's runs again, live, for what the run table
         # does not keep: the components each run used, and the trace.
@@ -532,20 +518,21 @@ class Engine:
         after = sum(q_measures[i].t_prime(params) for i in old)
         forgotten = [i for i, m in measures.items() if i in old and old[i].solved and not m.solved]
         details = V2Details(
+            trace=new_trace,
+            components=rep_new.components_used,
+            steps=measures[new_id].t_prime(params),
+            usage_updates=usage_updates,
+            wow=after < before,
+            billed=billed,
             c=c,
             c_star=c_star,
             measures=q_measures,
-            usage_updates=usage_updates,
-            new_trace=new_trace,
-            wow=after < before,
             forgotten=sorted(forgotten),
             solved_count=sum(1 for m in q_measures.values() if m.solved),
             sum_t_old_before=before,
             sum_t_old_after=after,
-            billed=meter.spent - spent_before,
         )
-        edit.pairs[new_id] = (details, details.billed)
-        return details
+        return details, billed
 
     def _check_ledger(self, ledger, q, new_id, m_prev, measures, c, c_star) -> None:
         """Paranoid mode: the phase ledger must equal the full cost() sums."""
@@ -571,50 +558,23 @@ class Engine:
 
         details = acc.details
         duplicate = any(item.task.identity() == identity for item in self.repertoire)
-        trace = None
-        per_task_usage: dict = {}
-
-        if isinstance(details, V1Details):
-            report = details.report
-            trace = report.new_trace if isinstance(task, DecisionTask) else None
-            new_comps = report.new_outcome.components_used
-            new_steps = report.new_outcome.steps
-            item_updates = {
-                j: report.revalidation_reports[j].components_used
-                for j in report.revalidated_tasks
-            }
-            wow = details.wow
-            forgotten: list = []
-        else:
-            trace = details.new_trace if isinstance(task, DecisionTask) else None
-            new_comps = frozenset()
-            new_steps = details.measures[identity].t_prime(self._params())
-            item_updates = details.usage_updates
-            wow = details.wow
-            forgotten = details.forgotten
-            self.cost_measures = details.measures
 
         self.solver = acc.solver.frozen_copy() if cfg.prefix_mode else acc.solver
         if acc.proposal.appended:
             self.segments.append((acc.proposal.append_start, acc.proposal.appended))
 
+        per_task_usage: dict = {}
         if not duplicate:
             item = RepertoireItem(
                 index=len(self.repertoire) + 1,
                 task=task,
-                trace=trace,
-                components_used=new_comps,
+                trace=details.trace,
+                components_used=details.components,
                 origin=origin,
             )
             self.repertoire.append(item)
-            per_task_usage[item.index] = (new_comps, item.entry_key)
-            if isinstance(details, V2Details):
-                _m, _tr, rep = measure_task(
-                    self.solver, item.task, self._params(), item.trace
-                )
-                item.components_used = rep.components_used
-                per_task_usage[item.index] = (rep.components_used, item.entry_key)
-        for j, comps in item_updates.items():
+            per_task_usage[item.index] = (details.components, item.entry_key)
+        for j, comps in details.usage_updates.items():
             target = self.repertoire[j - 1]
             target.components_used = comps
             per_task_usage[j] = (comps, target.entry_key)
@@ -625,36 +585,32 @@ class Engine:
 
         meta_info = {
             "kind": task.kind,
-            "wow": wow,
+            "wow": details.wow,
             "entry_key": task.entry_key,
             "search_steps": stats.steps_total,
-            "validation_steps": (
-                details.report.steps_spent
-                if isinstance(details, V1Details)
-                else details.billed
-            ),
-            "revalidated": (
-                len(details.report.revalidated_tasks)
-                if isinstance(details, V1Details)
-                else len(details.usage_updates)
-            ),
+            "validation_steps": details.billed,
+            "revalidated": len(details.usage_updates),
             "candidates": stats.candidates_run,
             "t_lim": stats.t_lim,
             "solver_slots": self.solver.component_count,
             "solver_bits": self.solver.size_bits,
-            "steps": new_steps,
-            "forgotten": len(forgotten),
+            "steps": details.steps,
+            "forgotten": 0,
             "duplicate": duplicate,
         }
         if acc.proposal.appended:
             meta_info["appended"] = [acc.proposal.append_start, acc.proposal.appended]
         if identity in self.external_rewards:
             meta_info["reward"] = self.external_rewards[identity]
+        c = c_star = None
         if isinstance(details, V2Details):
+            self.cost_measures = details.measures
+            meta_info["forgotten"] = len(details.forgotten)
             meta_info["solved_count"] = details.solved_count
             meta_info["sum_t_old_before"] = details.sum_t_old_before
             meta_info["sum_t_old_after"] = details.sum_t_old_after
             meta_info["cost_params"] = self._params().to_json()
+            c, c_star = str(details.c), str(details.c_star)
 
         entry = ArchiveEntry(
             i=i,
@@ -662,9 +618,9 @@ class Engine:
             meta_code=acc.meta.code.to_hex(),
             solver=self.solver.to_json(),
             task=task.to_json(),
-            trace=trace.to_json() if trace is not None else None,
-            c=str(details.c) if isinstance(details, V2Details) else None,
-            c_star=str(details.c_star) if isinstance(details, V2Details) else None,
+            trace=details.trace.to_json() if details.trace is not None else None,
+            c=c,
+            c_star=c_star,
             meta=meta_info,
         )
         append_entry(cfg.archive_path, entry, self.entries)

@@ -207,26 +207,6 @@ def table_run(runs: dict, key, live) -> tuple:
     return run
 
 
-class ChainFloor:
-    """The least budget under which a judge's chain of stages concludes.
-
-    Stages are added in order, cut or not: each stage needs its least grant
-    on top of what the stages before it bill under theirs.  ``floor`` is
-    that budget so far and ``least`` what the stages bill under it; both
-    start at what the judge billed before the first stage added.
-    """
-
-    __slots__ = ("floor", "least")
-
-    def __init__(self, billed: int = 0):
-        self.floor = self.least = billed
-
-    def add(self, run: tuple, bound: int, last: bool = True) -> None:
-        need = least_grant(run, bound, last)
-        self.floor = max(self.floor, self.least + need)
-        self.least += report_within(run, need, bound)[1]
-
-
 def table_answer(run: tuple, live, budget: int, bound: int, paranoid: bool = False):
     """A stage's answer under ``budget``, read off its run by the prefix rule.
 
@@ -243,6 +223,52 @@ def table_answer(run: tuple, live, budget: int, bound: int, paranoid: bool = Fal
         if seen != answer or (rep.conclusive and len(rep.components_used) != run[3]):
             raise AssertionError(f"run table gave {answer} of {run}, a live run {rep}")
     return answer
+
+
+class Chain:
+    """A judge's stages in order, each answered under what the ones before left.
+
+    Both acceptance rules judge this way.  Each stage is answered from its
+    run at the whole bound (table_answer) under ``left`` and billed to it;
+    the first stage that does not conclude cuts the chain, and the stages
+    after a cut are answered by nothing.  Every stage, cut or not, stacks
+    its floor: it needs its least grant on top of what the stages before it
+    bill under theirs.  ``floor`` is the least budget under which the chain
+    so far concludes and ``least`` what it bills there; both start at
+    ``billed``, a bill already read off a cache, which is charged first.
+    """
+
+    __slots__ = ("budget", "left", "cut", "floor", "least", "paranoid")
+
+    def __init__(self, budget: int, billed: int = 0, paranoid: bool = False):
+        self.budget = budget
+        self.cut = billed > budget
+        self.left = budget if self.cut else budget - billed
+        self.floor = self.least = billed
+        self.paranoid = paranoid
+
+    def stage(self, run: tuple, live, bound: int, last: bool = True) -> tuple:
+        """The next stage's (success, steps billed), its floor stacked.
+
+        Once the chain is cut, a stage bills 0 and its success is its run's,
+        which still decides where a judge's chain stops, and so the floor.
+        """
+        need = least_grant(run, bound, last)
+        self.floor = max(self.floor, self.least + need)
+        self.least += report_within(run, need, bound)[1]
+        if not self.cut:
+            ok, billed = table_answer(run, live, self.left, bound, self.paranoid)
+            if ok is not None:
+                self.left -= billed
+                return ok, billed
+            self.cut = True
+        return run[2], 0
+
+    def conclude(self, floor: Optional[int] = None) -> int:
+        """Steps the chain billed; a cut raises BudgetExhausted with its floor."""
+        if self.cut:
+            raise BudgetExhausted(self.budget, self.floor if floor is None else floor)
+        return self.budget - self.left
 
 
 @dataclass
@@ -298,12 +324,12 @@ def demonstrate(
     first conclusive novelty verdict and its bill.  Without them the tables
     last for this call only.
 
-    A cut carries its floor, the least budget under which the whole chain
-    concludes: each stage needs its least grant (the cached bill for
-    novelty) on top of what the stages before it bill under theirs.  One
-    exception: while the cache lacks the task, a novelty run that faults
-    bills its whole grant, and the first run to conclude writes that bill
-    to the cache; so the floor stops where the novelty stage concludes.
+    The stages run as one Chain, so a cut carries its floor, the least
+    budget under which the whole chain concludes.  Once the cache holds the
+    task, the chain starts at the cached bill.  One exception: while the
+    cache lacks the task, a novelty run that faults bills its whole grant,
+    and the first run to conclude writes that bill to the cache; so the
+    floor stops where the novelty stage concludes.
     Only an accepted report carries the new task's SolveReport, its trace
     and the revalidation reports, from live runs of the winner.
     """
@@ -314,49 +340,23 @@ def demonstrate(
     if edit is None:
         edit = EditRecord(q, changed)
     report = ValidationReport()
-    left = budget
-    cut = False
     cap = None  # where a faulting novelty run would first conclude
 
     # Novelty: identical candidates cannot be both novel and newly solving.
     identity = task.identity()
     hit = novelty_cache.get(identity)
-    if hit is not None:
-        prev_solves, billed = hit
-        cut = billed > left
-    else:
+    if hit is None:
+        chain = Chain(budget, paranoid=paranoid)
         live = lambda b: solves(s_prev, task, b)[0]  # noqa: E731
         run = table_run(prev_runs, identity, live)
-        prev_ok, billed = table_answer(run, live, left, task.t, paranoid)
-        if prev_ok is not None:
-            prev_solves = prev_ok
-            novelty_cache[identity] = (prev_solves, billed)
-        else:
-            cut, prev_solves = True, run[2]
-            if run[0] == FAULTED:
-                cap = max(1, run[1])
-    if identity in novelty_cache:  # later runs bill what the cache holds
-        chain = ChainFloor(novelty_cache[identity][1])
-    else:
-        chain = ChainFloor()
-        chain.add(run, task.t)
-    if not cut:
-        left -= billed
-
-    def stage(key, live, bound) -> bool:
-        """Bill one stage of q's, or note its cut; returns its verdict."""
-        nonlocal left, cut
-        run = table_run(edit.runs, key, live)
-        if cut:  # the verdicts still set the chain, and so the floor
-            ok = run[2]
-        else:
-            ok, billed = table_answer(run, live, left, bound, paranoid)
-            if ok is None:
-                cut, ok = True, run[2]
-            else:
-                left -= billed
-        chain.add(run, bound)
-        return ok
+        prev_solves, billed = chain.stage(run, live, task.t)
+        if not chain.cut:
+            hit = novelty_cache[identity] = (prev_solves, billed)
+        elif run[0] == FAULTED:
+            cap = max(1, run[1])
+    if hit is not None:  # this and later runs bill what the cache holds
+        prev_solves, billed = hit
+        chain = Chain(budget, billed, paranoid)
 
     # Then q on the new task, then every stored task the edit may touch, in
     # order; the chain stops at its first failure.
@@ -364,7 +364,7 @@ def demonstrate(
     todo, done = (), []
     if report.novel:
         live = lambda b: solves(edit.applied()[0], task, b)[0]  # noqa: E731
-        report.solves_new = stage(identity, live, task.t)
+        report.solves_new = chain.stage(table_run(edit.runs, identity, live), live, task.t)[0]
     if report.solves_new:
         todo = edit.revalidation(usage)
         by_index = {item.index: item for item in repertoire} if todo else {}
@@ -373,13 +373,11 @@ def demonstrate(
             item = by_index[j]
             done.append(j)
             live = lambda b, item=item: preservation_run(edit.applied()[0], item, b)[0]  # noqa: E731
-            if not stage(j, live, item.task.t):
+            if not chain.stage(table_run(edit.runs, j, live), live, item.task.t)[0]:
                 report.preserved = False
                 break
-    if cut:
-        raise BudgetExhausted(budget, chain.floor if cap is None else cap)
+    report.steps_spent = chain.conclude(cap)
     report.revalidated_tasks = tuple(done)
-    report.steps_spent = budget - left
 
     if report.accepted:
         q = edit.applied()[0]

@@ -326,7 +326,6 @@ class RunOutcome:
     components_used: frozenset  # 1-based slot indices
     halted: bool
     halt_reason: str  # "halt", "end", "budget", or a fault code
-    action_log: tuple = ()
 
     @property
     def fault(self) -> bool:
@@ -364,7 +363,6 @@ def run_solver(
     out_len = 0
     used = bytearray(m)
     steps = 0
-    actions: list[int] = []
 
     halted = False
     reason = DIAG_BUDGET
@@ -483,7 +481,6 @@ def run_solver(
             action = stack.pop() % 5
             digest = _quick_state_digest(stack, memory, cursor, pc, steps)
             reward = env.act(action, digest)
-            actions.append(action)
             stack.append(reward & WORD_MASK)
         elif code == I.OP_SENSE:
             if env is None:
@@ -512,7 +509,6 @@ def run_solver(
         components_used=frozenset(comps),
         halted=halted,
         halt_reason=reason,
-        action_log=tuple(actions),
     )
 
 

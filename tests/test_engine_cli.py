@@ -66,6 +66,33 @@ def test_audit_of_missing_archive_exits_two(tmp_path):
     assert run_cli(["report", str(tmp_path / "nope.jsonl")]) == 2
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '{"kind": "pattern", "i1": 3',
+        '{"kind": "bogus", "t": 64, "n": 1024}',
+        '{"kind": "pattern", "i1": 3, "i2": "4:50", "t": 64, "n": 1024}',
+    ],
+    ids=["bad json", "unknown kind", "missing field"],
+)
+def test_a_malformed_external_task_line_exits_two_and_names_it(tmp_path, capsys, bad):
+    good = json.dumps(PatternTask(3, nibble(5), nibble(9), 64, 1024).to_json())
+    queue = tmp_path / "queue.jsonl"
+    queue.write_text(good + "\n\n" + bad + "\n")
+    archive = tmp_path / "archive.jsonl"
+    args = ["run", "--archive", str(archive), "--metrics", str(tmp_path / "m.csv")]
+    args += ["--external-tasks", str(queue)]
+    torn = '{"i": 1, "orig'  # a crash tail, which a resume would cut
+    for resume, before in ((False, None), (True, torn)):
+        if before is not None:
+            archive.write_text(before)
+        assert run_cli(args + (["--resume"] if resume else [])) == 2
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert events[-1]["event"] == "config_error"
+        assert events[-1]["line"] == 3
+        assert (archive.read_text() if archive.exists() else None) == before
+
+
 def small_run(tmp_path, name="run", **overrides):
     d = tmp_path / name
     os.makedirs(d, exist_ok=True)
@@ -103,6 +130,7 @@ def four_entry_archives(tmp_path_factory):
 DAMAGE = {
     "line 2 deleted": ("I", 3),
     "line 2 repeated": ("I", 2),
+    "line 2 torn": ("I", 2),
     "task kind bogus": ("I", 2),
     "solver missing": ("I", 2),
     "sidecar trace missing": ("I", 2),
@@ -121,6 +149,9 @@ def _damaged(lines, damage):
         return lines
     if damage == "line 2 repeated":
         lines.insert(2, lines[1])
+        return lines
+    if damage == "line 2 torn":
+        lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
         return lines
     data = json.loads(lines[1])
     if damage == "task kind bogus":

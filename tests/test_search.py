@@ -1083,22 +1083,17 @@ def test_judge_floors_are_exact(tmp_path, monkeypatch, variant):
 
 def _watch_table_answers(monkeypatch) -> list:
     """Record (run, success or None when cut) of each table answer a judge reads."""
-    from autodidact import engine as engine_module, validate
+    from autodidact import validate
 
     answers = []
+    real = validate.table_answer
 
-    def watch(module):
-        real = module.table_answer
+    def spy(run, live, budget, bound, paranoid=False):
+        answer = real(run, live, budget, bound, paranoid)
+        answers.append((run, answer[0]))
+        return answer
 
-        def spy(run, live, budget, bound, paranoid=False):
-            answer = real(run, live, budget, bound, paranoid)
-            answers.append((run, answer[0]))
-            return answer
-
-        monkeypatch.setattr(module, "table_answer", spy)
-
-    watch(validate)
-    watch(engine_module)
+    monkeypatch.setattr(validate, "table_answer", spy)
     return answers
 
 
