@@ -20,8 +20,8 @@ print("== the formula on paper ==")
 params = CostParams(alpha=Fraction(1), t_max=500, r_new=1000)
 solver20 = SolverProgram(((1, ()),) * 3)  # 20 encoded bits
 measures = {"a_solved_task": TaskMeasure(True, 5, 3)}
-rewards = {"a_solved_task": Fraction(1000)}
-print("L=20, one solved task (t'=5, r=1000):", cost(solver20, measures, rewards, params))
+origins = {"a_solved_task": "self"}  # self-invented, so r = r_new once solved
+print("L=20, one solved task (t'=5, r=1000):", cost(solver20, measures, origins, params))
 measures = {"an_unsolved_task": TaskMeasure(False, 0, 0)}
 print("L=20, one unsolved task (t'=t_max):  ", cost(solver20, measures, {}, params))
 

@@ -226,7 +226,8 @@ class Replay:
     While a step is out, ``repertoire`` still holds only the tasks of earlier
     entries, the set the entry was judged against, and ``origins`` and
     ``external_rewards`` already include the entry.  Each distinct task joins
-    the repertoire once, with the trace and origin of its first entry.
+    the repertoire once, with the trace of its first entry.  An external
+    entry's reward must be an integer, or the entry raises ArchiveCorrupt.
     Solvers are left to the caller: only the audit needs every one.
     """
 
@@ -247,7 +248,10 @@ class Replay:
             identity = task.identity()
             self.origins.setdefault(identity, entry.origin)
             if entry.origin == "external" and "reward" in entry.meta:
-                self.external_rewards[identity] = entry.meta["reward"]
+                reward = entry.meta["reward"]
+                if type(reward) is not int:
+                    raise ArchiveCorrupt(entry.i, f"reward {reward!r} is no integer")
+                self.external_rewards[identity] = reward
             params = ledger = None
             if entry.c is not None:
                 ledger = (
@@ -268,7 +272,7 @@ class Replay:
                 params = last
             yield ReplayStep(entry, candidate, task, trace, params, ledger)
             if identity not in self.items:
-                item = RepertoireItem(len(self.repertoire) + 1, task, trace, origin=entry.origin)
+                item = RepertoireItem(len(self.repertoire) + 1, task, trace)
                 self.repertoire.append(item)
                 self.items[identity] = item
 
@@ -334,7 +338,8 @@ class MalformedQueue(ConfigError):
 
 
 def load_external_queue(path) -> list[ExternalTask]:
-    """The queued external tasks; a line that is no task raises MalformedQueue."""
+    """The queued external tasks; a line that is no task, or whose reward is
+    no integer, raises MalformedQueue."""
     p = Path(path)
     if not str(path) or not p.exists():
         return []
@@ -345,9 +350,12 @@ def load_external_queue(path) -> list[ExternalTask]:
         try:
             data = json.loads(raw)
             reward = data.pop("reward", None)
-            out.append(ExternalTask(task_from_json(data), reward))
+            task = task_from_json(data)
         except _SHAPE_ERRORS as exc:
             raise MalformedQueue(n, f"no task ({exc!r})") from exc
+        if reward is not None and type(reward) is not int:
+            raise MalformedQueue(n, f"reward {reward!r} is no integer")
+        out.append(ExternalTask(task, reward))
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .archive import Replay, load_archive
-from .costs import cost, measure_task, reward
+from .costs import cost, measure_task
 from .tasks import DecisionTask, solves
 from .validate import RepertoireItem, preservation_run
 from .vm import EMPTY_SOLVER
@@ -120,15 +120,12 @@ def _audit_cost_entry(report, entry, prev_solver, solver, task, trace, replay, p
 
     def total(which_solver, live_new: bool) -> Fraction:
         measures = {}
-        rewards = {}
         for ident, (t, tr) in sorted(task_set.items()):
             use_trace = tr
             if ident == identity and live_new:
                 use_trace = None  # the solve that froze this entry ran live
-            m, _new_tr, _rep = measure_task(which_solver, t, params, use_trace)
-            measures[ident] = m
-            rewards[ident] = reward(m, ident, replay.origins, params)
-        return cost(which_solver, measures, rewards, params)
+            measures[ident] = measure_task(which_solver, t, params, use_trace)[0]
+        return cost(which_solver, measures, replay.origins, params)
 
     c_star = total(prev_solver, live_new=is_new)
     c = total(solver, live_new=False)

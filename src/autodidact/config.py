@@ -35,7 +35,6 @@ class RunConfig:
     epsilon: Fraction = Fraction(1)
     eps_wow: int = 5
     t_max: int = 500
-    l_max: int = 256
     r_new: int = 1000
     prefix_mode: bool = False
     paranoid: bool = False
@@ -80,7 +79,6 @@ class RunConfig:
             alpha=Fraction(self.alpha),
             epsilon=Fraction(self.epsilon),
             t_max=self.t_max,
-            l_max=self.l_max,
             r_new=self.r_new,
             external_rewards=dict(external_rewards or {}),
         )

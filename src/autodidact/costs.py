@@ -1,9 +1,12 @@
 """Cost accounting for the cost-based acceptance variant.
 
 Cost(s, TSET) = L(s) + alpha * sum over T of (t'(T) - r(T)), with t' clamped
-to t_max for unsolved tasks and r the novelty or user reward.  All arithmetic
-is exact rational so the strict acceptance inequality can never flip on
-rounding, and stored ledgers can be reproduced bit for bit from the archive.
+to t_max for unsolved tasks and r the novelty or user reward.  ``contribution``
+and ``cost`` are the only code that turns a task's measure into r and its
+term; the judge, its paranoid check and the audit all call them.  All
+arithmetic is exact rational so the strict acceptance inequality can never
+flip on rounding, and stored ledgers can be reproduced bit for bit from the
+archive.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ class CostParams:
     alpha: Fraction = Fraction(1)
     epsilon: Fraction = Fraction(1)
     t_max: int = 500
-    l_max: int = 256
+    l_max: int = 256  # no term reads it; ledger entries record it in cost_params
     r_new: int = 1000
     external_rewards: dict = field(default_factory=dict)  # task identity -> reward
 
@@ -64,9 +67,6 @@ class TaskMeasure:
     def t_prime(self, params: CostParams) -> int:
         return self.steps if self.solved else params.t_max
 
-    def l_prime(self, params: CostParams) -> int:
-        return self.components if self.solved else params.l_max
-
 
 def measure_task(
     solver: SolverProgram,
@@ -75,7 +75,7 @@ def measure_task(
     trace=None,
     budget: Optional[int] = None,
 ):
-    """Measure t' and l' for one task under the given solver.
+    """Measure t' for one task under the given solver.
 
     Decision tasks with a stored trace are measured by replay (divergence
     counts as unsolved); everything else runs live under the t_max budget.
@@ -119,20 +119,21 @@ def reward(measure: TaskMeasure, identity: str, origins: dict, params: CostParam
     return Fraction(params.r_new)
 
 
-def contribution(measure: TaskMeasure, reward: Fraction, params: CostParams) -> Fraction:
-    return Fraction(measure.t_prime(params)) - reward
+def contribution(measure: TaskMeasure, identity: str, origins: dict, params: CostParams) -> Fraction:
+    """One task's term of the ledger, t' - r(T)."""
+    return Fraction(measure.t_prime(params)) - reward(measure, identity, origins, params)
 
 
 def cost(
     solver: SolverProgram,
     measures: dict[str, TaskMeasure],
-    rewards: dict[str, Fraction],
+    origins: dict,
     params: CostParams,
 ) -> Fraction:
     """L(s) + alpha * sum of per-task (t' - r); empty task set costs L(s)."""
     total = Fraction(solver.size_bits)
     for identity, m in measures.items():
-        total += params.alpha * contribution(m, rewards.get(identity, Fraction(0)), params)
+        total += params.alpha * contribution(m, identity, origins, params)
     return total
 
 

@@ -31,7 +31,6 @@ from .costs import (
     contribution,
     cost,
     measure_task,
-    reward,
     task_with_cost_bounds,
 )
 from .meta import MetaContext, Meter, ScratchStore
@@ -105,10 +104,6 @@ class PhaseLedger:
     items: dict  # identity -> RepertoireItem
     probes: dict  # identity -> task_with_cost_bounds(task)
     novelty: dict = field(default_factory=dict)  # identity -> (probe, run at t_max, contrib)
-
-    def contribution(self, identity: str, measure: TaskMeasure) -> Fraction:
-        params = self.params
-        return contribution(measure, reward(measure, identity, self.origins, params), params)
 
 
 @dataclass
@@ -402,16 +397,13 @@ class Engine:
     def _phase_ledger(self) -> PhaseLedger:
         params = self._params()
         items = {item.task.identity(): item for item in self.repertoire}
-        rewards = {
-            identity: reward(m, identity, self.task_origin, params)
-            for identity, m in self.cost_measures.items()
-        }
+        origins = self.task_origin
         return PhaseLedger(
             params=params,
-            origins=self.task_origin,
-            base=cost(self.solver, self.cost_measures, rewards, params),
+            origins=origins,
+            base=cost(self.solver, self.cost_measures, origins, params),
             contrib={
-                identity: contribution(m, rewards[identity], params)
+                identity: contribution(m, identity, origins, params)
                 for identity, m in self.cost_measures.items()
             },
             items=items,
@@ -434,7 +426,7 @@ class Engine:
             params = ledger.params
             probe = task_with_cost_bounds(task, params)
             full, _trace, rep = measure_task(self.solver, probe, params)
-            memo = (probe, run_record(rep), ledger.contribution(identity, full))
+            memo = (probe, run_record(rep), contribution(full, identity, ledger.origins, params))
             ledger.novelty[identity] = memo
         return memo
 
@@ -490,7 +482,8 @@ class Engine:
         # Every other task keeps its contribution, so c differs from c* only
         # in L(q) - L(s) and in the tasks measured again.
         moved = sum(
-            ledger.contribution(identity, m) - ledger.contrib.get(identity, contrib_prev)
+            contribution(m, identity, ledger.origins, params)
+            - ledger.contrib.get(identity, contrib_prev)
             for identity, m in measures.items()
         )
         c = c_star + edit.size + params.alpha * moved
@@ -536,14 +529,11 @@ class Engine:
 
     def _check_ledger(self, ledger, q, new_id, m_prev, measures, c, c_star) -> None:
         """Paranoid mode: the phase ledger must equal the full cost() sums."""
-        params = ledger.params
+        params, origins = ledger.params, ledger.origins
         star = dict(self.cost_measures)
         star.setdefault(new_id, m_prev)
         q_measures = {**star, **measures}
-        full = []
-        for solver, ms in ((q, q_measures), (self.solver, star)):
-            rewards = {i: reward(m, i, ledger.origins, params) for i, m in ms.items()}
-            full.append(cost(solver, ms, rewards, params))
+        full = [cost(q, q_measures, origins, params), cost(self.solver, star, origins, params)]
         if full != [c, c_star]:
             raise AssertionError(f"phase ledger gave c={c} c*={c_star}, full cost() {full}")
 
@@ -570,7 +560,6 @@ class Engine:
                 task=task,
                 trace=details.trace,
                 components_used=details.components,
-                origin=origin,
             )
             self.repertoire.append(item)
             per_task_usage[item.index] = (details.components, item.entry_key)

@@ -112,7 +112,6 @@ class LiveEnv:
     def __init__(self, world: GridWorld, goal: tuple):
         self.state = EnvState(world, world.start, goal)
         self.trace_steps: list[tuple] = []
-        self.initial_obs = world.observation(world.start)
 
     def sense(self) -> int:
         return self.state.world.observation(self.state.agent)

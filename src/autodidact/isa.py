@@ -40,8 +40,6 @@ class InstructionSet:
             self.by_code[op.code] = op
             self.by_name[op.name] = op
         self.nibbles: dict[int, int] = {op.code: op.nibbles for op in ops}
-        self.max_width = OPCODE_BITS + ARG_BITS * max(op.nibbles for op in ops)
-        self.min_width = OPCODE_BITS
 
     def width(self, code: int) -> int:
         return OPCODE_BITS + ARG_BITS * self.by_code[code].nibbles

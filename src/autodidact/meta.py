@@ -262,8 +262,6 @@ class MetaContext:
 class Proposal:
     task: Task
     edits: list
-    directives: tuple
-    steps: int
     appended: int  # number of appended slots
     append_start: Optional[int]
     # The phase's validate.EditRecord for these edits, set by the search.
@@ -405,7 +403,6 @@ def run_meta(meta: MetaProgram, ctx: MetaContext, meter: Meter) -> Proposal:
     appended = 0
     append_start: Optional[int] = None
     base_len = ctx.solver.component_count
-    directives: list[str] = []
 
     def fault(msg: str, in_inventor: bool):
         return MalformedTask(msg) if in_inventor else MalformedEdit(msg)
@@ -537,9 +534,7 @@ def run_meta(meta: MetaProgram, ctx: MetaContext, meter: Meter) -> Proposal:
     # -- directives --------------------------------------------------------
     for code, _args in meta.directives:
         meter.charge(1)
-        if code == M_V_DESC:
-            directives.append("descending")
-        else:
+        if code != M_V_DESC:
             raise MalformedEdit(f"op {code} not allowed as a directive")
 
-    return Proposal(task, edits, tuple(directives), meter.spent, appended, append_start)
+    return Proposal(task, edits, appended, append_start)

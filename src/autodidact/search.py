@@ -136,7 +136,7 @@ from .meta import (
 )
 from .prior import Prior
 from .validate import BudgetExhausted, EditRecord
-from .vm import Changed, FrozenViolation, InvalidResult, SolverProgram, apply_modification
+from .vm import FrozenViolation, InvalidResult, SolverProgram, apply_modification
 
 
 @dataclass
@@ -144,7 +144,6 @@ class Acceptance:
     meta: MetaProgram
     proposal: Proposal
     solver: SolverProgram
-    changed: Changed
     details: object  # judge-specific payload (validation report or cost report)
 
 
@@ -185,34 +184,36 @@ class SearchProblem:
 
 
 class BoundaryVerdicts(dict):
-    """Task key -> the boundary check's fault reason (None when it passes).
+    """Task key -> (its task, the boundary check's fault reason).
 
-    Built lazily once per phase: a task op reads only its immediates and
-    the phase's fixed context, so every candidate with the same key gets the
-    same verdict.
+    The task is None when the task op faults, and the reason is None when
+    the check passes.  Built lazily once per phase: a task op reads only its
+    immediates and the phase's fixed context, so every candidate with the
+    same key gets the same task and verdict.
     """
 
     def __init__(self, ctx: MetaContext):
         super().__init__()
         self.ctx = ctx
 
-    def __missing__(self, key: tuple) -> Optional[str]:
+    def __missing__(self, key: tuple) -> tuple:
         ctx = self.ctx
+        task = None
         try:
             task = ctx.external_task if key == EXTERNAL_KEY else invent_task(*key, ctx)
             check_invented(task, ctx)
             reason = None
         except MalformedTask as exc:
             reason = f"malformed_task: {exc}"
-        self[key] = reason
-        return reason
+        self[key] = (task, reason)
+        return task, reason
 
 
 def static_verdict(rec: StaticRecord, budget: int, boundary: BoundaryVerdicts):
     """(verdict, steps, reason) when the record decides the run, else None."""
     certain, fault, key, key_steps, _append_only = rec
     if key is not None:
-        bad = boundary[key]
+        bad = boundary[key][1]
         if bad is not None:
             certain, fault = key_steps, bad
     if budget < certain:
@@ -336,7 +337,7 @@ def edit_record(caches: dict, edits, solver: SolverProgram) -> EditRecord:
             q, changed = apply_modification(solver, script)
             record = EditRecord(q, changed, None, script, solver, apply_modification)
         except (FrozenViolation, InvalidResult) as exc:
-            record = EditRecord(fault=(type(exc), str(exc)))
+            record = EditRecord(fault=f"bad_edit: {exc}")
         table[script] = record
     return record
 
@@ -366,21 +367,18 @@ def try_candidate(
     try:
         proposal = run_meta(meta, ctx, meter)
         edit = proposal.record = edit_record(caches, proposal.edits, ctx.solver)
-        if edit.fault is not None:
-            kind, message = edit.fault
-            raise kind(message)
-        details = problem.judge(edit.q, edit.changed, proposal, meter, caches)
+        details = None
+        if edit.fault is None:
+            details = problem.judge(edit.q, edit.changed, proposal, meter, caches)
         if details is not None:
             record = CandidateRecord("accepted", meter.spent)
-            accepted = Acceptance(meta, proposal, *edit.applied(), details)
+            accepted = Acceptance(meta, proposal, edit.applied()[0], details)
         else:
-            record = CandidateRecord("rejected", meter.spent, "validation")
+            record = CandidateRecord("rejected", meter.spent, edit.fault or "validation")
     except MalformedTask as exc:
         record = CandidateRecord("rejected", meter.spent, f"malformed_task: {exc}")
     except MalformedEdit as exc:
         record = CandidateRecord("rejected", meter.spent, f"malformed_edit: {exc}")
-    except (FrozenViolation, InvalidResult) as exc:
-        record = CandidateRecord("rejected", meter.spent, f"bad_edit: {exc}")
     except BudgetExhausted as exc:
         record = CandidateRecord("budget", budget, "budget", exc.floor)
     finally:
@@ -452,22 +450,14 @@ def oops_search(
     deferred: dict[int, list] = {}  # adapted mode: total -> its unaffordable groups
     enumerated_upto = 3 * OPCODE_BITS - 1
 
-    key_tasks: dict = {}  # task key -> its task, None when its entry key is frozen
-
     def table_cut(rec: StaticRecord, budget: int) -> bool:
         """True when the record is append-only and its task's table bill,
         if a table holds it yet, is more than the budget leaves."""
         if not rec.append_only or table_bill is None:
             return False
-        key = rec.key
-        if key in key_tasks:
-            task = key_tasks[key]
-        else:
-            task = ctx.external_task if key == EXTERNAL_KEY else invent_task(*key, ctx)
-            if task.entry_key in ctx.solver.frozen_entry_keys:
-                task = None  # apply_modification may refuse the automatic SetEntry
-            key_tasks[key] = task
-        if task is None:
+        task = boundary[rec.key][0]
+        # apply_modification may refuse the automatic SetEntry of a frozen key.
+        if task is None or task.entry_key in ctx.solver.frozen_entry_keys:
             return False
         owed = table_bill(task, caches)
         return owed is not None and rec.certain + owed > budget

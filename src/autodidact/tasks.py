@@ -44,14 +44,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.steps)
 
-    @property
-    def actions(self) -> tuple:
-        return tuple(s[3] for s in self.steps)
-
-    @property
-    def rewards(self) -> tuple:
-        return tuple(s[1] for s in self.steps)
-
     def to_json(self) -> list:
         return [[x, r, u, y] for (x, r, u, y) in self.steps]
 

@@ -58,7 +58,6 @@ class RepertoireItem:
     task: object
     trace: Optional[Trace]  # decision tasks only
     components_used: frozenset = frozenset()
-    origin: str = "self"
 
     @property
     def entry_key(self) -> str:
@@ -154,7 +153,7 @@ class EditRecord:
 
     Built once per script and phase, on the first candidate that proposes
     it.  ``q`` and ``changed`` are apply_modification's result, or ``fault``
-    holds the (exception type, message) it raised.  ``todo`` is the sorted
+    holds the rejection reason for the error it raised.  ``todo`` is the sorted
     revalidation set and ``size`` is L(q) - L(s), each filled on first use.
     ``pairs`` maps a task identity to the judge's conclusive verdict and
     bill (the pair cache), and ``runs`` holds one run_record of q per task

@@ -202,7 +202,6 @@ class Changed:
 
     slots: frozenset = frozenset()
     entry_keys: frozenset = frozenset()
-    length_changed: bool = False
 
     def __bool__(self) -> bool:
         return bool(self.slots or self.entry_keys)
@@ -250,7 +249,6 @@ def apply_modification(prev: SolverProgram, edits) -> tuple[SolverProgram, Chang
     entries = dict(prev.entries)
     changed_slots: set[int] = set()
     changed_keys: set[str] = set()
-    length_changed = False
 
     for op in edits:
         if isinstance(op, SetSlot):
@@ -265,7 +263,6 @@ def apply_modification(prev: SolverProgram, edits) -> tuple[SolverProgram, Chang
         elif isinstance(op, Append):
             slots.append(_canonical(op.instruction))
             changed_slots.add(len(slots))
-            length_changed = True
         elif isinstance(op, Truncate):
             if not 0 <= op.new_len <= len(slots):
                 raise InvalidResult(f"cannot truncate to {op.new_len}")
@@ -273,8 +270,6 @@ def apply_modification(prev: SolverProgram, edits) -> tuple[SolverProgram, Chang
                 raise FrozenViolation("truncation into the frozen prefix")
             for k in range(op.new_len, len(slots)):
                 changed_slots.add(k + 1)
-            if op.new_len != len(slots):
-                length_changed = True
             del slots[op.new_len :]
         elif isinstance(op, SetEntry):
             if op.key in prev.frozen_entry_keys and entries.get(op.key) != op.slot:
@@ -292,9 +287,7 @@ def apply_modification(prev: SolverProgram, edits) -> tuple[SolverProgram, Chang
     new_program = SolverProgram._owning(
         tuple(slots), entries, prev.frozen_prefix_len, prev.frozen_entry_keys
     )
-    return new_program, Changed(
-        frozenset(changed_slots), frozenset(changed_keys), length_changed
-    )
+    return new_program, Changed(frozenset(changed_slots), frozenset(changed_keys))
 
 
 def size_change(prev: SolverProgram, new: SolverProgram, changed: Changed) -> int:

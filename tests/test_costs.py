@@ -7,6 +7,7 @@ from conftest import build_repertoire
 from autodidact.costs import (
     CostParams,
     TaskMeasure,
+    contribution,
     cost,
     measure_task,
     parse_ratio,
@@ -41,22 +42,36 @@ def test_cost_formula_direct_substitution():
     solver = solver_of_bits(20)
     assert solver.size_bits == 20
     measures = {"t1": TaskMeasure(True, 5, 3)}
-    rewards = {"t1": Fraction(1000)}
-    assert cost(solver, measures, rewards, params) == Fraction(-975)
+    origins = {"t1": "self"}
+    assert cost(solver, measures, origins, params) == Fraction(-975)
 
 
 def test_unsolved_task_contributes_t_max():
     params = CostParams(t_max=500)
     solver = solver_of_bits(20)
     measures = {"t1": TaskMeasure(False, 7, 0)}
-    rewards = {"t1": Fraction(0)}
-    assert cost(solver, measures, rewards, params) == 20 + 500
+    origins = {"t1": "self"}
+    assert cost(solver, measures, origins, params) == 20 + 500
 
 
 def test_empty_task_set_costs_solver_bits():
     params = CostParams()
     solver = solver_of_bits(35)
     assert cost(solver, {}, {}, params) == 35
+
+
+def test_contribution_takes_r_from_the_task_origin():
+    # t' - r: r_new for a solved self-invented task, the user's reward for a
+    # solved external one (0 when none was given), nothing when unsolved.
+    params = CostParams(t_max=500, r_new=1000, external_rewards={"ext": 9})
+    origins = {"ext": "external", "bare": "external", "own": "self"}
+    solved, failed = TaskMeasure(True, 5, 3), TaskMeasure(False, 7, 0)
+    assert contribution(solved, "own", origins, params) == 5 - 1000
+    assert contribution(solved, "new", origins, params) == 5 - 1000
+    assert contribution(solved, "ext", origins, params) == 5 - 9
+    assert contribution(solved, "bare", origins, params) == 5
+    for identity in origins:
+        assert contribution(failed, identity, origins, params) == 500
 
 
 def test_acceptance_boundary_is_strict():
@@ -71,12 +86,12 @@ def test_r_new_must_exceed_t_max():
         CostParams(t_max=1000, r_new=1000)
 
 
-def test_t_prime_and_l_prime_fallbacks():
-    params = CostParams(t_max=500, l_max=256)
+def test_t_prime_falls_back_to_t_max():
+    params = CostParams(t_max=500)
     solved = TaskMeasure(True, 12, 9)
     failed = TaskMeasure(False, 500, 0)
-    assert solved.t_prime(params) == 12 and solved.l_prime(params) == 9
-    assert failed.t_prime(params) == 500 and failed.l_prime(params) == 256
+    assert solved.t_prime(params) == 12
+    assert failed.t_prime(params) == 500
 
 
 def test_measure_task_uses_replay_for_stored_decisions():

@@ -72,8 +72,12 @@ def test_audit_of_missing_archive_exits_two(tmp_path):
         '{"kind": "pattern", "i1": 3',
         '{"kind": "bogus", "t": 64, "n": 1024}',
         '{"kind": "pattern", "i1": 3, "i2": "4:50", "t": 64, "n": 1024}',
+        '{"kind": "pattern", "i1": 7, "i2": "4:30", "o": "4:c0", "t": 64, "n": 1024, "reward": "abc"}',
+        '{"kind": "pattern", "i1": 7, "i2": "4:30", "o": "4:c0", "t": 64, "n": 1024, "reward": 9.5}',
+        '{"kind": "pattern", "i1": 7, "i2": "4:30", "o": "4:c0", "t": 64, "n": 1024, "reward": true}',
     ],
-    ids=["bad json", "unknown kind", "missing field"],
+    ids=["bad json", "unknown kind", "missing field", "reward a string", "reward a float",
+         "reward a bool"],
 )
 def test_a_malformed_external_task_line_exits_two_and_names_it(tmp_path, capsys, bad):
     good = json.dumps(PatternTask(3, nibble(5), nibble(9), 64, 1024).to_json())
@@ -139,6 +143,9 @@ DAMAGE = {
     "p no program": ("I", 2),
     "meta not an object": ("I", 2),
     "c not a ratio": ("II", 2),
+    "reward a string": ("II", 2),
+    "reward a float": ("II", 2),
+    "reward a bool": ("II", 2),
 }
 
 
@@ -169,6 +176,9 @@ def _damaged(lines, damage):
         data["meta"] = []
     elif damage == "c not a ratio":
         data["c"] = "abc"
+    elif damage.startswith("reward"):
+        data["origin"] = "external"
+        data["meta"]["reward"] = {"string": "abc", "float": 9.5, "bool": True}[damage.split()[-1]]
     else:
         del data["meta"]["cost_params"]
     lines[1] = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
@@ -499,7 +509,7 @@ def test_variant2_forgetting_is_visible_in_the_judge(tmp_path):
         SetEntry(new_task.identifier.to_hex(), start)
     ]
     q, changed = apply_modification(eng.solver, edits)
-    proposal = Proposal(new_task, edits, (), 0, len(const_nibble(9)), start)
+    proposal = Proposal(new_task, edits, len(const_nibble(9)), start)
     details = eng._judge_v2(q, changed, proposal, Meter(10**9), fresh_caches())
     assert details is not None  # r_new makes the trade profitable
     assert details.forgotten == [old_task.identity()]
@@ -586,7 +596,7 @@ def test_variant2_paranoid_judge_checks_the_phase_ledger(tmp_path, monkeypatch):
                 q, changed = apply_modification(eng.solver, edits)
             except (InvalidResult, FrozenViolation):
                 continue
-            proposal = Proposal(task, edits, (), 0, 0, None)
+            proposal = Proposal(task, edits, 0, None)
             meter = Meter(rng.choice([0, 3, 20, 60, 150, 400, 2000, 10**6]))
             try:
                 details = eng._judge_v2(q, changed, proposal, meter, caches)
@@ -613,11 +623,13 @@ def test_variant2_paranoid_judge_checks_the_phase_ledger(tmp_path, monkeypatch):
         judge_many(200)
     monkeypatch.setattr(validate_mod, "report_within", real_within)
 
-    real_contribution = engine_mod.PhaseLedger.contribution
+    # The planted error is in the engine's binding only: cost() sums the
+    # contributions itself, so the oracle stays independent of it.
+    real_contribution = engine_mod.contribution
     monkeypatch.setattr(
-        engine_mod.PhaseLedger,
+        engine_mod,
         "contribution",
-        lambda self, identity, m: real_contribution(self, identity, m) + 1,
+        lambda m, identity, origins, params: real_contribution(m, identity, origins, params) + 1,
     )
     eng._ledger = None
     with pytest.raises(AssertionError, match="phase ledger"):
@@ -633,7 +645,6 @@ def _engine_state(engine, stochastic):
                 item.task.to_json(),
                 item.trace,
                 item.components_used,
-                item.origin,
             )
             for item in engine.repertoire
         ],

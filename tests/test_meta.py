@@ -194,9 +194,17 @@ def test_external_phase_uses_the_given_task():
     assert proposal.task is task
 
 
-def test_directives_collected():
-    proposal = run([(M_T_COPY, (0,))], [(M_E_TPL, (0,))], [(M_V_DESC, ())])
-    assert proposal.directives == ("descending",)
+def test_a_directive_is_billed_and_only_v_desc_is_one():
+    # V_DESC costs one step and changes nothing else; any other op in the
+    # third subprogram faults.
+    inventor, modifier = [(M_T_COPY, (0,))], [(M_E_TPL, (0,))]
+    plain, hinted = Meter(10_000), Meter(10_000)
+    bare = run_meta(decode_meta(meta_bits(inventor, modifier)), make_ctx(), plain)
+    desc = run_meta(decode_meta(meta_bits(inventor, modifier, [(M_V_DESC, ())])), make_ctx(), hinted)
+    assert hinted.spent == plain.spent + 1
+    assert (desc.task, desc.edits) == (bare.task, bare.edits)
+    with pytest.raises(MalformedEdit, match="directive"):
+        run(inventor, modifier, [(M_MPUSH, (1,))])
 
 
 # -- scratch store and undo ---------------------------------------------------

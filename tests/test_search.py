@@ -482,7 +482,7 @@ def test_append_only_records_bill_exactly_certain_and_only_append(context):
     checked = 0
     for total in range(15, max_bits + 1):
         for (v, i1, i2, i3), rec in _entries_with_records(space, total):
-            if not rec.append_only or boundary[rec.key] is not None:
+            if not rec.append_only or boundary[rec.key][1] is not None:
                 continue
             meta = MetaProgram(BitString(v, total), i1, i2, i3)
             meter = Meter(rec.certain)
@@ -967,7 +967,7 @@ def _judge_calls(eng, proposed, rng, n):
             apply_modification(eng.solver, edits)
         except (InvalidResult, FrozenViolation):
             continue
-        proposal = Proposal(task, edits, (), 0, 0, None)
+        proposal = Proposal(task, edits, 0, None)
         yield proposal, rng.choice([0, 1, 3, 20, 60, 150, 400, 2000, 10**6]), caches
 
 
@@ -1132,7 +1132,7 @@ def _check_table_bill(eng, task, caches, answers) -> Optional[int]:
         tables = search.fresh_caches()
         tables["prev"].update(caches["prev"])
         tables["novelty"].update(caches["novelty"])
-        proposal = Proposal(task, edits, (), 0, len(edits) - 1, solver.component_count)
+        proposal = Proposal(task, edits, len(edits) - 1, solver.component_count)
         answers.clear()
         try:
             judge(q, changed, proposal, Meter(left), tables)

@@ -285,7 +285,6 @@ def _reference_apply(prev, edits):
     slots = list(prev.instructions)
     entries = dict(prev.entries)
     changed_slots, changed_keys = set(), set()
-    length_changed = False
     for op in edits:
         if isinstance(op, SetSlot):
             if not 0 <= op.index < len(slots):
@@ -299,7 +298,6 @@ def _reference_apply(prev, edits):
         elif isinstance(op, Append):
             slots.append(_check_instruction(op.instruction))
             changed_slots.add(len(slots))
-            length_changed = True
         elif isinstance(op, Truncate):
             if not 0 <= op.new_len <= len(slots):
                 raise InvalidResult(f"cannot truncate to {op.new_len}")
@@ -307,8 +305,6 @@ def _reference_apply(prev, edits):
                 raise FrozenViolation("truncation into the frozen prefix")
             for k in range(op.new_len, len(slots)):
                 changed_slots.add(k + 1)
-            if op.new_len != len(slots):
-                length_changed = True
             del slots[op.new_len :]
         elif isinstance(op, SetEntry):
             if op.key in prev.frozen_entry_keys and entries.get(op.key) != op.slot:
@@ -322,7 +318,7 @@ def _reference_apply(prev, edits):
         if not 0 <= slot <= len(slots):
             raise InvalidResult(f"entry {key} points at slot {slot}, beyond program end")
     program = SolverProgram(tuple(slots), entries, prev.frozen_prefix_len, prev.frozen_entry_keys)
-    return program, Changed(frozenset(changed_slots), frozenset(changed_keys), length_changed)
+    return program, Changed(frozenset(changed_slots), frozenset(changed_keys))
 
 
 def _outcome(fn, prev, edits):
