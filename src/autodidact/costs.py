@@ -58,7 +58,13 @@ class CostParams:
 
 @dataclass(frozen=True)
 class TaskMeasure:
-    """One task's contribution inputs: solved flag, runtime, component count."""
+    """One task's contribution inputs: solved flag, runtime, component count.
+
+    The cost reads only ``solved`` and ``steps``.  ``components`` is kept as
+    a check value: a measure read off a run table carries the component
+    count of that run, and the tests compare it with a live measure's and
+    compare the measures a resumed engine rebuilds with the live ones.
+    """
 
     solved: bool
     steps: int

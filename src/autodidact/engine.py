@@ -48,6 +48,7 @@ from .isa import TERMINATOR
 from .meta import META_ISA
 from .tasks import Task, least_grant, report_within, run_record, solves
 from .validate import (
+    CUT,
     BudgetExhausted,
     Chain,
     RepertoireItem,
@@ -328,32 +329,50 @@ class Engine:
     # -- the judges ------------------------------------------------------------
 
     def _judge(self, proposal, meter: Meter, caches, decide):
-        """One judge call: a pair-cache hit, or decide(edit, task, budget, caches).
+        """One judge call: a pair-cache answer, or decide(edit, task, meter, caches).
 
-        ``decide`` judges under ``budget``, what the meter has left, and
-        returns (Details or None, steps billed) or raises BudgetExhausted
-        with a floor counted from the meter's spent steps.  Its conclusive
-        verdict and bill go to the pair cache.
+        ``decide`` judges under what the meter has left and returns (Details
+        or None, steps billed), or raises BudgetExhausted with a floor
+        counted from the meter's spent steps; a cut whose floor is final for
+        the phase stores it in the pair's slot (validate.Chain).  A
+        conclusive verdict and bill go to the pair cache.  A slot answers a
+        call when it holds a verdict, charged its bill, or a floor above what
+        the meter has left, which cuts the call with that floor; paranoid
+        mode runs decide on such a cut too and compares the floors.
         """
         edit = proposal.record or edit_record(caches, proposal.edits, self.solver)
         identity = proposal.task.identity()
         hit = edit.pairs.get(identity)
         if hit is not None:
             details, billed = hit
-            meter.charge(billed, known=True)
-            return details
+            if details is not CUT:
+                meter.charge(billed, known=True)
+                return details
+            if billed > meter.left:
+                if self.config.paranoid:
+                    self._check_cut(edit, proposal.task, meter, caches, decide, billed)
+                meter.charge(billed, known=True)  # raises with the stored floor
         try:
-            details, billed = decide(edit, proposal.task, meter.left, caches)
-        except BudgetExhausted as exc:
-            exc.floor += meter.spent
-            meter.charge(meter.left)
-            exc.steps_spent = meter.spent
-            raise
+            details, billed = decide(edit, proposal.task, meter, caches)
         finally:
             edit.release()
         meter.charge(billed)
         edit.pairs[identity] = (details, billed)
         return details
+
+    @staticmethod
+    def _check_cut(edit, task: Task, meter: Meter, caches, decide, floor: int) -> None:
+        """Paranoid mode: a cut by a stored pair floor must be the judge's own."""
+        try:
+            decide(edit, task, meter, caches)
+            seen = "a verdict"
+        except BudgetExhausted as exc:
+            if exc.floor == meter.spent + floor:
+                return
+            seen = f"a cut with floor {exc.floor}"
+        finally:
+            edit.release()
+        raise AssertionError(f"pair floor {meter.spent + floor} but the judge gave {seen}")
 
     def _judge_v1(self, q, changed, proposal, meter: Meter, caches):
         return self._judge(proposal, meter, caches, self._demonstrate)
@@ -363,7 +382,7 @@ class Engine:
 
     # -- Variant I ----------------------------------------------------------
 
-    def _demonstrate(self, edit, task: Task, budget: int, caches):
+    def _demonstrate(self, edit, task: Task, meter: Meter, caches):
         report = demonstrate(
             edit.q,
             self.solver,
@@ -371,11 +390,12 @@ class Engine:
             self.repertoire,
             self.usage,
             edit.changed,
-            budget,
+            meter.left,
             paranoid=self.config.paranoid,
             novelty_cache=caches["novelty"],
             prev_runs=caches["prev"],
             edit=edit,
+            spent=meter.spent,
         )
         if not report.accepted:
             return None, report.steps_spent
@@ -430,12 +450,15 @@ class Engine:
             ledger.novelty[identity] = memo
         return memo
 
-    def _ledger_verdict(self, edit, task: Task, budget: int, _caches):
+    def _ledger_verdict(self, edit, task: Task, meter: Meter, _caches):
         new_id = task.identity()
         if self._ledger is None:
             self._ledger = self._phase_ledger()
         ledger = self._ledger
         params = ledger.params
+        # L(q) - L(s) is read only once the chain concludes, but q is
+        # released after each call, and a later call that concludes from the
+        # run tables alone would apply the script again to get it.
         if edit.size is None:
             edit.size = size_change(self.solver, *edit.applied())
 
@@ -467,7 +490,10 @@ class Engine:
             stages.append(q_stage(new_id, probe, None))
         else:
             stages.append(q_stage(known.index, probe, known.trace))
-        chain = Chain(budget, paranoid=self.config.paranoid)
+        # Every stage's run is fixed for the phase, so a cut's floor is final.
+        chain = Chain(
+            meter.left, paranoid=self.config.paranoid, spent=meter.spent, pair=(edit.pairs, new_id)
+        )
         last = len(stages) - 1
         answers = []
         for n, (live, run) in enumerate(stages):

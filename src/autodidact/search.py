@@ -21,8 +21,10 @@ exact for the reason given below, and each doubling decides a group of
 entries that share a StaticRecord, a prior and a reported floor in one go:
 a group without a floor gets static_verdict, a group with one is cut while
 its budget is below it, either kind then gets the table rule, and what is
-still undecided runs.  Decided runs write nothing that outlives them, so
-only their count matters: a group is billed count x steps, and when a
+still undecided goes entry by entry: a missing segment rejects an entry
+statically (segment verdicts), and the rest runs.  Decided runs write
+nothing that outlives them, so only their count matters: a group decided
+in bulk is billed count x steps, and when a
 winner appears mid-bucket the entries valued below it are counted, by
 bisecting a built group or, part by part, from a counted one
 (CandidateSpace.count_below).  So a group decided in bulk needs no entries,
@@ -46,6 +48,16 @@ fault is within budget is rejected, with exactly the verdict, step bill and
 reason a run would produce: a run is deterministic, bills nothing before
 those points that the record does not count, and rewinds its scratch
 writes, so skipping it is observationally identical to running it.
+
+Segment verdicts.  Where a record's walk stopped in the modifier, once its
+key passes the boundary, the run reaches the op it stopped at, the
+modifier's op ``certain - key_steps - 1``, after billing exactly
+``certain`` steps.  When that op is E_MAP(s) or E_CLONE(s) and the phase
+has no segment s (s >= len(ctx.segments), fixed for the phase), the run
+faults there with ``malformed_edit: no segment s`` (segment_verdict).  So
+an entry of a running group is rejected with that bill and reason without
+a run, one entry at a time, because s is in the entry's bits and not in
+its record; records are not split by s.
 
 The judge runs nothing twice in a phase.  Each edit script is applied to
 the phase's solver once (EditRecord, in the ``edits`` table), and each
@@ -73,6 +85,16 @@ first run that concludes the novelty stage writes the bill it was granted.
 So while the cache lacks such a task, the floor stops at the budget where
 the novelty stage first concludes; past it, the candidate runs and writes
 the entry as it would have.  Cuts inside the meta program carry no floor.
+
+Cut floors in the pair table.  A judge cut's floor, counted from the
+judge's start, is a property of its (edit script, task) pair once it is
+final for the phase: always in variant II, and in variant I once the
+novelty cache holds the task (before that the capped floor can still
+rise).  The cut then stores it in the pair's slot of EditRecord.pairs, and
+a later call on the pair with less left is cut with that floor without
+judging (Engine._judge): the stages would answer from the same runs and
+stop at the same place, and such a call writes nothing.  Paranoid mode
+judges it anyway and compares the floors.
 
 Table bills.  An append-only record (StaticRecord.append_only) walks to its
 end with no fault, no context read and no E_TRUNC, so once its key passes
@@ -121,6 +143,8 @@ from .candidates import (
 from .isa import ARG_BITS, OPCODE_BITS, TERMINATOR
 from .meta import (
     META_ISA,
+    M_E_CLONE,
+    M_E_MAP,
     M_V_DESC,
     MalformedEdit,
     MalformedTask,
@@ -223,6 +247,26 @@ def static_verdict(rec: StaticRecord, budget: int, boundary: BoundaryVerdicts):
     return None
 
 
+SEGMENT_OPS = (M_E_MAP, M_E_CLONE)
+
+
+def segment_verdict(rec: StaticRecord, modifier: tuple, segments: int):
+    """(verdict, steps, reason) when a record whose key passes the boundary
+    stops at E_MAP(s) or E_CLONE(s) with s >= ``segments``, the phase's
+    number of installed segments; else None (see Segment verdicts above).
+
+    A walk that stopped on a fault stopped at an op that is neither, and
+    one that reached its end holds neither, so for them the index is out of
+    range or names another op.
+    """
+    at = rec.certain - rec.key_steps - 1
+    if rec.key is not None and 0 <= at < len(modifier):
+        code, args = modifier[at]
+        if code in SEGMENT_OPS and args[0] >= segments:
+            return "rejected", rec.certain, f"malformed_edit: no segment {args[0]}"
+    return None
+
+
 _spaces: dict = {}
 
 
@@ -303,9 +347,11 @@ def fresh_caches() -> dict:
 
     ``edits`` maps an edit script (a tuple of edits) to its EditRecord: the
     modified solver or the edit's fault, the revalidation set, the pair
-    cache (task identity -> the judge's conclusive verdict and bill) and one
-    run of the modified solver per task at the task's whole bound.  So each
-    script is applied once per phase, and each (script, task) run once.
+    cache (task identity -> the judge's conclusive verdict and bill, or a
+    cut's floor once it is final for the phase) and one run of the modified
+    solver per task at the task's whole bound.  So each script is applied
+    once per phase, each (script, task) run once, and a pair is judged again
+    only with at least its floor left.
     ``prev`` (variant I) maps a task identity to the previous solver's run
     at the task's whole bound, and ``novelty`` to its first conclusive
     novelty verdict and step bill.  Every judge stage is answered from these
@@ -408,7 +454,8 @@ class _Unit:
     uniform mode, where P(p) = 2**-total exactly.  Each doubling decides a
     group by one rule: without a floor by static_verdict, with one as cut
     while the budget is below it, then either kind by its task's table bill;
-    what is still undecided runs.
+    of what is still undecided, each entry gets segment_verdict, and the
+    rest runs.
     """
 
     __slots__ = ("total", "live")
@@ -446,6 +493,7 @@ def oops_search(
     caches = fresh_caches()
     ctx, table_bill = problem.ctx, problem.table_bill
     boundary = BoundaryVerdicts(ctx)
+    segments = len(ctx.segments)
     units: list[_Unit] = []  # in visiting order
     deferred: dict[int, list] = {}  # adapted mode: total -> its unaffordable groups
     enumerated_upto = 3 * OPCODE_BITS - 1
@@ -534,7 +582,14 @@ def oops_search(
                 check_known(meta, *item[1:])
                 continue
             budget = budget_of(p)
-            if table_cut(rec, budget):  # the entry may be written since the visit began
+            # A running group's key passed the boundary: static_verdict or
+            # an earlier run of the group said so.
+            decided = segment_verdict(rec, i2, segments)
+            if decided is not None:
+                record, acc = CandidateRecord(*decided), None
+                if paranoid or hook is not None:
+                    check_known(meta, budget, decided, "segment verdict")
+            elif table_cut(rec, budget):  # the entry may be written since the visit began
                 record, acc = CandidateRecord("budget", budget, "budget"), None
                 if paranoid or hook is not None:
                     check_known(meta, budget, ("budget", budget, "budget"), "table verdict")

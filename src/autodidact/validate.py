@@ -148,6 +148,10 @@ def revalidate_set(usage: UsageIndex, changed: Changed) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
+# The verdict a pair-cache slot holds for a cut: its bill is then the floor.
+CUT = "cut"
+
+
 class EditRecord:
     """One edit script applied to the phase's solver, and what judging it ran.
 
@@ -156,9 +160,11 @@ class EditRecord:
     holds the rejection reason for the error it raised.  ``todo`` is the sorted
     revalidation set and ``size`` is L(q) - L(s), each filled on first use.
     ``pairs`` maps a task identity to the judge's conclusive verdict and
-    bill (the pair cache), and ``runs`` holds one run_record of q per task
-    at the task's whole bound, keyed by task identity for a proposed task
-    and by repertoire index for a stored one.
+    bill (the pair cache), or to (CUT, floor) once a judge cut of that pair
+    had a floor that is final for the phase: the least budget, counted from
+    the judge's start, under which the pair concludes.  ``runs`` holds one
+    run_record of q per task at the task's whole bound, keyed by task
+    identity for a proposed task and by repertoire index for a stored one.
 
     The tables outlive q: a record made with ``apply`` may release q and
     changed, and applied() rebuilds them from ``script`` and ``base``, the
@@ -235,16 +241,30 @@ class Chain:
     bill under theirs.  ``floor`` is the least budget under which the chain
     so far concludes and ``least`` what it bills there; both start at
     ``billed``, a bill already read off a cache, which is charged first.
+
+    ``spent`` is what the candidate was billed before the judge, so a cut is
+    raised once, with its floor counted from the candidate's start.  ``pair``
+    is the pair-cache slot, (EditRecord.pairs, task identity), in which a cut
+    stores its floor; pass it only when that floor is final for the phase.
     """
 
-    __slots__ = ("budget", "left", "cut", "floor", "least", "paranoid")
+    __slots__ = ("budget", "left", "cut", "floor", "least", "paranoid", "spent", "pair")
 
-    def __init__(self, budget: int, billed: int = 0, paranoid: bool = False):
+    def __init__(
+        self,
+        budget: int,
+        billed: int = 0,
+        paranoid: bool = False,
+        spent: int = 0,
+        pair: Optional[tuple] = None,
+    ):
         self.budget = budget
         self.cut = billed > budget
         self.left = budget if self.cut else budget - billed
         self.floor = self.least = billed
         self.paranoid = paranoid
+        self.spent = spent
+        self.pair = pair
 
     def stage(self, run: tuple, live, bound: int, last: bool = True) -> tuple:
         """The next stage's (success, steps billed), its floor stacked.
@@ -263,10 +283,17 @@ class Chain:
             self.cut = True
         return run[2], 0
 
-    def conclude(self, floor: Optional[int] = None) -> int:
-        """Steps the chain billed; a cut raises BudgetExhausted with its floor."""
+    def conclude(self, cap: Optional[int] = None) -> int:
+        """Steps the chain billed; a cut raises BudgetExhausted with its floor,
+        or with ``cap`` where a table entry the run would write depends on
+        its grant (such a floor is never stored)."""
         if self.cut:
-            raise BudgetExhausted(self.budget, self.floor if floor is None else floor)
+            if cap is None:
+                cap = self.floor
+                if self.pair is not None:
+                    pairs, identity = self.pair
+                    pairs[identity] = (CUT, cap)
+            raise BudgetExhausted(self.spent + self.budget, self.spent + cap)
         return self.budget - self.left
 
 
@@ -307,6 +334,7 @@ def demonstrate(
     novelty_cache: Optional[dict] = None,
     prev_runs: Optional[dict] = None,
     edit: Optional[EditRecord] = None,
+    spent: int = 0,
 ) -> ValidationReport:
     """Run the full acceptance obligation for candidate q against task.
 
@@ -324,11 +352,13 @@ def demonstrate(
     last for this call only.
 
     The stages run as one Chain, so a cut carries its floor, the least
-    budget under which the whole chain concludes.  Once the cache holds the
-    task, the chain starts at the cached bill.  One exception: while the
-    cache lacks the task, a novelty run that faults bills its whole grant,
-    and the first run to conclude writes that bill to the cache; so the
-    floor stops where the novelty stage concludes.
+    budget under which the whole chain concludes, counted from ``spent``,
+    what the candidate was billed before the judge.  Once the cache holds
+    the task, the chain starts at the cached bill, and its floor is final
+    for the phase, so a cut stores it in the pair's slot of ``edit.pairs``.
+    One exception: while the cache lacks the task, a novelty run that
+    faults bills its whole grant, and the first run to conclude writes that
+    bill to the cache; so the floor stops where the novelty stage concludes.
     Only an accepted report carries the new task's SolveReport, its trace
     and the revalidation reports, from live runs of the winner.
     """
@@ -345,7 +375,7 @@ def demonstrate(
     identity = task.identity()
     hit = novelty_cache.get(identity)
     if hit is None:
-        chain = Chain(budget, paranoid=paranoid)
+        chain = Chain(budget, paranoid=paranoid, spent=spent)
         live = lambda b: solves(s_prev, task, b)[0]  # noqa: E731
         run = table_run(prev_runs, identity, live)
         prev_solves, billed = chain.stage(run, live, task.t)
@@ -355,7 +385,7 @@ def demonstrate(
             cap = max(1, run[1])
     if hit is not None:  # this and later runs bill what the cache holds
         prev_solves, billed = hit
-        chain = Chain(budget, billed, paranoid)
+        chain = Chain(budget, billed, paranoid, spent, pair=(edit.pairs, identity))
 
     # Then q on the new task, then every stored task the edit may touch, in
     # order; the chain stops at its first failure.

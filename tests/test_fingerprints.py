@@ -85,20 +85,28 @@ SCENARIO_IDS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "overrides, digest, replayed",
-    [(o, d, REPLAY_OUTPUTS.get(name)) for (o, d), name in zip(ARCHIVE_DIGESTS, SCENARIO_IDS)],
-    ids=SCENARIO_IDS,
-)
-def test_archive_bytes_match_the_recorded_digest(tmp_path, overrides, digest, replayed):
+def _grow(tmp_path, overrides) -> RunConfig:
     cfg = RunConfig(
         archive_path=str(tmp_path / "archive.jsonl"),
         metrics_path=str(tmp_path / "metrics.csv"),
         **overrides,
     )
     Engine(cfg).run()
-    data = Path(cfg.archive_path).read_bytes()
-    assert hashlib.sha256(data).hexdigest()[:16] == digest
+    return cfg
+
+
+def _digest(cfg: RunConfig) -> str:
+    return hashlib.sha256(Path(cfg.archive_path).read_bytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "overrides, digest, replayed",
+    [(o, d, REPLAY_OUTPUTS.get(name)) for (o, d), name in zip(ARCHIVE_DIGESTS, SCENARIO_IDS)],
+    ids=SCENARIO_IDS,
+)
+def test_archive_bytes_match_the_recorded_digest(tmp_path, overrides, digest, replayed):
+    cfg = _grow(tmp_path, overrides)
+    assert _digest(cfg) == digest
     if replayed is None:
         return
     counters, files = replayed
@@ -114,3 +122,14 @@ def test_archive_bytes_match_the_recorded_digest(tmp_path, overrides, digest, re
     write_report(cfg.archive_path, out)
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in out.iterdir()}
     assert written == files
+
+
+# Paranoid mode runs every candidate the scheduler decides without a run,
+# and every judge answer read off a table or a stored pair floor, live, and
+# raises on any difference; so at scenario scale each decision made without
+# a run is checked against a run, and the archive bytes must not move.  One
+# scenario per variant.
+@pytest.mark.parametrize("name", ["v2-grid-4", "v1-mixed-adapted-6"])
+def test_paranoid_runs_write_the_recorded_digest(tmp_path, name):
+    overrides, digest = ARCHIVE_DIGESTS[SCENARIO_IDS.index(name)]
+    assert _digest(_grow(tmp_path, {**overrides, "paranoid": True})) == digest

@@ -39,6 +39,7 @@ from autodidact.search import (
     ceil_fraction,
     max_affordable_bits,
     oops_search,
+    segment_verdict,
     static_verdict,
     stochastic_search,
     try_candidate,
@@ -418,10 +419,12 @@ DUPLICATE = "malformed_task: task already in the repertoire"
 
 def _context(name):
     if name == "empty":
-        return make_ctx(), False, 38, {"budget"} | EDIT_FAULTS | TASK_FAULTS
+        expected = {"budget", "malformed_edit: no segment 0"} | EDIT_FAULTS | TASK_FAULTS
+        return make_ctx(), False, 38, expected
     if name == "mid_run":
         untightenable = "malformed_task: tightened bound fell below 1"
-        expected = {"budget", DUPLICATE, untightenable} | EDIT_FAULTS | TASK_FAULTS
+        no_segment = "malformed_edit: no segment 2"
+        expected = {"budget", DUPLICATE, untightenable, no_segment} | EDIT_FAULTS | TASK_FAULTS
         return mid_run_ctx(), False, 38, expected
     if name == "external":
         ctx = make_ctx()
@@ -442,7 +445,10 @@ def _entries_with_records(space, total):
 # Bucket sizes grow about 1.5x per bit; the limits keep each context near a
 # second while covering every op: E_TPLC first fits a self-inventing
 # candidate at 37 bits, and E_SET on an empty solver followed by a directive
-# (RD_SIZE MDUP E_SET, V_DESC) an external one at 35.
+# (RD_SIZE MDUP E_SET, V_DESC) an external one at 35.  Where the record
+# leaves the run undecided, the entry-level segment verdict is checked too:
+# the empty context has no segment and mid_run two, so segment 0 is missing
+# in one and segment 2 in the other.
 @pytest.mark.parametrize("context", ["empty", "mid_run", "external", "external_known"])
 def test_static_verdicts_equal_executed_records(context):
     ctx, external, max_bits, expected = _context(context)
@@ -457,6 +463,8 @@ def test_static_verdicts_equal_executed_records(context):
             meta = MetaProgram(BitString(v, total), i1, i2, i3)
             for budget in range(1, rec.certain + 2):
                 decided = static_verdict(rec, budget, boundary)
+                if decided is None:
+                    decided = segment_verdict(rec, i2, len(ctx.segments))
                 if decided is None:
                     continue
                 record, acc = try_candidate(meta, problem, budget)
@@ -649,10 +657,13 @@ def _classified_run(tmp_path, monkeypatch, name, **overrides):
     Returns (archive bytes, per-phase stats, visits): each visit is
     (phase, code, budget, (verdict, steps, reason), kind) with kind
     "executed", "static" (a bulk StaticRecord verdict), "parked" (cut
-    below the floor an earlier run of the same candidate reported) or
-    "table" (an append-only candidate whose task's novelty bill was in a
-    table at its turn and more than its budget leaves).  No candidate that
-    the table rule decides may run.
+    below the floor an earlier run of the same candidate reported),
+    "segment" (a run that would fault on a missing segment at the op its
+    record's walk stopped at) or "table" (an append-only candidate whose
+    task's novelty bill was in a table at its turn and more than its budget
+    leaves).  No candidate that the table or the segment rule decides may
+    run: a run that faults on a missing segment after exactly ``certain``
+    steps faulted at that op.
     """
     calls, executed, phases, ctxs = [], [], [], []
     real_try, real_search = search.try_candidate, search.oops_search
@@ -666,6 +677,8 @@ def _classified_run(tmp_path, monkeypatch, name, **overrides):
             if owed is not None and task.entry_key not in ctx.solver.frozen_entry_keys:
                 assert rec.certain + owed <= budget, ("ran a table-decided candidate", budget)
         record, acc = real_try(meta, problem, budget, caches)
+        if not problem.paranoid and record.reason.startswith("malformed_edit: no segment"):
+            assert record.steps != rec.certain, ("ran a segment-decided candidate", record)
         executed.append((len(phases), meta.code, budget, record.floor))
         return record, acc
 
@@ -708,10 +721,13 @@ def _classified_run(tmp_path, monkeypatch, name, **overrides):
             assert undone == 0
             rec = static_record(meta.inventor, meta.modifier, meta.directives)
             floor = last_floor.get((phase, code))
+            segments = len(ctxs[phase].ctx.segments)
             if static_verdict(rec, budget, ctxs[phase]) is not None:
                 kind = "static"
             elif floor is not None and floor > budget:
                 kind = "parked"
+            elif segment_verdict(rec, meta.modifier, segments) is not None:
+                kind = "segment"
             else:
                 assert rec.append_only, code.to_hex()
                 kind = "table"
@@ -720,7 +736,7 @@ def _classified_run(tmp_path, monkeypatch, name, **overrides):
         return fh.read(), phases, visits
 
 
-KINDS = ("executed", "static", "parked", "table")
+KINDS = ("executed", "static", "parked", "segment", "table")
 
 
 # Every judge cut carries a floor, so every run parks some candidates.  In
@@ -744,9 +760,11 @@ def test_bulk_and_parked_verdicts_equal_paranoid_executions(
     kinds = {kind: sum(1 for v in visits if v[4] == kind) for kind in KINDS}
     assert {kind for kind, n in kinds.items() if n} == kinds_seen, kinds
     assert kinds["executed"] < kinds["static"]
-    for phase, _code, budget, (verdict, steps, _reason), kind in visits:
+    for phase, _code, budget, (verdict, steps, reason), kind in visits:
         if kind in ("parked", "table"):
             assert (verdict, steps) == ("budget", budget)
+        if kind == "segment":
+            assert verdict == "rejected" and reason.startswith("malformed_edit: no segment")
 
     # Paranoid mode runs every candidate, decided or not, and raises on any
     # mismatch; the records it runs must be the ones billed without a run.
@@ -909,8 +927,8 @@ def test_a_winner_late_in_its_bucket_bills_the_counted_groups_before_it(monkeypa
     assert sum(counts) > 0
 
 
-def _judging_engine(tmp_path, variant, rng):
-    """A paranoid engine on a built repertoire, with tasks to propose.
+def _judging_engine(tmp_path, variant, rng, paranoid=True):
+    """An engine, paranoid by default, on a built repertoire, with tasks to propose.
 
     Two of the new tasks are routed at code the previous solver times out
     or faults on (at step 5); variant II also re-proposes two stored tasks.
@@ -924,7 +942,7 @@ def _judging_engine(tmp_path, variant, rng):
         domain="mixed",
         max_tasks=0,
         alpha=Fraction(3, 2),
-        paranoid=True,
+        paranoid=paranoid,
         archive_path=str(tmp_path / "a.jsonl"),
         metrics_path=str(tmp_path / "m.csv"),
     )
@@ -1027,6 +1045,69 @@ def test_judge_cuts_on_a_built_repertoire_have_exact_floors(tmp_path, variant):
         seen["cut"] += 1
     assert seen["cut"] > 50 and seen["concluded"] > 50, seen
     assert (seen["capped"] > 5) == (variant == "I"), seen
+
+
+def _table_state(caches: dict) -> tuple:
+    """Every entry of the phase's tables, as plain values."""
+    edits = {
+        script: (record.fault, record.todo, record.size, dict(record.pairs), dict(record.runs))
+        for script, record in caches["edits"].items()
+    }
+    return edits, dict(caches["prev"]), dict(caches["novelty"])
+
+
+@pytest.mark.parametrize("variant", ["I", "II"])
+def test_a_repeated_pair_below_its_stored_floor_is_cut_with_it(tmp_path, monkeypatch, variant):
+    # A judge cut whose floor is final for the phase stores it in its pair's
+    # slot: always in variant II, and in variant I once the novelty cache
+    # holds the task.  A later call on that pair with less left is cut with
+    # that floor, counted from the candidate's start, without judging: it
+    # runs no stage and writes no table entry, and a live judge on the same
+    # tables gives the same floor.  With the floor left, the pair is judged
+    # and concludes.
+    from autodidact.meta import Meter
+    from autodidact.validate import CUT
+
+    rng = random.Random(50)
+    eng, proposed = _judging_engine(tmp_path, variant, rng, paranoid=False)
+    judge = eng._judge_v1 if variant == "I" else eng._judge_v2
+    name = "_demonstrate" if variant == "I" else "_ledger_verdict"
+    decide, decided = getattr(eng, name), []
+    monkeypatch.setattr(eng, name, lambda *args: decided.append(args) or decide(*args))
+    stored = unstored = 0
+    for proposal, budget, caches in _judge_calls(eng, proposed, rng, 400):
+        floor = _judge(eng, proposal, budget, caches)[1]
+        if floor is None:
+            continue
+        identity = proposal.task.identity()
+        edit = caches["edits"][tuple(proposal.edits)]
+        if variant == "I" and identity not in caches["novelty"]:
+            assert identity not in edit.pairs
+            unstored += 1
+            continue
+        verdict, billed = edit.pairs[identity]
+        if verdict is not CUT:  # a pair-cache hit, cut at its bill
+            assert billed == floor
+            continue
+        assert billed == floor
+        for spent in (0, 5):
+            meter = Meter(spent + floor - 1)
+            meter.charge(spent)
+            tables, runs = _table_state(caches), len(decided)
+            with pytest.raises(BudgetExhausted) as cut:
+                judge(None, None, proposal, meter, caches)
+            assert cut.value.floor == spent + floor
+            assert len(decided) == runs and _table_state(caches) == tables
+            meter = Meter(spent + floor - 1)
+            meter.charge(spent)
+            with pytest.raises(BudgetExhausted) as live:
+                decide(edit, proposal.task, meter, _copy_tables(caches))
+            assert live.value.floor == spent + floor
+        judge(None, None, proposal, Meter(floor), _copy_tables(caches))  # no cut
+        assert len(decided) == runs + 1
+        stored += 1
+    assert stored > 30, stored
+    assert (unstored > 5) == (variant == "I"), unstored
 
 
 @pytest.mark.parametrize("variant", ["I", "II"])
