@@ -3,9 +3,12 @@
 Cost(s, TSET) = L(s) + alpha * sum over T of (t'(T) - r(T)), with t' clamped
 to t_max for unsolved tasks and r the novelty or user reward.  ``contribution``
 and ``cost`` are the only code that turns a task's measure into r and its
-term; the judge, its paranoid check and the audit all call them.  All
-arithmetic is exact rational so the strict acceptance inequality can never
-flip on rounding, and stored ledgers can be reproduced bit for bit from the
+term; the judge, its paranoid check and the audit all call them.  The
+ledger is exact in integers: L(s), t', r and so every term t' - r are
+integers, and only alpha, epsilon, c and c* are rationals (Fractions).  The
+judge decides c* - c > epsilon with ``saves``, in integers scaled by the
+denominators of alpha and epsilon, so the strict inequality can never flip
+on rounding, and stored ledgers can be reproduced bit for bit from the
 archive.
 """
 
@@ -111,23 +114,23 @@ def task_with_cost_bounds(task: Task, params: CostParams) -> Task:
     return PatternTask(task.i1, task.i2, task.o, params.t_max, big_n)
 
 
-def reward(measure: TaskMeasure, identity: str, origins: dict, params: CostParams) -> Fraction:
+def reward(measure: TaskMeasure, identity: str, origins: dict, params: CostParams) -> int:
     """r(T): r_new for a solved task the system invented, the user's reward
-    for a solved external task, nothing for an unsolved one.
+    for a solved external task (an integer), nothing for an unsolved one.
 
     ``origins`` maps task identity to "self" or "external"; a missing
     identity is self-invented.
     """
     if not measure.solved:
-        return Fraction(0)
+        return 0
     if origins.get(identity, "self") == "external":
-        return Fraction(params.external_rewards.get(identity, 0))
-    return Fraction(params.r_new)
+        return params.external_rewards.get(identity, 0)
+    return params.r_new
 
 
-def contribution(measure: TaskMeasure, identity: str, origins: dict, params: CostParams) -> Fraction:
-    """One task's term of the ledger, t' - r(T)."""
-    return Fraction(measure.t_prime(params)) - reward(measure, identity, origins, params)
+def contribution(measure: TaskMeasure, identity: str, origins: dict, params: CostParams) -> int:
+    """One task's term of the ledger, the integer t' - r(T)."""
+    return measure.t_prime(params) - reward(measure, identity, origins, params)
 
 
 def cost(
@@ -137,10 +140,22 @@ def cost(
     params: CostParams,
 ) -> Fraction:
     """L(s) + alpha * sum of per-task (t' - r); empty task set costs L(s)."""
-    total = Fraction(solver.size_bits)
-    for identity, m in measures.items():
-        total += params.alpha * contribution(m, identity, origins, params)
-    return total
+    terms = sum(contribution(m, identity, origins, params) for identity, m in measures.items())
+    return Fraction(solver.size_bits) + params.alpha * terms
+
+
+def saves(size_change: int, moved: int, params: CostParams) -> bool:
+    """c* - c > epsilon, decided in integers.
+
+    A candidate q differs from s in L(q) - L(s) (``size_change``) and in the
+    terms of the tasks measured again, whose new terms sum to ``moved`` more
+    than their old ones, so c* - c = -(size_change + alpha * moved).  With
+    alpha = a/b and epsilon = e/f, multiplying the inequality by b * f > 0
+    leaves only integers.
+    """
+    alpha, epsilon = params.alpha, params.epsilon
+    b, f = alpha.denominator, epsilon.denominator
+    return (size_change * b + alpha.numerator * moved) * f + epsilon.numerator * b < 0
 
 
 def parse_ratio(text: str) -> Fraction:

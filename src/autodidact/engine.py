@@ -31,6 +31,7 @@ from .costs import (
     contribution,
     cost,
     measure_task,
+    saves,
     task_with_cost_bounds,
 )
 from .meta import MetaContext, Meter, ScratchStore
@@ -101,7 +102,7 @@ class PhaseLedger:
     params: CostParams
     origins: dict  # task identity -> "self" | "external"
     base: Fraction  # cost(s, every repertoire task)
-    contrib: dict  # identity -> contribution under s
+    contrib: dict  # identity -> contribution under s, an int
     items: dict  # identity -> RepertoireItem
     probes: dict  # identity -> task_with_cost_bounds(task)
     novelty: dict = field(default_factory=dict)  # identity -> (probe, run at t_max, contrib)
@@ -456,11 +457,6 @@ class Engine:
             self._ledger = self._phase_ledger()
         ledger = self._ledger
         params = ledger.params
-        # L(q) - L(s) is read only once the chain concludes, but q is
-        # released after each call, and a later call that concludes from the
-        # run tables alone would apply the script again to get it.
-        if edit.size is None:
-            edit.size = size_change(self.solver, *edit.applied())
 
         def q_stage(key, probe, trace):
             live = lambda b: measure_task(edit.applied()[0], probe, params, trace, b)[2]  # noqa: E731
@@ -477,12 +473,11 @@ class Engine:
         stages = []
         if known is None:
             probe, run, contrib_prev = self._novelty(ledger, task)
-            c_star = ledger.base + params.alpha * contrib_prev
             live = lambda b: measure_task(self.solver, probe, params, None, b)[2]  # noqa: E731
             stages.append((live, run))
         else:
             m_prev, contrib_prev = self.cost_measures[new_id], ledger.contrib[new_id]
-            probe, c_star = ledger.probes[new_id], ledger.base
+            probe = ledger.probes[new_id]
         redone = [self.repertoire[j - 1] for j in edit.revalidation(self.usage)]
         for item in redone:
             stages.append(q_stage(item.index, ledger.probes[item.task.identity()], item.trace))
@@ -506,16 +501,29 @@ class Engine:
         measures[new_id] = found[-1]
 
         # Every other task keeps its contribution, so c differs from c* only
-        # in L(q) - L(s) and in the tasks measured again.
+        # in L(q) - L(s) and in the tasks measured again; saves() decides
+        # c* - c > epsilon from those two integers.  L(q) - L(s) is worked
+        # out from the script, once per edit, by the first call to conclude.
+        if edit.size is None:
+            edit.size = size_change(self.solver, edit.script)
         moved = sum(
             contribution(m, identity, ledger.origins, params)
             - ledger.contrib.get(identity, contrib_prev)
             for identity, m in measures.items()
         )
+        accepted = saves(edit.size, moved, params)
+        if not (accepted or self.config.paranoid):
+            return None, billed
+        # c* is the ledger with the new task in it, c the same under q; an
+        # accepted entry records both, and paranoid mode checks them.
+        c_star = ledger.base
+        if known is None:
+            c_star += params.alpha * contrib_prev
         c = c_star + edit.size + params.alpha * moved
         if self.config.paranoid:
-            self._check_ledger(ledger, edit.applied()[0], new_id, m_prev, measures, c, c_star)
-        if c_star - c <= params.epsilon:
+            q = edit.applied()[0]
+            self._check_ledger(ledger, q, new_id, m_prev, measures, c, c_star, accepted)
+        if not accepted:
             return None, billed
 
         # Accepted: the winner's runs again, live, for what the run table
@@ -553,8 +561,9 @@ class Engine:
         )
         return details, billed
 
-    def _check_ledger(self, ledger, q, new_id, m_prev, measures, c, c_star) -> None:
-        """Paranoid mode: the phase ledger must equal the full cost() sums."""
+    def _check_ledger(self, ledger, q, new_id, m_prev, measures, c, c_star, accepted) -> None:
+        """Paranoid mode: the phase ledger must equal the full cost() sums,
+        and the integer verdict the Fraction one."""
         params, origins = ledger.params, ledger.origins
         star = dict(self.cost_measures)
         star.setdefault(new_id, m_prev)
@@ -562,6 +571,8 @@ class Engine:
         full = [cost(q, q_measures, origins, params), cost(self.solver, star, origins, params)]
         if full != [c, c_star]:
             raise AssertionError(f"phase ledger gave c={c} c*={c_star}, full cost() {full}")
+        if accepted != (c_star - c > params.epsilon):
+            raise AssertionError(f"integer verdict {accepted} but c={c} c*={c_star}")
 
     # -- commit ----------------------------------------------------------------
 

@@ -428,7 +428,7 @@ def try_candidate(
     except BudgetExhausted as exc:
         record = CandidateRecord("budget", budget, "budget", exc.floor)
     finally:
-        undone = undo_storage(ctx.scratch)
+        undone = undo_storage(ctx.scratch) if ctx.scratch.journal else 0
     if problem.paranoid and ctx.scratch.digest() != digest_before:
         raise AssertionError("scratch storage not restored bit-exactly")
     if problem.on_candidate is not None:
@@ -488,6 +488,7 @@ def oops_search(
     prior = problem.prior
     uniform = not prior.adapted
     paranoid, hook = problem.paranoid, problem.on_candidate
+    see = paranoid or hook is not None  # every entry decided without a run must be seen
     t_lim = 1
     stats.t_lim_trace.append(t_lim)
     caches = fresh_caches()
@@ -499,9 +500,9 @@ def oops_search(
     enumerated_upto = 3 * OPCODE_BITS - 1
 
     def table_cut(rec: StaticRecord, budget: int) -> bool:
-        """True when the record is append-only and its task's table bill,
-        if a table holds it yet, is more than the budget leaves."""
-        if not rec.append_only or table_bill is None:
+        """For an append-only record: True when its task's table bill, if a
+        table holds it yet, is more than the budget leaves."""
+        if table_bill is None:
             return False
         task = boundary[rec.key][0]
         # apply_modification may refuse the automatic SetEntry of a frozen key.
@@ -545,9 +546,12 @@ def oops_search(
             # exactly ceil(2**-total * t_lim).
             return t_lim >> total if p is None else ceil_fraction(p * t_lim)
 
+        def program(entry: tuple) -> MetaProgram:
+            return MetaProgram(BitString(entry[0], total), *entry[1:])
+
         # known: (group, budget, (verdict, steps, reason), what decided it)
         known: list = []
-        runs: list = []  # groups left undecided
+        runs: list = []  # (group, budget) of the groups left undecided
         live: list = []  # groups decided "budget", live at the next doubling
         for group in unit.live:
             rec, p, _members, floor = group
@@ -558,10 +562,10 @@ def oops_search(
                 decided, what = ("budget", budget, "budget"), "parked below its floor"
             else:
                 decided = None
-            if decided is None and table_cut(rec, budget):
+            if decided is None and rec.append_only and table_cut(rec, budget):
                 decided, what = ("budget", budget, "budget"), "table verdict"
             if decided is None:
-                runs.append(group)
+                runs.append((group, budget))
                 continue
             known.append((group, budget, decided, what))
             if decided[0] == "budget":
@@ -569,32 +573,31 @@ def oops_search(
         # Only groups that run, or every group when every entry must be
         # seen, are built.  A bucket's entries share one length, so value
         # order is shortlex order, and no two share a value, so the sort
-        # compares the int values alone.
-        visits = [(e[0], e, g[1], g[0], None) for g in runs for e in entries_of(total, g)]
-        if paranoid or hook is not None:
+        # compares the int values alone.  A group's entries share its
+        # budget, and an entry gets its MetaProgram only when it runs or
+        # must be seen.
+        visits = [(e[0], e, g, budget, None) for g, budget in runs for e in entries_of(total, g)]
+        if see:
             visits += [(e[0], e, None, None, k) for k in known for e in entries_of(total, k[0])]
         visits.sort()
         cut: dict = {}  # (record, prior, floor) -> the entries cut at their turn
-        for v, entry, p, rec, item in visits:
-            _v, i1, i2, i3 = entry
-            meta = MetaProgram(BitString(v, total), i1, i2, i3)
+        for v, entry, group, budget, item in visits:
             if item is not None:
-                check_known(meta, *item[1:])
+                check_known(program(entry), *item[1:])
                 continue
-            budget = budget_of(p)
+            rec = group[0]
             # A running group's key passed the boundary: static_verdict or
             # an earlier run of the group said so.
-            decided = segment_verdict(rec, i2, segments)
-            if decided is not None:
-                record, acc = CandidateRecord(*decided), None
-                if paranoid or hook is not None:
-                    check_known(meta, budget, decided, "segment verdict")
-            elif table_cut(rec, budget):  # the entry may be written since the visit began
-                record, acc = CandidateRecord("budget", budget, "budget"), None
-                if paranoid or hook is not None:
-                    check_known(meta, budget, ("budget", budget, "budget"), "table verdict")
+            decided, what = segment_verdict(rec, entry[2], segments), "segment verdict"
+            if decided is None and rec.append_only and table_cut(rec, budget):
+                # The entry may be written since the visit began.
+                decided, what = ("budget", budget, "budget"), "table verdict"
+            if decided is None:
+                record, acc = try_candidate(program(entry), problem, budget, caches)
             else:
-                record, acc = try_candidate(meta, problem, budget, caches)
+                record, acc = CandidateRecord(*decided), None
+                if see:
+                    check_known(program(entry), budget, decided, what)
             stats.candidates_run += 1
             stats.steps_total += record.steps
             if record.steps > budget:
@@ -604,7 +607,7 @@ def oops_search(
                 stats.t_lim = t_lim
                 return acc
             if record.verdict == "budget":
-                cut.setdefault((rec, p, record.floor), []).append(entry)
+                cut.setdefault((rec, group[1], record.floor), []).append(entry)
         bill(total, known, None)
         live.extend((rec, p, entries, floor) for (rec, p, floor), entries in cut.items())
         unit.live = live

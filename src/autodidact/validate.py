@@ -54,7 +54,7 @@ class BudgetExhausted(Exception):
 class RepertoireItem:
     """Working state for one learned task."""
 
-    index: int  # 1-based phase index
+    index: int  # 1-based position in the repertoire
     task: object
     trace: Optional[Trace]  # decision tasks only
     components_used: frozenset = frozenset()
@@ -158,7 +158,9 @@ class EditRecord:
     Built once per script and phase, on the first candidate that proposes
     it.  ``q`` and ``changed`` are apply_modification's result, or ``fault``
     holds the rejection reason for the error it raised.  ``todo`` is the sorted
-    revalidation set and ``size`` is L(q) - L(s), each filled on first use.
+    revalidation set, filled on first use, and ``size`` is L(q) - L(s),
+    filled from the script (vm.size_change) by the first judge call on the
+    edit that concludes.
     ``pairs`` maps a task identity to the judge's conclusive verdict and
     bill (the pair cache), or to (CUT, floor) once a judge cut of that pair
     had a floor that is final for the phase: the least budget, counted from
@@ -396,10 +398,9 @@ def demonstrate(
         report.solves_new = chain.stage(table_run(edit.runs, identity, live), live, task.t)[0]
     if report.solves_new:
         todo = edit.revalidation(usage)
-        by_index = {item.index: item for item in repertoire} if todo else {}
         report.preserved = True
         for j in todo:
-            item = by_index[j]
+            item = repertoire[j - 1]  # an item's index is its 1-based position
             done.append(j)
             live = lambda b, item=item: preservation_run(edit.applied()[0], item, b)[0]  # noqa: E731
             if not chain.stage(table_run(edit.runs, j, live), live, item.task.t)[0]:
@@ -412,7 +413,7 @@ def demonstrate(
         q = edit.applied()[0]
         report.new_outcome, report.new_trace = solves(q, task)
         for j in done:
-            report.revalidation_reports[j] = preservation_run(q, by_index[j])[0]
+            report.revalidation_reports[j] = preservation_run(q, repertoire[j - 1])[0]
         if paranoid and not full_revalidation(q, repertoire):
             raise AssertionError(
                 "incremental revalidation accepted a candidate the full oracle rejects"

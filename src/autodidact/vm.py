@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bits import BitString
 from .codec import decode, encode, program_bits
@@ -174,24 +174,27 @@ EMPTY_SOLVER = SolverProgram()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SetSlot:
+# Edit ops are NamedTuples, so an edit script, a tuple of ops, hashes and
+# compares in C when the phase looks it up.  Ops of different kinds never
+# compare equal, because their fields differ in type: SetSlot's index is an
+# int where SetEntry's key is a str, and Append's instruction a tuple where
+# Truncate's new_len is an int.
+
+
+class SetSlot(NamedTuple):
     index: int  # 0-based slot
     instruction: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Append:
+class Append(NamedTuple):
     instruction: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Truncate:
+class Truncate(NamedTuple):
     new_len: int
 
 
-@dataclass(frozen=True, slots=True)
-class SetEntry:
+class SetEntry(NamedTuple):
     key: str  # identifier bits in "len:hex" form
     slot: int
 
@@ -290,19 +293,39 @@ def apply_modification(prev: SolverProgram, edits) -> tuple[SolverProgram, Chang
     return new_program, Changed(frozenset(changed_slots), frozenset(changed_keys))
 
 
-def size_change(prev: SolverProgram, new: SolverProgram, changed: Changed) -> int:
-    """new.size_bits - prev.size_bits for new, changed = apply_modification(prev, ...).
+def size_change(prev: SolverProgram, edits) -> int:
+    """L(q) - L(prev) for q = apply_modification(prev, edits)[0], without building q.
 
-    Every slot outside ``changed.slots`` holds the same instruction in both
-    programs, so the work is in proportion to the edit, not to the solver.
+    Only for a script that apply_modification accepts.  The slots the script
+    writes are tracked over prev's, and a truncation drops what lies past
+    it, so the work is in proportion to the edit, not to the solver: every
+    slot below the lowest truncation that the script does not write keeps
+    its instruction, and every slot at or past it that q has was appended.
     """
-    old_slots, new_slots = prev.instructions, new.instructions
-    delta = ENTRY_BITS * (len(new.entries) - len(prev.entries))
-    for k in changed.slots:
-        if k <= len(new_slots):
-            delta += SOLVER_ISA.width(new_slots[k - 1][0])
-        if k <= len(old_slots):
-            delta -= SOLVER_ISA.width(old_slots[k - 1][0])
+    width = SOLVER_ISA.width
+    old = prev.instructions
+    length = low = len(old)
+    written: dict = {}  # 0-based slot -> the instruction last written there
+    new_keys = set()
+    for op in edits:
+        if isinstance(op, SetSlot):
+            written[op.index] = op.instruction
+        elif isinstance(op, Append):
+            written[length] = op.instruction
+            length += 1
+        elif isinstance(op, Truncate):
+            length = op.new_len
+            low = min(low, length)
+            written = {k: v for k, v in written.items() if k < length}
+        elif op.key not in prev.entries:
+            new_keys.add(op.key)
+    delta = ENTRY_BITS * len(new_keys)
+    for k in range(low, len(old)):
+        delta -= width(old[k][0])
+    for k, instruction in written.items():
+        delta += width(instruction[0])
+        if k < low:
+            delta -= width(old[k][0])
     return delta
 
 

@@ -11,6 +11,7 @@ from autodidact.costs import (
     cost,
     measure_task,
     parse_ratio,
+    saves,
 )
 from autodidact.bits import nibble
 from autodidact.grid import WORLDS
@@ -79,6 +80,61 @@ def test_acceptance_boundary_is_strict():
     # savings of exactly epsilon are rejected: the rule is c* - c > epsilon
     assert not (Fraction(1) > params.epsilon)
     assert Fraction(101, 100) > params.epsilon
+
+
+def solver_of_exact_bits(n_bits):
+    # HALT is 5 bits and PUSH k 9, plus the 5-bit terminator; 5a + 9b covers
+    # every size from 32 bits on.
+    for pushes in range(5):
+        halts, rest = divmod(n_bits - 5 - 9 * pushes, 5)
+        if rest == 0 and halts >= 0:
+            solver = SolverProgram(((2, (1,)),) * pushes + ((1, ()),) * halts)
+            assert solver.size_bits == n_bits
+            return solver
+    raise ValueError(n_bits)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(1, 3), Fraction(8)])
+@pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 2), Fraction(5, 3)])
+def test_the_integer_verdict_equals_the_fraction_ledger(alpha, epsilon):
+    # saves(L(q) - L(s), moved, params) decides c* - c > epsilon, with c and
+    # c* summed by cost() in Fractions: self-invented and external tasks
+    # (rewards given or not), solved and unsolved, under s and under q, with
+    # q smaller or larger than s.  Half the trials size q so that c* - c
+    # lands on epsilon or within a step of it, where a scaling slip flips
+    # the verdict.
+    rng = random.Random(20261019)
+    rewards = {"e0": 7, "e1": 30, "e2": 0}
+    params = CostParams(alpha=alpha, epsilon=epsilon, t_max=20, r_new=25, external_rewards=rewards)
+    idents = ["s0", "s1", "s2", "e0", "e1", "e2", "e3"]
+    origins = {i: "external" if i.startswith("e") else "self" for i in idents}
+
+    def measure():
+        return TaskMeasure(rng.random() < 0.6, rng.randrange(params.t_max + 1), 0)
+
+    seen = {"shrinks": 0, "saved": 0, "not_saved": 0, "beside_epsilon": 0}
+    for trial in range(200):
+        before = {i: measure() for i in rng.sample(idents, rng.randrange(1, len(idents) + 1))}
+        after = dict(before)
+        for i in rng.sample(sorted(before), rng.randrange(len(before) + 1)):
+            after[i] = measure()
+        moved = sum(
+            contribution(after[i], i, origins, params) - contribution(before[i], i, origins, params)
+            for i in before
+        )
+        near = -(epsilon + alpha * moved)  # the size change that puts c* - c on epsilon
+        size_change = rng.choice(
+            [near.numerator // near.denominator + rng.choice([-1, 0, 1, 2]), rng.randrange(-60, 60)]
+        )
+        s = solver_of_exact_bits(2000)
+        q = solver_of_exact_bits(2000 + size_change)
+        savings = cost(s, before, origins, params) - cost(q, after, origins, params)
+        assert savings == -(size_change + alpha * moved)
+        assert saves(size_change, moved, params) == (savings > epsilon), (size_change, moved)
+        seen["shrinks"] += size_change < 0
+        seen["saved" if savings > epsilon else "not_saved"] += 1
+        seen["beside_epsilon"] += abs(savings - epsilon) <= 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_r_new_must_exceed_t_max():

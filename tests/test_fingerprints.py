@@ -9,6 +9,7 @@ benchmark.  The configs are the ones bench/workloads.py grows.
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -40,13 +41,23 @@ def test_first_phases_match_the_benchmark_fingerprints(tmp_path, workload, phase
 # Scenarios the benchmark does not grow, with the sha256 prefixes of their
 # whole archive files.  Prefix mode freezes every entry key, and the adapted
 # prior splits StaticRecord groups by prior: the two places where bulk and
-# table verdicts must step aside or split.
+# table verdicts must step aside or split.  The last two give variant II a
+# non-integral alpha and epsilon, so the ledger's integer verdict must scale
+# by their denominators to accept where the Fraction ledger does.
 ARCHIVE_DIGESTS = [
     (dict(variant="I", domain="gridworld", prefix_mode=True, max_tasks=10), "cb6dafe5988962f1"),
     (dict(variant="II", domain="gridworld", max_tasks=4), "55dd458f3692bbbc"),
     (dict(variant="II", domain="mixed", max_tasks=6), "b9c361c28ccc5243"),
     (dict(variant="I", domain="mixed", adapt_prior=True, max_tasks=6), "b18b0b00ecfffd34"),
     (dict(variant="I", domain="pattern", prefix_mode=True, max_tasks=8), "248bdb06619a2900"),
+    (
+        dict(variant="II", domain="pattern", max_tasks=6, alpha=Fraction(3, 2), epsilon=Fraction(1, 2)),
+        "3e16cb81688d06bf",
+    ),
+    (
+        dict(variant="II", domain="mixed", max_tasks=5, alpha=Fraction(1, 3), epsilon=Fraction(5, 3)),
+        "533188f8a0d401f0",
+    ),
 ]
 
 # What replaying two of those archives gives: the AuditReport counters
@@ -82,6 +93,8 @@ SCENARIO_IDS = [
     "v2-mixed-6",
     "v1-mixed-adapted-6",
     "v1-pattern-prefix-8",
+    "v2-pattern-fractional-6",
+    "v2-mixed-fractional-5",
 ]
 
 

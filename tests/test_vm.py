@@ -208,6 +208,51 @@ def test_invalid_instructions_are_rejected():
         apply_modification(prog, [SetEntry("1:80", 5)])  # beyond program end
 
 
+def test_edit_ops_are_immutable_tuples_kept_apart_by_kind():
+    # Edit ops are NamedTuples: fields read by name and by position, and no
+    # field can be assigned to.  Ops of different kinds never compare equal,
+    # so scripts that differ only in an op's kind are distinct keys of the
+    # phase's edits table, each with its own record, and the size change
+    # worked out from each accepted script is its q's.
+    from autodidact.search import edit_record, fresh_caches
+
+    ins = (2, (7,))
+    assert tuple(SetSlot(1, ins)) == (1, ins) and SetSlot(1, ins).instruction == ins
+    assert Append(ins).instruction == ins and Truncate(2).new_len == 2
+    assert SetEntry("1:80", 3).key == "1:80" and SetEntry("1:80", 3).slot == 3
+    for op, name in [
+        (SetSlot(1, ins), "index"),
+        (Append(ins), "instruction"),
+        (Truncate(2), "new_len"),
+        (SetEntry("1:80", 3), "slot"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(op, name, 0)
+    key = BitString.from_str("1").to_hex()
+    pool = (
+        [SetSlot(k, i) for k in range(3) for i in (ins, (1, ()))]
+        + [Append(i) for i in (ins, (1, ()))]
+        + [Truncate(n) for n in range(3)]
+        + [SetEntry(key, n) for n in range(3)]
+    )
+    for a in pool:
+        assert [b for b in pool if b == a] == [a]
+    prog = asm("PUSH 1\nPUSH 2\nHALT")
+    caches = fresh_caches()
+    scripts = [(a,) for a in pool] + [(a, b) for a in pool for b in pool]
+    for script in scripts:
+        edit_record(caches, list(script), prog)
+    assert list(caches["edits"]) == scripts
+    for script, record in caches["edits"].items():
+        try:
+            q, _changed = apply_modification(prog, script)
+        except (InvalidResult, FrozenViolation) as exc:
+            assert record.fault == f"bad_edit: {exc}"
+        else:
+            assert record.fault is None and record.q == q
+            assert prog.size_bits + size_change(prog, script) == q.size_bits
+
+
 def test_disassembly_round_trips():
     text = "PUSH 3\nJZ -2\nREADBIT\nOUTPUT\nHALT"
     prog = asm(text)
@@ -340,7 +385,8 @@ def test_apply_modification_matches_the_reference_over_random_scripts():
     # scripts full of bad input: bad nibbles, bool immediates, unknown or
     # malformed instructions, frozen slots and rows, truncations, rows past
     # the end (in the script and already in prev), unknown edit ops.  The
-    # size change read off Changed matches the size recomputed in full.
+    # size change worked out from the script matches the size recomputed in
+    # full.
     rng = random.Random(20261018)
     codes = SOLVER_ISA.codes()
     keys = [BitString(v, 3).to_hex() for v in range(5)]
@@ -387,5 +433,5 @@ def test_apply_modification_matches_the_reference_over_random_scripts():
         outcome = _outcome(apply_modification, prev, edits)
         assert outcome == _outcome(_reference_apply, prev, edits), (prev.to_json(), edits)
         if not isinstance(outcome[0], type):
-            q, changed = apply_modification(prev, edits)
-            assert prev.size_bits + size_change(prev, q, changed) == q.size_bits
+            q, _changed = apply_modification(prev, edits)
+            assert prev.size_bits + size_change(prev, edits) == q.size_bits
