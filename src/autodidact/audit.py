@@ -4,7 +4,10 @@ The audit reads nothing but the archive (tasks, traces and solver snapshots
 are all inside), rebuilds each phase's before/after solvers, and re-checks
 the full acceptance obligation with naive full revalidation, no usage index
 involved.  For cost-based entries it recomputes both ledger values exactly
-and compares them to the stored strings.
+and compares them to the stored strings.  Entry i's c and entry i+1's c*
+measure the same solver object, so the second takes over each measure of
+the first made with the same task identity, trace and CostParams; only the
+new task's live measure is always made afresh.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ def audit_archive(archive_path) -> AuditReport:
     report.phases = len(entries)
     replay = Replay(entries, archive_path)
     prev_solver = EMPTY_SOLVER
+    measured = (None, {})  # the previous cost entry's solver and c measures
     for entry, _candidate, task, trace, params, ledger in replay:
         solver = entry.solver_program()
         if params is None:
@@ -65,8 +69,8 @@ def audit_archive(archive_path) -> AuditReport:
                 report, entry.i, prev_solver, solver, task, trace, replay.repertoire
             )
         else:
-            _audit_cost_entry(
-                report, entry, prev_solver, solver, task, trace, replay, params, ledger
+            measured = _audit_cost_entry(
+                report, entry, prev_solver, solver, task, trace, replay, params, ledger, measured
             )
         prev_solver = solver
     return report
@@ -109,7 +113,11 @@ def _audit_strict_entry(report, i, prev_solver, solver, task, trace, repertoire)
             )
 
 
-def _audit_cost_entry(report, entry, prev_solver, solver, task, trace, replay, params, ledger):
+def _audit_cost_entry(
+    report, entry, prev_solver, solver, task, trace, replay, params, ledger, measured
+):
+    """Check one ledger entry's c and c*; returns (solver, its c measures),
+    which the next entry's c* may take over (``measured`` is this entry's)."""
     i = entry.i
     identity = task.identity()
     known = replay.items.get(identity)
@@ -118,17 +126,27 @@ def _audit_cost_entry(report, entry, prev_solver, solver, task, trace, replay, p
     task_set = {ident: (item.task, item.trace) for ident, item in replay.items.items()}
     task_set[identity] = (task, trace if is_new else known.trace)
 
-    def total(which_solver, live_new: bool) -> Fraction:
-        measures = {}
+    def total(which_solver, live_new: bool, earlier: dict) -> tuple[Fraction, dict]:
+        """(cost, the measures made with a stored trace or none needed),
+        taking over each of ``earlier``'s made with the same trace and params."""
+        measures, kept = {}, {}
         for ident, (t, tr) in sorted(task_set.items()):
-            use_trace = tr
             if ident == identity and live_new:
-                use_trace = None  # the solve that froze this entry ran live
-            measures[ident] = measure_task(which_solver, t, params, use_trace)[0]
-        return cost(which_solver, measures, replay.origins, params)
+                # The solve that froze this entry ran live.
+                measures[ident] = measure_task(which_solver, t, params)[0]
+                continue
+            hit = earlier.get(ident)
+            if hit is not None and hit[0] == tr and hit[1] == params:
+                m = hit[2]
+            else:
+                m = measure_task(which_solver, t, params, tr)[0]
+            measures[ident] = m
+            kept[ident] = (tr, params, m)
+        return cost(which_solver, measures, replay.origins, params), kept
 
-    c_star = total(prev_solver, live_new=is_new)
-    c = total(solver, live_new=False)
+    earlier_solver, earlier = measured
+    c_star, _ = total(prev_solver, is_new, earlier if earlier_solver is prev_solver else {})
+    c, kept = total(solver, False, {})
     report.cost_rows_checked += 1
     if str(c) != entry.c or str(c_star) != entry.c_star:
         report.failures.append(
@@ -143,3 +161,4 @@ def _audit_cost_entry(report, entry, prev_solver, solver, task, trace, replay, p
         report.failures.append(
             AuditFailure(i, "savings", "stored ledger row violates the strict savings rule")
         )
+    return solver, kept

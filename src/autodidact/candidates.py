@@ -18,7 +18,6 @@ import heapq
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
-from .bits import BitString
 from .isa import ARG_BITS, OPCODE_BITS, TERMINATOR
 from .meta import (
     COMPUTE_OPS,
@@ -29,7 +28,7 @@ from .meta import (
     M_V_DESC,
     PATTERN_TASK_OPS,
     TASK_OPS,
-    MetaProgram,
+    program,
     reads_context,
     static_fault,
 )
@@ -416,8 +415,8 @@ class CandidateSpace:
     def candidates(self, max_len_bits: int):
         """Shortlex stream of MetaPrograms up to the given encoded length."""
         for total in range(3 * OPCODE_BITS, max_len_bits + 1):
-            for v, i1, i2, i3 in self.whole_bucket(total):
-                yield MetaProgram(BitString(v, total), i1, i2, i3)
+            for entry in self.whole_bucket(total):
+                yield program(entry, total)
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,11 @@ class MetaProgram:
     directives: tuple
 
     @property
+    def parts(self) -> tuple:
+        """(inventor, modifier, directives): what run_meta executes."""
+        return self.inventor, self.modifier, self.directives
+
+    @property
     def opcode_sequence(self) -> tuple:
         return opcode_sequence(self.inventor, self.modifier, self.directives)
 
@@ -177,6 +182,11 @@ class MetaProgram:
         return sum(
             len(args) for part in (self.inventor, self.modifier, self.directives) for _, args in part
         )
+
+
+def program(entry: tuple, total: int) -> MetaProgram:
+    """The MetaProgram of a ``total``-bit bucket entry (value, inventor, modifier, directives)."""
+    return MetaProgram(BitString(entry[0], total), entry[1], entry[2], entry[3])
 
 
 def opcode_sequence(inventor: tuple, modifier: tuple, directives: tuple) -> tuple:
@@ -389,8 +399,13 @@ def _build_task(code: int, args: tuple, ctx: MetaContext) -> Task:
     raise MalformedTask(f"opcode {code} does not invent")
 
 
-def run_meta(meta: MetaProgram, ctx: MetaContext, meter: Meter) -> Proposal:
+def run_meta(
+    inventor: tuple, modifier: tuple, directives: tuple, ctx: MetaContext, meter: Meter
+) -> Proposal:
     """Execute the three subprograms, charging every operation to the meter.
+
+    The subprograms are decoded instruction tuples, a MetaProgram's
+    ``parts``, or a bucket entry's; the candidate's bits are not needed.
 
     Archive reads, template instantiation and path planning all cost steps.
     Raises MalformedTask or MalformedEdit on conclusive nonsense and
@@ -456,7 +471,7 @@ def run_meta(meta: MetaProgram, ctx: MetaContext, meter: Meter) -> Proposal:
     # -- inventor ------------------------------------------------------
     if ctx.external_task is not None:
         task = ctx.external_task
-    for code, args in meta.inventor:
+    for code, args in inventor:
         meter.charge(1)
         if code in COMPUTE_OPS:
             exec_compute(code, args, True)
@@ -475,7 +490,7 @@ def run_meta(meta: MetaProgram, ctx: MetaContext, meter: Meter) -> Proposal:
             edits.append(Append(ins))
             appended += 1
 
-    for code, args in meta.modifier:
+    for code, args in modifier:
         meter.charge(1)
         if code in COMPUTE_OPS:
             exec_compute(code, args, False)
@@ -532,7 +547,7 @@ def run_meta(meta: MetaProgram, ctx: MetaContext, meter: Meter) -> Proposal:
         edits.append(SetEntry(task.entry_key, append_start))
 
     # -- directives --------------------------------------------------------
-    for code, _args in meta.directives:
+    for code, _args in directives:
         meter.charge(1)
         if code != M_V_DESC:
             raise MalformedEdit(f"op {code} not allowed as a directive")

@@ -54,10 +54,12 @@ key passes the boundary, the run reaches the op it stopped at, the
 modifier's op ``certain - key_steps - 1``, after billing exactly
 ``certain`` steps.  When that op is E_MAP(s) or E_CLONE(s) and the phase
 has no segment s (s >= len(ctx.segments), fixed for the phase), the run
-faults there with ``malformed_edit: no segment s`` (segment_verdict).  So
+faults there with ``malformed_edit: no segment s`` (missing_segment).  So
 an entry of a running group is rejected with that bill and reason without
-a run, one entry at a time, because s is in the entry's bits and not in
-its record; records are not split by s.
+a run.  The index is the record's, worked out once per running group
+(segment_at), and a group whose key is still unknown has none; only the op
+at that index is looked at per entry, because s is in the entry's bits and
+not in its record: records are not split by s.
 
 The judge runs nothing twice in a phase.  Each edit script is applied to
 the phase's solver once (EditRecord, in the ``edits`` table), and each
@@ -115,13 +117,32 @@ is written, so a group whose B exists when its unit's visit starts is
 decided in one go; members visited before the entry is written run, and
 those after it are decided at their own turn.
 
+Resumed judging.  Within a phase a candidate's meta run is fixed: META_ISA
+has no jumps, every op bills before it acts, the context is fixed for the
+phase and scratch is rewound after every candidate.  So each run of an
+entry that reaches the judge does so with the same bill and the same
+proposal, edit script and task alike, in the same shortlex order, and
+writes the same table entries on the way.  A judge cut whose floor is
+within the budget the next doubling grants the entry keeps that bill and
+proposal (the phase's ``held`` table); that doubling runs the entry, since
+its budget is not below the floor, and resumes it at the judge: the bill
+is charged in one go and the stored pair is judged, with no run_meta, no
+edit-script lookup and no scratch to rewind.  A cut whose floor lies
+beyond the next doubling keeps nothing, because its entry is parked there
+and most such entries never run again in their phase; a concluded
+candidate keeps nothing either.  When paranoid mode or the hook must see
+every entry, a held entry's meta program still runs, so the hook gets the
+real ``undone`` count, and paranoid mode checks that it reaches the judge
+with the held bill, edit record and task.
+
 Everything else still runs, one at a time in shortlex order, because the
 pair and novelty tables make verdicts depend on the order of execution.
 An entry cut at its turn, by a run or by a table entry written during the
-visit, joins the live group of its record, prior and reported floor.  The
-on_candidate hook still sees every candidate in that order; skipped ones
-arrive with undone = 0.  Paranoid mode runs all of them too and checks the
-records agree.
+visit, joins the live group of its record, prior and reported floor.  An
+entry runs from its three subprograms; its MetaProgram is built only for
+the winner and for the on_candidate hook.  The hook still sees every
+candidate in that order; skipped ones arrive with undone = 0.  Paranoid
+mode runs all of them too and checks the records agree.
 """
 
 from __future__ import annotations
@@ -133,7 +154,6 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .bits import BitString
 from .candidates import (
     EXTERNAL_KEY,
     CandidateSpace,
@@ -155,6 +175,7 @@ from .meta import (
     check_invented,
     invent_task,
     opcode_sequence,
+    program,
     run_meta,
     undo_storage,
 )
@@ -250,20 +271,26 @@ def static_verdict(rec: StaticRecord, budget: int, boundary: BoundaryVerdicts):
 SEGMENT_OPS = (M_E_MAP, M_E_CLONE)
 
 
-def segment_verdict(rec: StaticRecord, modifier: tuple, segments: int):
-    """(verdict, steps, reason) when a record whose key passes the boundary
-    stops at E_MAP(s) or E_CLONE(s) with s >= ``segments``, the phase's
-    number of installed segments; else None (see Segment verdicts above).
+def segment_at(rec: StaticRecord) -> Optional[int]:
+    """The index of the modifier op where the record's walk stopped, once
+    its key is known, else None: the segment verdict's record half, the
+    same for every entry of a group.
 
-    A walk that stopped on a fault stopped at an op that is neither, and
-    one that reached its end holds neither, so for them the index is out of
-    range or names another op.
+    A walk that stopped on a fault stopped at an op that is neither E_MAP
+    nor E_CLONE, and one that reached its end holds neither, so for them
+    the index is out of range or names another op.
     """
     at = rec.certain - rec.key_steps - 1
-    if rec.key is not None and 0 <= at < len(modifier):
+    return at if rec.key is not None and at >= 0 else None
+
+
+def missing_segment(modifier: tuple, at: int, segments: int) -> Optional[str]:
+    """The fault reason when modifier op ``at`` is E_MAP(s) or E_CLONE(s)
+    with s >= ``segments``, the phase's number of installed segments."""
+    if at < len(modifier):
         code, args = modifier[at]
         if code in SEGMENT_OPS and args[0] >= segments:
-            return "rejected", rec.certain, f"malformed_edit: no segment {args[0]}"
+            return f"malformed_edit: no segment {args[0]}"
     return None
 
 
@@ -358,6 +385,10 @@ def fresh_caches() -> dict:
     runs by the prefix rule (tasks.report_within), which returns what a live
     run under the stage's grant returns.  Candidates differing only in dead
     compute prefixes share a record and so hit the pair cache.
+    ``held`` maps a scheduled candidate, (total, value), to its meta bill
+    and Proposal (task and edit record) while its last run was a judge cut
+    whose floor the next doubling's budget reaches; that run resumes at the
+    judge (see Resumed judging).  It holds nothing else, so it stays small.
 
     A pair or novelty hit is charged the bill of the first conclusive run
     and gets its verdict, which is not always what a fresh run under the
@@ -366,7 +397,7 @@ def fresh_caches() -> dict:
     different amount and can even be cut where the hit is rejected.
     Archives record these bills, so making hits exact changes archive bytes.
     """
-    return {"edits": {}, "prev": {}, "novelty": {}}
+    return {"edits": {}, "prev": {}, "novelty": {}, "held": {}}
 
 
 def edit_record(caches: dict, edits, solver: SolverProgram) -> EditRecord:
@@ -389,36 +420,65 @@ def edit_record(caches: dict, edits, solver: SolverProgram) -> EditRecord:
 
 
 def try_candidate(
-    meta: MetaProgram,
+    entry: tuple,
+    total: int,
     problem: SearchProblem,
     budget: int,
     caches: Optional[dict] = None,
+    keep: Optional[int] = None,
 ) -> tuple[CandidateRecord, Optional[Acceptance]]:
     """Run one candidate under a step budget, then unwind its scratch writes.
 
+    The candidate is a ``total``-bit bucket entry (value, inventor,
+    modifier, directives); run_meta reads only the three subprograms, and
+    the MetaProgram is built only for the winner and the on_candidate hook.
     All effects of a rejected candidate are confined to the journaled scratch
     store, which is always rewound, so rejection leaves the engine state
     bit-identical.  The edit script is looked up once in the phase's
     ``edits`` table and applied only on a miss; the judge finds its record
     on the proposal.  The engine's judges release the record's q after
     each call, so they may be passed q = changed = None.
+
+    ``keep`` is the budget the next doubling grants the entry, None outside
+    the doubling scheduler.  With it, a judge cut whose floor is at most
+    ``keep`` holds the run's meta bill and proposal in the ``held`` table,
+    and the entry's next call resumes at the judge: it charges the bill and
+    judges the held proposal without running the meta program.  When
+    paranoid mode or the hook must see the run, the meta program runs
+    anyway, and paranoid mode raises unless it reaches the judge with the
+    held bill, edit record and task.
     """
     ctx = problem.ctx
-    digest_before = ctx.scratch.digest() if problem.paranoid else None
+    paranoid, hook = problem.paranoid, problem.on_candidate
+    digest_before = ctx.scratch.digest() if paranoid else None
     meter = Meter(budget)
     record: CandidateRecord
     accepted: Optional[Acceptance] = None
     if caches is None:
         caches = fresh_caches()
+    held = None
+    if keep is not None:
+        key = (total, entry[0])
+        held = caches["held"].pop(key, None)
     try:
-        proposal = run_meta(meta, ctx, meter)
-        edit = proposal.record = edit_record(caches, proposal.edits, ctx.solver)
+        if held is not None and not paranoid and hook is None:
+            bill, proposal = held
+            meter.charge(bill)
+        else:
+            proposal = run_meta(entry[1], entry[2], entry[3], ctx, meter)
+            proposal.record = edit_record(caches, proposal.edits, ctx.solver)
+            bill = meter.spent
+            if held is not None:  # paranoid mode or the hook must see the run
+                if paranoid:
+                    _check_held(held, bill, proposal)
+                held = None
+        edit = proposal.record
         details = None
         if edit.fault is None:
             details = problem.judge(edit.q, edit.changed, proposal, meter, caches)
         if details is not None:
             record = CandidateRecord("accepted", meter.spent)
-            accepted = Acceptance(meta, proposal, edit.applied()[0], details)
+            accepted = Acceptance(program(entry, total), proposal, edit.applied()[0], details)
         else:
             record = CandidateRecord("rejected", meter.spent, edit.fault or "validation")
     except MalformedTask as exc:
@@ -427,13 +487,34 @@ def try_candidate(
         record = CandidateRecord("rejected", meter.spent, f"malformed_edit: {exc}")
     except BudgetExhausted as exc:
         record = CandidateRecord("budget", budget, "budget", exc.floor)
+        # Only the judge's cuts carry a floor.
+        if keep is not None and exc.floor is not None and exc.floor <= keep:
+            # Held, the proposal shares its record's script instead of
+            # keeping this run's equal copy alive.
+            proposal.edits = proposal.record.script
+            caches["held"][key] = (bill, proposal)
     finally:
         undone = undo_storage(ctx.scratch) if ctx.scratch.journal else 0
-    if problem.paranoid and ctx.scratch.digest() != digest_before:
-        raise AssertionError("scratch storage not restored bit-exactly")
-    if problem.on_candidate is not None:
-        problem.on_candidate(meta, record, budget, undone)
+    if paranoid:
+        if held is not None:
+            raise AssertionError(f"held bill {held[0]} but the run gave {record}")
+        if ctx.scratch.digest() != digest_before:
+            raise AssertionError("scratch storage not restored bit-exactly")
+    if hook is not None:
+        hook(program(entry, total), record, budget, undone)
     return record, accepted
+
+
+def _check_held(held: tuple, bill: int, proposal: Proposal) -> None:
+    """Paranoid mode: a held entry's run must reach the judge as it was held."""
+    kept_bill, kept = held
+    reached = (bill, proposal.task.identity(), proposal.record)
+    if reached != (kept_bill, kept.task.identity(), kept.record):
+        raise AssertionError(
+            f"held bill {kept_bill} for task {kept.task.identity()}, but the run reached "
+            f"the judge with {bill} for task {reached[1]}"
+            + ("" if proposal.record is kept.record else " and another edit record")
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +535,8 @@ class _Unit:
     uniform mode, where P(p) = 2**-total exactly.  Each doubling decides a
     group by one rule: without a floor by static_verdict, with one as cut
     while the budget is below it, then either kind by its task's table bill;
-    of what is still undecided, each entry gets segment_verdict, and the
-    rest runs.
+    of what is still undecided, each entry gets its group's segment check
+    (segment_at, missing_segment), and the rest runs.
     """
 
     __slots__ = ("total", "live")
@@ -511,14 +592,14 @@ def oops_search(
         owed = table_bill(task, caches)
         return owed is not None and rec.certain + owed > budget
 
-    def check_known(meta: MetaProgram, budget: int, decided: tuple, what: str) -> None:
+    def check_known(entry: tuple, total: int, budget: int, decided: tuple, what: str) -> None:
         if paranoid:
             # The executed run is the oracle; it also feeds the hook.
-            record, _ = try_candidate(meta, problem, budget, caches)
+            record, _ = try_candidate(entry, total, problem, budget, caches)
             if (record.verdict, record.steps, record.reason) != decided:
                 raise AssertionError(f"{what} {decided} but the run gave {record}")
         else:
-            hook(meta, CandidateRecord(*decided), budget, 0)
+            hook(program(entry, total), CandidateRecord(*decided), budget, 0)
 
     def entries_of(total: int, group: tuple) -> list:
         """A group's entries; a count stands for all of its record's."""
@@ -541,21 +622,20 @@ def oops_search(
     def visit(unit: _Unit) -> Optional[Acceptance]:
         total = unit.total
 
-        def budget_of(p) -> int:
-            # t_lim is a power of two at least 2**total, so t_lim >> total is
-            # exactly ceil(2**-total * t_lim).
-            return t_lim >> total if p is None else ceil_fraction(p * t_lim)
-
-        def program(entry: tuple) -> MetaProgram:
-            return MetaProgram(BitString(entry[0], total), *entry[1:])
+        def budget_of(p, t: int) -> int:
+            # t is a power of two at least 2**total, so t >> total is
+            # exactly ceil(2**-total * t).
+            return t >> total if p is None else ceil_fraction(p * t)
 
         # known: (group, budget, (verdict, steps, reason), what decided it)
         known: list = []
-        runs: list = []  # (group, budget) of the groups left undecided
+        # (group, budget, the next doubling's budget, segment_at) of the
+        # groups left undecided
+        runs: list = []
         live: list = []  # groups decided "budget", live at the next doubling
         for group in unit.live:
             rec, p, _members, floor = group
-            budget = budget_of(p)
+            budget = budget_of(p, t_lim)
             if floor is None:
                 decided, what = static_verdict(rec, budget, boundary), "static verdict"
             elif budget < floor:
@@ -565,7 +645,7 @@ def oops_search(
             if decided is None and rec.append_only and table_cut(rec, budget):
                 decided, what = ("budget", budget, "budget"), "table verdict"
             if decided is None:
-                runs.append((group, budget))
+                runs.append((group, budget, budget_of(p, 2 * t_lim), segment_at(rec)))
                 continue
             known.append((group, budget, decided, what))
             if decided[0] == "budget":
@@ -574,30 +654,34 @@ def oops_search(
         # seen, are built.  A bucket's entries share one length, so value
         # order is shortlex order, and no two share a value, so the sort
         # compares the int values alone.  A group's entries share its
-        # budget, and an entry gets its MetaProgram only when it runs or
-        # must be seen.
-        visits = [(e[0], e, g, budget, None) for g, budget in runs for e in entries_of(total, g)]
+        # budgets and its segment index.
+        visits = [(e[0], e, run, None) for run in runs for e in entries_of(total, run[0])]
         if see:
-            visits += [(e[0], e, None, None, k) for k in known for e in entries_of(total, k[0])]
+            visits += [(e[0], e, None, k) for k in known for e in entries_of(total, k[0])]
         visits.sort()
         cut: dict = {}  # (record, prior, floor) -> the entries cut at their turn
-        for v, entry, group, budget, item in visits:
+        for v, entry, run, item in visits:
             if item is not None:
-                check_known(program(entry), *item[1:])
+                check_known(entry, total, *item[1:])
                 continue
+            group, budget, keep, at = run
             rec = group[0]
             # A running group's key passed the boundary: static_verdict or
             # an earlier run of the group said so.
-            decided, what = segment_verdict(rec, entry[2], segments), "segment verdict"
-            if decided is None and rec.append_only and table_cut(rec, budget):
+            reason = None if at is None else missing_segment(entry[2], at, segments)
+            if reason is not None:
+                decided, what = ("rejected", rec.certain, reason), "segment verdict"
+            elif rec.append_only and table_cut(rec, budget):
                 # The entry may be written since the visit began.
                 decided, what = ("budget", budget, "budget"), "table verdict"
+            else:
+                decided = None
             if decided is None:
-                record, acc = try_candidate(program(entry), problem, budget, caches)
+                record, acc = try_candidate(entry, total, problem, budget, caches, keep)
             else:
                 record, acc = CandidateRecord(*decided), None
                 if see:
-                    check_known(program(entry), budget, decided, what)
+                    check_known(entry, total, budget, decided, what)
             stats.candidates_run += 1
             stats.steps_total += record.steps
             if record.steps > budget:
@@ -738,7 +822,8 @@ def stochastic_search(
     caches = fresh_caches()
     for trial in range(max_candidates):
         meta = _sample_candidate(rng, theta, space)
-        record, acc = try_candidate(meta, problem, candidate_budget, caches)
+        entry = (meta.code.value, *meta.parts)
+        record, acc = try_candidate(entry, meta.code.length, problem, candidate_budget, caches)
         stats.candidates_run += 1
         stats.steps_total += record.steps
         if acc is not None:

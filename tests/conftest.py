@@ -20,6 +20,14 @@ def install_segment(solver, instructions, entry_key):
     return apply_modification(solver, edits)
 
 
+def execute(meta, problem, budget, caches=None):
+    """Run a MetaProgram through search.try_candidate, as a bucket entry of its length."""
+    from autodidact import search
+
+    entry = (meta.code.value, *meta.parts)
+    return search.try_candidate(entry, meta.code.length, problem, budget, caches)
+
+
 def random_task(rng: random.Random, used_identifiers, t_pattern=64, t_grid=48):
     """A solvable random task plus the template code that solves it.
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import build_repertoire, random_edit, random_task
+from conftest import build_repertoire, execute, random_edit, random_task
 from autodidact.audit import audit_archive
 from autodidact.bits import BitString, nibble
 from autodidact.codec import enumerate_programs, kraft_sum, kraft_tail_bound
@@ -30,7 +30,6 @@ from autodidact.search import (
     candidate_space,
     fresh_caches,
     oops_search,
-    try_candidate,
 )
 from autodidact.tasks import PatternTask, solves
 from autodidact.validate import demonstrate, full_revalidation
@@ -194,12 +193,12 @@ def test_criterion_4_undo_bit_exactness():
                     + encode([(M_E_TPL, (0,))], META_ISA)
                     + encode([], META_ISA)
                 )
-                try_candidate(decode_meta(bits), problem, 64, caches)
+                execute(decode_meta(bits), problem, 64, caches)
     assert writers >= 4000  # the journal really was exercised
     # Plus the raw enumerated stream up to a length bound.
     space = candidate_space("mixed", False)
     for meta in space.candidates(42):
-        try_candidate(meta, problem, 64, caches)
+        execute(meta, problem, 64, caches)
         if rejected >= 10_000:
             break
     assert rejected >= 10_000

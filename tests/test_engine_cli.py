@@ -239,6 +239,50 @@ def test_flipped_bit_in_frozen_solver_fails_audit(tmp_path):
     assert run_cli(["audit", cfg.archive_path]) == 3
 
 
+@pytest.mark.parametrize("tamper", ["solver", "c", "t_max"])
+def test_a_tampered_ledger_entry_fails_the_audit_at_its_phase(tmp_path, monkeypatch, tamper):
+    # The audit's c* of entry i+1 takes over the measures of entry i's c, made
+    # on the same solver object under the same trace and cost parameters.
+    # Tampering entry 2's solver snapshot, its stored c or its t_max must
+    # fail the audit at phase 2 with the very report an audit that measures
+    # everything afresh gives, while measuring less.
+    from autodidact import audit
+
+    cfg, _res = small_run(tmp_path, variant="II", max_tasks=4)
+    lines = open(cfg.archive_path).read().splitlines()
+    data = json.loads(lines[1])
+    if tamper == "solver":
+        # Route every task of the frozen solver to its first slot.
+        routes = data["solver"]["entries"]
+        assert any(routes.values())
+        data["solver"]["entries"] = {key: 0 for key in routes}
+    elif tamper == "c":
+        data["c"] = data["c_star"]
+    else:
+        data["meta"]["cost_params"]["t_max"] = 2
+    lines[1] = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    open(cfg.archive_path, "w").write("\n".join(lines) + "\n")
+
+    measured = []
+    real_measure, real_entry = audit.measure_task, audit._audit_cost_entry
+
+    def counting(*args):
+        measured.append(args)
+        return real_measure(*args)
+
+    monkeypatch.setattr(audit, "measure_task", counting)
+    report = audit.audit_archive(cfg.archive_path)
+    reusing = len(measured)
+    monkeypatch.setattr(
+        audit, "_audit_cost_entry", lambda *args: real_entry(*args[:-1], (None, {}))
+    )
+    measured.clear()
+    assert report == audit.audit_archive(cfg.archive_path)
+    assert report.first_failing_phase == 2
+    assert report.cost_rows_checked == 4
+    assert reusing < len(measured)
+
+
 def test_report_outputs(tmp_path):
     cfg, _res = small_run(tmp_path)
     out = tmp_path / "report"

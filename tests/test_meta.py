@@ -60,7 +60,7 @@ def make_ctx(repertoire=(), solver=None, segments=(), external=None):
 def run(inventor, modifier, directives=(), ctx=None, budget=10_000):
     bits = meta_bits(inventor, modifier, directives)
     meta = decode_meta(bits)
-    return run_meta(meta, ctx or make_ctx(), Meter(budget))
+    return run_meta(*meta.parts, ctx or make_ctx(), Meter(budget))
 
 
 def test_decode_meta_splits_three_parts():
@@ -127,7 +127,7 @@ def test_archive_reads_are_step_charged():
     inventor = [(M_MPUSH, (1,)), (M_RD_TASK, ()), (M_T_COPY, (0,))]
     bits = meta_bits(inventor, [(M_E_TPL, (0,))])
     meter = Meter(10_000)
-    run_meta(decode_meta(bits), ctx, meter)
+    run_meta(*decode_meta(bits).parts, ctx, meter)
     # three inventor ops, one extra read charge, one edit op
     assert meter.spent == 5
 
@@ -158,7 +158,7 @@ def test_clone_copies_a_stored_segment_and_charges_reads():
     ctx = make_ctx(items, solver, segments=[(0, solver.component_count)])
     bits = meta_bits([(M_T_COPY, (0,))], [(M_E_CLONE, (0,))])
     meter = Meter(10_000)
-    proposal = run_meta(decode_meta(bits), ctx, meter)
+    proposal = run_meta(*decode_meta(bits).parts, ctx, meter)
     assert proposal.appended == solver.component_count
     assert meter.spent == 2 + solver.component_count
 
@@ -199,8 +199,10 @@ def test_a_directive_is_billed_and_only_v_desc_is_one():
     # third subprogram faults.
     inventor, modifier = [(M_T_COPY, (0,))], [(M_E_TPL, (0,))]
     plain, hinted = Meter(10_000), Meter(10_000)
-    bare = run_meta(decode_meta(meta_bits(inventor, modifier)), make_ctx(), plain)
-    desc = run_meta(decode_meta(meta_bits(inventor, modifier, [(M_V_DESC, ())])), make_ctx(), hinted)
+    bare = run_meta(*decode_meta(meta_bits(inventor, modifier)).parts, make_ctx(), plain)
+    desc = run_meta(
+        *decode_meta(meta_bits(inventor, modifier, [(M_V_DESC, ())])).parts, make_ctx(), hinted
+    )
     assert hinted.spent == plain.spent + 1
     assert (desc.task, desc.edits) == (bare.task, bare.edits)
     with pytest.raises(MalformedEdit, match="directive"):
@@ -251,7 +253,7 @@ def test_ustore_is_journaled_through_the_interpreter():
         (M_T_COPY, (0,)),
     ]
     bits = meta_bits(inventor, [(M_E_TPL, (0,))])
-    run_meta(decode_meta(bits), ctx, Meter(100))
+    run_meta(*decode_meta(bits).parts, ctx, Meter(100))
     assert ctx.scratch.cells[2] == 9
     assert len(ctx.scratch.journal) == 1
     undo_storage(ctx.scratch)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from bisect import bisect_left
 from dataclasses import replace
@@ -25,6 +26,7 @@ from autodidact.meta import (
     ScratchStore,
     decode_meta,
     invent_task,
+    program,
     run_meta,
     undo_storage,
     well_formed,
@@ -38,19 +40,47 @@ from autodidact.search import (
     candidate_space,
     ceil_fraction,
     max_affordable_bits,
+    missing_segment,
     oops_search,
-    segment_verdict,
+    segment_at,
     static_verdict,
     stochastic_search,
-    try_candidate,
 )
 from autodidact.tasks import FAULTED, PatternTask, least_grant, report_within
 from autodidact.templates import copy_query_loop, grid_walk
 from autodidact.validate import BudgetExhausted, RepertoireItem
 from autodidact.vm import Append, SetEntry, SolverProgram, apply_modification
 
-from conftest import install_segment
+from conftest import execute, install_segment
 from reference_buckets import ReferenceBuckets
+
+
+def spy_on_candidates(monkeypatch, spy):
+    """Route every search.try_candidate call through one spy.
+
+    The spy is called as spy(meta, problem, budget, caches, run): ``meta``
+    is the candidate's MetaProgram, run() makes the call itself, and
+    run(budget, caches) runs the candidate afresh under another budget and
+    tables.  Each returns (record, acceptance).
+    """
+    real = search.try_candidate
+
+    def patched(entry, total, problem, budget, caches=None, keep=None):
+        def run(*other):
+            if other:
+                return real(entry, total, problem, *other)
+            return real(entry, total, problem, budget, caches, keep)
+
+        return spy(program(entry, total), problem, budget, caches, run)
+
+    monkeypatch.setattr(search, "try_candidate", patched)
+
+
+def segment_verdict(rec, modifier, segments):
+    """(verdict, steps, reason) of a segment verdict, as the scheduler decides one."""
+    at = segment_at(rec)
+    reason = None if at is None else missing_segment(modifier, at, segments)
+    return None if reason is None else ("rejected", rec.certain, reason)
 
 
 def make_ctx():
@@ -277,14 +307,13 @@ def test_a_uniform_run_builds_only_groups_that_run(tmp_path, monkeypatch):
     # built only when one of its entries must run; paranoid mode runs every
     # entry, builds every counted group, and must agree byte for byte.
     archives = []
-    run = search.try_candidate
     ran = set()
 
-    def spy(meta, *args):
+    def spy(meta, problem, budget, caches, run):
         ran.add((meta.code.length, meta.code.value))
-        return run(meta, *args)
+        return run()
 
-    monkeypatch.setattr(search, "try_candidate", spy)
+    spy_on_candidates(monkeypatch, spy)
     for paranoid in (False, True):
         spaces: dict = {}
         monkeypatch.setattr(search, "_spaces", spaces)
@@ -467,7 +496,7 @@ def test_static_verdicts_equal_executed_records(context):
                     decided = segment_verdict(rec, i2, len(ctx.segments))
                 if decided is None:
                     continue
-                record, acc = try_candidate(meta, problem, budget)
+                record, acc = execute(meta, problem, budget)
                 assert acc is None
                 assert (record.verdict, record.steps, record.reason) == decided, (
                     meta.code.to_hex(),
@@ -494,7 +523,7 @@ def test_append_only_records_bill_exactly_certain_and_only_append(context):
                 continue
             meta = MetaProgram(BitString(v, total), i1, i2, i3)
             meter = Meter(rec.certain)
-            proposal = run_meta(meta, ctx, meter)
+            proposal = run_meta(*meta.parts, ctx, meter)
             task = ctx.external_task if rec.key == EXTERNAL_KEY else invent_task(*rec.key, ctx)
             *appends, entry = proposal.edits
             assert meter.spent == rec.certain, meta.code.to_hex()
@@ -513,13 +542,12 @@ def test_a_table_bill_decides_without_runs_and_one_step_high_is_caught(monkeypat
     # agrees.  One of 15 also "decides" the two-op candidates at budget 16,
     # which the judge rejects instead.
     ran = []
-    real_try = search.try_candidate
 
-    def spying_try(meta, problem, budget, caches=None):
+    def spying_try(meta, problem, budget, caches, run):
         ran.append(meta.code)
-        return real_try(meta, problem, budget, caches)
+        return run()
 
-    monkeypatch.setattr(search, "try_candidate", spying_try)
+    spy_on_candidates(monkeypatch, spying_try)
     searched = []
     for owed, paranoid in ((None, False), (14, False), (14, True)):
         _target, problem = planted_problem(needed_steps=14)
@@ -544,9 +572,9 @@ def test_a_table_bill_decides_without_runs_and_one_step_high_is_caught(monkeypat
 def test_on_candidate_sees_every_candidate_of_a_mixed_run(tmp_path, monkeypatch):
     executed, calls, phases = set(), [], []
 
-    def counting_try(meta, problem, budget, caches=None):
+    def counting_try(meta, problem, budget, caches, run):
         executed.add((meta.code, budget))
-        return try_candidate(meta, problem, budget, caches)
+        return run()
 
     def hooked_search(problem, step_ceiling, log=None):
         problem.on_candidate = lambda *args: calls.append(args)
@@ -554,7 +582,7 @@ def test_on_candidate_sees_every_candidate_of_a_mixed_run(tmp_path, monkeypatch)
         phases.append(stats)
         return acc, stats
 
-    monkeypatch.setattr(search, "try_candidate", counting_try)
+    spy_on_candidates(monkeypatch, counting_try)
     monkeypatch.setattr("autodidact.engine.oops_search", hooked_search)
     cfg = RunConfig(
         variant="I",
@@ -668,7 +696,7 @@ def _classified_run(tmp_path, monkeypatch, name, **overrides):
     calls, executed, phases, ctxs = [], [], [], []
     real_try, real_search = search.try_candidate, search.oops_search
 
-    def spying_try(meta, problem, budget, caches=None):
+    def spying_try(meta, problem, budget, caches, run):
         rec = static_record(meta.inventor, meta.modifier, meta.directives)
         if rec.append_only and not problem.paranoid:
             ctx = problem.ctx
@@ -676,7 +704,7 @@ def _classified_run(tmp_path, monkeypatch, name, **overrides):
             owed = _novelty_table_bill(problem, task, caches)
             if owed is not None and task.entry_key not in ctx.solver.frozen_entry_keys:
                 assert rec.certain + owed <= budget, ("ran a table-decided candidate", budget)
-        record, acc = real_try(meta, problem, budget, caches)
+        record, acc = run()
         if not problem.paranoid and record.reason.startswith("malformed_edit: no segment"):
             assert record.steps != rec.certain, ("ran a segment-decided candidate", record)
         executed.append((len(phases), meta.code, budget, record.floor))
@@ -697,7 +725,7 @@ def _classified_run(tmp_path, monkeypatch, name, **overrides):
         phases.append(stats)
         return acc, stats
 
-    monkeypatch.setattr(search, "try_candidate", spying_try)
+    spy_on_candidates(monkeypatch, spying_try)
     monkeypatch.setattr("autodidact.engine.oops_search", hooked_search)
     cfg = RunConfig(
         archive_path=str(tmp_path / f"{name}.jsonl"),
@@ -798,17 +826,16 @@ def floor_problem(floor: int, winner_floor: int):
 def spy_parked(monkeypatch, problem) -> list:
     """Hook the problem; returns its visits as (code, budget, steps, parked)."""
     ran, visits = set(), []
-    real_try = search.try_candidate
 
-    def spying_try(meta, problem, budget, caches=None):
+    def spying_try(meta, problem, budget, caches, run):
         ran.add(meta.code)
-        return real_try(meta, problem, budget, caches)
+        return run()
 
     def hook(meta, record, budget, undone):
         parked = undone == 0 and meta.code in ran and record.verdict == "budget"
         visits.append((meta.code, budget, record.steps, parked))
 
-    monkeypatch.setattr(search, "try_candidate", spying_try)
+    spy_on_candidates(monkeypatch, spying_try)
     problem.on_candidate = hook
     return visits
 
@@ -829,17 +856,90 @@ def test_a_floor_one_step_too_high_is_caught_by_paranoid_mode(monkeypatch):
     assert acc_paranoid.meta.code == target.code
     assert paranoid_stats == stats
 
-    def one_step_too_high(meta, problem, budget, caches=None):
-        record, acc = real_try(meta, problem, budget, caches)
+    def one_step_too_high(meta, problem, budget, caches, run):
+        record, acc = run()
         if record.floor is not None:
             record.floor += 1
         return record, acc
 
-    monkeypatch.setattr(search, "try_candidate", one_step_too_high)
+    spy_on_candidates(monkeypatch, one_step_too_high)
     _target, problem = floor_problem(16, 16)
     problem.paranoid = True
     with pytest.raises(AssertionError, match="parked below its floor"):
         oops_search(problem, step_ceiling=2**60)
+
+
+# Small runs of each variant, with the sha256 prefixes of their archives as
+# they were before held entries resumed at the judge.
+RESUMED_RUNS = [
+    (dict(variant="I", domain="mixed", max_tasks=3), "0a6db3a3f92dcc24"),
+    (dict(variant="II", domain="gridworld", max_tasks=4), "55dd458f3692bbbc"),
+]
+
+
+def _grow(tmp_path, **overrides) -> str:
+    """Grow a run; returns the sha256 prefix of its archive."""
+    cfg = RunConfig(
+        archive_path=str(tmp_path / "a.jsonl"),
+        metrics_path=str(tmp_path / "m.csv"),
+        **overrides,
+    )
+    assert Engine(cfg).run().accepted == cfg.max_tasks
+    with open(cfg.archive_path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("overrides, digest", RESUMED_RUNS, ids=["v1-mixed-3", "v2-grid-4"])
+def test_judge_cut_candidates_resume_at_the_judge(tmp_path, monkeypatch, overrides, digest):
+    # A candidate cut by the judge with a floor the next doubling reaches is
+    # executed there without running its meta program again.
+    counts = {"run_meta": 0, "executions": 0}
+    real_run_meta = search.run_meta
+
+    def counting_meta(*args):
+        counts["run_meta"] += 1
+        return real_run_meta(*args)
+
+    def counting_try(meta, problem, budget, caches, run):
+        counts["executions"] += 1
+        return run()
+
+    monkeypatch.setattr(search, "run_meta", counting_meta)
+    spy_on_candidates(monkeypatch, counting_try)
+    assert _grow(tmp_path, **overrides) == digest
+    assert 0 < counts["run_meta"] < counts["executions"]
+
+
+@pytest.mark.parametrize("tamper", ["bill", "record"])
+def test_a_tampered_held_entry_is_caught_by_paranoid_mode(tmp_path, monkeypatch, tamper):
+    # The held table keeps a bill one step high, or another candidate's edit
+    # record; paranoid mode still runs a held entry's meta program and must
+    # see that it reaches the judge otherwise.
+    held = []
+
+    class Tampered(dict):
+        def __setitem__(self, key, value):
+            bill, proposal = value
+            if tamper == "bill":
+                value = (bill + 1, proposal)
+            else:
+                other = [p.record for p in held if p.record is not proposal.record]
+                if other:
+                    value = (bill, replace(proposal, record=other[-1]))
+                held.append(proposal)
+            super().__setitem__(key, value)
+
+    real_fresh = search.fresh_caches
+
+    def fresh():
+        caches = real_fresh()
+        caches["held"] = Tampered()
+        return caches
+
+    monkeypatch.setattr(search, "fresh_caches", fresh)
+    overrides, _digest = RESUMED_RUNS[0]
+    with pytest.raises(AssertionError, match="held bill"):
+        _grow(tmp_path, paranoid=True, **overrides)
 
 
 def test_a_mid_bucket_winner_bills_only_the_candidates_before_it(monkeypatch):
@@ -1135,22 +1235,21 @@ def test_judge_floors_are_exact(tmp_path, monkeypatch, variant):
     # the floor.  The re-runs get copies of the caches, so the run itself is
     # unchanged.  (A solver that ends at step 0 gives a floor equal to the
     # budget, which parks nothing.)
-    real_try = search.try_candidate
     checked = []
 
-    def checking_try(meta, problem, budget, caches=None):
-        record, acc = real_try(meta, problem, budget, caches)
+    def checking_try(meta, problem, budget, caches, run):
+        record, acc = run()
         assert record.floor is None or record.floor >= budget
         if record.floor is not None and record.floor > budget:
             floor = record.floor
-            below, _ = real_try(meta, problem, floor - 1, _copy_tables(caches))
+            below, _ = run(floor - 1, _copy_tables(caches))
             assert (below.verdict, below.steps, below.floor) == ("budget", floor - 1, floor)
-            at, _ = real_try(meta, problem, floor, _copy_tables(caches))
+            at, _ = run(floor, _copy_tables(caches))
             assert at.verdict != "budget" or at.floor != floor, (meta.code.to_hex(), floor)
             checked.append(floor)
         return record, acc
 
-    monkeypatch.setattr(search, "try_candidate", checking_try)
+    spy_on_candidates(monkeypatch, checking_try)
     cfg = RunConfig(
         variant=variant,
         domain="gridworld",
