@@ -126,8 +126,10 @@ class ArchiveEntry:
             self.i, "candidate bits", lambda: decode_meta(BitString.from_hex(self.meta_code))
         )
 
-    def solver_program(self) -> SolverProgram:
-        return _decoded(self.i, "solver", SolverProgram.from_json, self.solver)
+    def solver_program(self, after: Optional[SolverProgram] = None) -> SolverProgram:
+        """The solver snapshot; ``after``, the solver before it, saves decoding
+        the code the two share (SolverProgram.from_json)."""
+        return _decoded(self.i, "solver", SolverProgram.from_json, self.solver, after)
 
     def task_obj(self) -> Task:
         return _decoded(self.i, "task", task_from_json, self.task)
@@ -222,7 +224,9 @@ class Replay:
     Resume, audit and report all iterate one over entries they loaded.  Each
     step carries an entry with its decoded candidate, task and trace and,
     for a ledger entry, its cost parameters with the external rewards known
-    so far and its c and c*.
+    so far and its c and c*.  Every entry of an archive carries a ledger or
+    none does, as its first entry sets (``ledger``): an entry that differs,
+    or carries only part of one, raises ArchiveCorrupt.
     While a step is out, ``repertoire`` still holds only the tasks of earlier
     entries, the set the entry was judged against, and ``origins`` and
     ``external_rewards`` already include the entry.  Each distinct task joins
@@ -238,6 +242,7 @@ class Replay:
         self.items: dict[str, RepertoireItem] = {}  # task identity -> repertoire item
         self.origins: dict[str, str] = {}  # task identity -> origin of its first entry
         self.external_rewards: dict[str, int] = {}  # task identity -> user reward
+        self.ledger: Optional[bool] = None  # whether the entries carry a ledger
 
     def __iter__(self) -> Iterator[ReplayStep]:
         last = last_stored = None  # the latest ledger entry's parameters, decoded and as stored
@@ -253,7 +258,7 @@ class Replay:
                     raise ArchiveCorrupt(entry.i, f"reward {reward!r} is no integer")
                 self.external_rewards[identity] = reward
             params = ledger = None
-            if entry.c is not None:
+            if self._carries_ledger(entry):
                 ledger = (
                     _decoded(entry.i, "c", parse_ratio, entry.c),
                     _decoded(entry.i, "c_star", parse_ratio, entry.c_star),
@@ -275,6 +280,21 @@ class Replay:
                 item = RepertoireItem(len(self.repertoire) + 1, task, trace)
                 self.repertoire.append(item)
                 self.items[identity] = item
+
+    def _carries_ledger(self, entry: ArchiveEntry) -> bool:
+        """Whether the entry carries a ledger, which it must do as entry 1 does."""
+        parts = (entry.c is not None, entry.c_star is not None, "cost_params" in entry.meta)
+        carries = any(parts)
+        if self.ledger is None:
+            self.ledger = carries
+        elif carries != self.ledger:
+            if carries:
+                raise ArchiveCorrupt(entry.i, "carries a ledger where entry 1 has none")
+            raise ArchiveCorrupt(entry.i, "carries no ledger where entry 1 has one")
+        if carries and not all(parts):
+            missing = [n for n, p in zip(("c", "c_star", "cost_params"), parts) if not p]
+            raise ArchiveCorrupt(entry.i, f"ledger entry without {', '.join(missing)}")
+        return carries
 
 
 def repair_archive(archive_path, entries: list) -> bool:

@@ -49,12 +49,14 @@ class AuditReport:
 def audit_archive(archive_path) -> AuditReport:
     """Re-verify every frozen acceptance from the archive alone.
 
-    Variant is detected per entry (cost fields present or not).  For the
-    no-forgetting variant each phase must show: the previous solver fails the
-    new task within bounds, the frozen solver handles it, and the frozen
-    solver still passes every earlier task (patterns re-run, decisions
-    replayed against their stored traces).  An entry that does not decode
-    raises ArchiveCorrupt.
+    The variant is the archive's: Replay lets every entry carry a ledger
+    (cost fields) or none, as the first entry does.  For the no-forgetting
+    variant each phase must show: the previous solver fails the new task
+    within bounds, the frozen solver handles it, and the frozen solver still
+    passes every earlier task (patterns re-run, decisions replayed against
+    their stored traces).  An entry that does not decode raises
+    ArchiveCorrupt.  Each solver snapshot is decoded past the code it shares
+    with the one before it, with the outcome of a whole decode.
     """
     report = AuditReport()
     entries = load_archive(archive_path)
@@ -63,7 +65,7 @@ def audit_archive(archive_path) -> AuditReport:
     prev_solver = EMPTY_SOLVER
     measured = (None, {})  # the previous cost entry's solver and c measures
     for entry, _candidate, task, trace, params, ledger in replay:
-        solver = entry.solver_program()
+        solver = entry.solver_program(prev_solver)
         if params is None:
             _audit_strict_entry(
                 report, entry.i, prev_solver, solver, task, trace, replay.repertoire

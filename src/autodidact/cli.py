@@ -1,11 +1,12 @@
 """Command line harness: run experiments, audit archives, emit reports.
 
 Exit codes: 0 success, 2 configuration error (for a malformed
-external-task line a ``config_error`` event names the line), 3 audit mismatch
-or a damaged archive: a torn line before the last, an entry that does not
-decode or whose index breaks sequence (any subcommand; an
-``archive_corrupt`` event names the entry), 4 search ceiling reached with
-zero acceptances.
+external-task line a ``config_error`` event names the line; resuming an
+archive under the other variant is one too), 3 audit mismatch or a damaged
+archive: a torn line before the last, an entry that does not decode, whose
+index breaks sequence, or that carries a ledger where the first entry has
+none or the other way round (any subcommand; an ``archive_corrupt`` event
+names the entry), 4 search ceiling reached with zero acceptances.
 Progress events stream as one JSON object per line on standard error; all
 result files are deterministic functions of (config, seed).
 """
@@ -110,6 +111,9 @@ def cmd_run(args) -> int:
         return _archive_corrupt(exc)
     except MalformedQueue as exc:
         _log_stderr({"event": "config_error", "line": exc.line, "error": str(exc)})
+        return EXIT_CONFIG
+    except ConfigError as exc:  # a resume under the other variant
+        _log_stderr({"event": "config_error", "error": str(exc)})
         return EXIT_CONFIG
     except OSError as exc:
         _log_stderr({"event": "io_error", "error": str(exc)})

@@ -24,7 +24,7 @@ from .archive import (
     load_external_queue,
     repair_archive,
 )
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .costs import (
     CostParams,
     TaskMeasure,
@@ -152,6 +152,12 @@ class Engine:
             for c in candidate.opcode_sequence:
                 if c != TERMINATOR:
                     self.theta[c] = self.theta.get(c, 1) * 2
+        if entries and replay.ledger != (self.config.variant == "II"):
+            # Appending would mix ledger entries with entries without one.
+            raise ConfigError(
+                f"cannot resume a variant {'II' if replay.ledger else 'I'} archive "
+                f"as variant {self.config.variant}"
+            )
         if entries:
             self.solver = entries[-1].solver_program()
         # Only an archive that decoded throughout may be rewritten.

@@ -9,7 +9,9 @@ wall bits, so a program can navigate from local information alone.
 Live runs record a trace step per action: the observation resulting from the
 action, the reward, a digest of the solver state, and the action itself.  The
 replay environment re-serves a recorded trace with no grid at all, which is
-what makes preservation checks cheap and environment-free.
+what makes preservation checks cheap and environment-free.  The VM hands
+``act`` a function for the solver-state digest, and only live runs, whose
+traces store it, call it: a replay never computes one.
 """
 
 from __future__ import annotations
@@ -116,9 +118,10 @@ class LiveEnv:
     def sense(self) -> int:
         return self.state.world.observation(self.state.agent)
 
-    def act(self, action: int, solver_digest: str) -> int:
+    def act(self, action: int, solver_digest) -> int:
+        """Take the action; ``solver_digest()`` gives the state digest to record."""
         obs, reward, self.state = env_step(self.state, action)
-        self.trace_steps.append((obs, reward, solver_digest, action))
+        self.trace_steps.append((obs, reward, solver_digest(), action))
         return reward
 
 
@@ -136,7 +139,7 @@ class ReplayEnv:
             return self.initial_obs
         return self.steps[self.pos - 1][0]
 
-    def act(self, action: int, _solver_digest: str) -> int:
+    def act(self, action: int, _solver_digest) -> int:
         if self.pos >= len(self.steps):
             self.diverged = True
             return 0

@@ -65,27 +65,30 @@ class RepertoireItem:
 
 
 class UsageIndex:
-    """Component index k -> task indices, plus entry key -> task indices."""
+    """Component index k -> task indices, plus entry key -> task indices.
+
+    ``rows`` keeps each task's current components and entry key, so that
+    refreshing a task touches only its own old and new rows.
+    """
 
     def __init__(self):
         self.by_component: dict[int, set[int]] = {}
         self.by_entry: dict[str, set[int]] = {}
+        self.rows: dict[int, tuple[frozenset, str]] = {}  # task index -> its usage
 
     def record(self, task_index: int, components: frozenset, entry_key: str) -> None:
-        """Install or refresh one task's usage, dropping stale rows."""
-        for k, members in list(self.by_component.items()):
-            if task_index in members and k not in components:
-                members.discard(task_index)
-                if not members:
-                    del self.by_component[k]
+        """Install or refresh one task's usage, dropping its stale rows."""
+        old = self.rows.get(task_index)
+        if old is not None:
+            old_components, old_key = old
+            for k in old_components - components:
+                _drop(self.by_component, k, task_index)
+            if old_key != entry_key:
+                _drop(self.by_entry, old_key, task_index)
         for k in components:
             self.by_component.setdefault(k, set()).add(task_index)
-        for key, members in list(self.by_entry.items()):
-            if task_index in members and key != entry_key:
-                members.discard(task_index)
-                if not members:
-                    del self.by_entry[key]
         self.by_entry.setdefault(entry_key, set()).add(task_index)
+        self.rows[task_index] = (components, entry_key)
 
     def snapshot(self) -> tuple:
         return (
@@ -95,6 +98,15 @@ class UsageIndex:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UsageIndex) and self.snapshot() == other.snapshot()
+
+
+def _drop(rows: dict, key, task_index: int) -> None:
+    """Take task_index out of rows[key], and the row out once it is empty."""
+    members = rows.get(key)
+    if members is not None:
+        members.discard(task_index)
+        if not members:
+            del rows[key]
 
 
 def rebuild_usage(

@@ -18,13 +18,32 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
+from itertools import compress, product
 from typing import NamedTuple, Optional
 
 from .bits import BitString
 from .codec import decode, encode, program_bits
-from . import isa as I
-from .isa import SOLVER_ISA, signed_nibble
+from .isa import (
+    OPCODE_BITS,
+    OP_ACT,
+    OP_ADD,
+    OP_DEC,
+    OP_DUP,
+    OP_HALT,
+    OP_INC,
+    OP_JMP,
+    OP_JZ,
+    OP_LOAD,
+    OP_OUTPUT,
+    OP_POP,
+    OP_PUSH,
+    OP_READBIT,
+    OP_SENSE,
+    OP_STORE,
+    OP_SWAP,
+    SOLVER_ISA,
+)
 
 STACK_DEPTH = 64
 MEMORY_CELLS = 64
@@ -108,7 +127,9 @@ class SolverProgram:
     @property
     def size_bits(self) -> int:
         """L(s): encoded instruction stream plus a fixed charge per entry row."""
-        return program_bits(self.instructions) + ENTRY_BITS * len(self.entries)
+        code = self._code
+        bits = code.length if code is not None else program_bits(self.instructions)
+        return bits + ENTRY_BITS * len(self.entries)
 
     def entry_for(self, input_bits: BitString) -> int:
         return self.entries.get(input_bits.to_hex(), 0)
@@ -144,17 +165,33 @@ class SolverProgram:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "SolverProgram":
+    def from_json(cls, data: dict, after: Optional["SolverProgram"] = None) -> "SolverProgram":
+        """The snapshot's solver; ``after`` may be the solver decoded before it.
+
+        When the code starts with after's code without its terminator, only
+        the rest is decoded.  The code is prefix-free and decoded in order,
+        so the result, and any error a damaged snapshot raises, equal a
+        decode of the whole code.
+        """
         bits = BitString.from_hex(data["code"])
-        decoded = decode(bits)
-        if decoded.consumed_bits != bits.length:
+        head, start = (), 0
+        if after is not None:
+            shared = after.code.length - OPCODE_BITS
+            if 0 < shared <= bits.length and (
+                bits.value >> (bits.length - shared) == after.code.value >> OPCODE_BITS
+            ):
+                head, start = after.instructions, shared
+        decoded = decode(bits, start=start)
+        if start + decoded.consumed_bits != bits.length:
             raise InvalidResult("solver code has trailing bits")
-        return cls(
-            decoded.instructions,
+        program = cls(
+            head + decoded.instructions,
             dict(data.get("entries", {})),
             int(data.get("frozen_prefix_len", 0)),
             frozenset(data.get("frozen_entry_keys", ())),
         )
+        object.__setattr__(program, "_code", bits)  # the whole code decoded: it is canonical
+        return program
 
     def frozen_copy(self) -> "SolverProgram":
         """Freeze everything: append-only growth from here on (prefix mode)."""
@@ -334,8 +371,7 @@ def size_change(prev: SolverProgram, edits) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     output: BitString
     steps_used: int  # billed steps; equals the budget when halted is False
     executed: int  # instructions actually executed
@@ -360,8 +396,12 @@ def run_solver(
     Deterministic: identical (program, input, env initial state, budget)
     always produce an identical outcome.  The environment, when present, is
     driven through its sense()/act() methods; each ACT or SENSE costs one
-    step like every other instruction.  ``entry_key`` is
+    step like every other instruction.  ``env.act(action, digest)`` gets a
+    zero-argument function for the solver-state digest at that ACT, so only
+    an environment that records the digest pays for it.  ``entry_key`` is
     ``input_bits.to_hex()``, for callers that keep it (a task's entry_key).
+
+    The dispatch tests opcodes in their measured order of dynamic frequency.
     """
     if step_budget < 1:
         raise ValueError("step_budget must be >= 1")
@@ -396,30 +436,7 @@ def run_solver(
         steps += 1
         next_pc = pc + 1
 
-        if code == I.OP_PUSH:
-            if len(stack) >= STACK_DEPTH:
-                reason = "stack_overflow"
-                break
-            stack.append(args[0])
-        elif code == I.OP_HALT:
-            halted = True
-            reason = HALT_EXPLICIT
-            break
-        elif code == I.OP_JZ:
-            if not stack:
-                reason = "stack_underflow"
-                break
-            if stack.pop() == 0:
-                next_pc = pc + 1 + signed_nibble(args[0])
-                if not 0 <= next_pc <= m:
-                    reason = "bad_jump"
-                    break
-        elif code == I.OP_JMP:
-            next_pc = pc + 1 + signed_nibble(args[0])
-            if not 0 <= next_pc <= m:
-                reason = "bad_jump"
-                break
-        elif code == I.OP_READBIT:
+        if code == OP_READBIT:
             if cursor >= in_len:
                 reason = "input_exhausted"
                 break
@@ -428,18 +445,39 @@ def run_solver(
                 break
             stack.append((in_val >> (in_len - 1 - cursor)) & 1)
             cursor += 1
-        elif code == I.OP_OUTPUT:
+        elif code == OP_POP:
+            if not stack:
+                reason = "stack_underflow"
+                break
+            stack.pop()
+        elif code == OP_JZ:
+            if not stack:
+                reason = "stack_underflow"
+                break
+            if stack.pop() == 0:
+                offset = args[0]  # a signed nibble, -8..7
+                next_pc += offset - 16 if offset >= 8 else offset
+                if not 0 <= next_pc <= m:
+                    reason = "bad_jump"
+                    break
+        elif code == OP_PUSH:
+            if len(stack) >= STACK_DEPTH:
+                reason = "stack_overflow"
+                break
+            stack.append(args[0])
+        elif code == OP_JMP:
+            offset = args[0]
+            next_pc += offset - 16 if offset >= 8 else offset
+            if not 0 <= next_pc <= m:
+                reason = "bad_jump"
+                break
+        elif code == OP_OUTPUT:
             if not stack:
                 reason = "stack_underflow"
                 break
             out_val = (out_val << 1) | (stack.pop() & 1)
             out_len += 1
-        elif code == I.OP_POP:
-            if not stack:
-                reason = "stack_underflow"
-                break
-            stack.pop()
-        elif code == I.OP_DUP:
+        elif code == OP_DUP:
             if not stack:
                 reason = "stack_underflow"
                 break
@@ -447,28 +485,43 @@ def run_solver(
                 reason = "stack_overflow"
                 break
             stack.append(stack[-1])
-        elif code == I.OP_SWAP:
-            if len(stack) < 2:
-                reason = "stack_underflow"
-                break
-            stack[-1], stack[-2] = stack[-2], stack[-1]
-        elif code == I.OP_INC:
-            if not stack:
-                reason = "stack_underflow"
-                break
-            stack[-1] = (stack[-1] + 1) & WORD_MASK
-        elif code == I.OP_DEC:
+        elif code == OP_DEC:
             if not stack:
                 reason = "stack_underflow"
                 break
             stack[-1] = (stack[-1] - 1) & WORD_MASK
-        elif code == I.OP_ADD:
+        elif code == OP_ACT:
+            if env is None:
+                reason = "no_env"
+                break
+            if not stack:
+                reason = "stack_underflow"
+                break
+            action = stack.pop() % 5
+            digest = partial(_quick_state_digest, stack, memory, cursor, pc, steps)
+            reward = env.act(action, digest)
+            stack.append(reward & WORD_MASK)
+        elif code == OP_HALT:
+            halted = True
+            reason = HALT_EXPLICIT
+            break
+        elif code == OP_SWAP:
+            if len(stack) < 2:
+                reason = "stack_underflow"
+                break
+            stack[-1], stack[-2] = stack[-2], stack[-1]
+        elif code == OP_INC:
+            if not stack:
+                reason = "stack_underflow"
+                break
+            stack[-1] = (stack[-1] + 1) & WORD_MASK
+        elif code == OP_ADD:
             if len(stack) < 2:
                 reason = "stack_underflow"
                 break
             b = stack.pop()
             stack[-1] = (stack[-1] + b) & WORD_MASK
-        elif code == I.OP_LOAD:
+        elif code == OP_LOAD:
             if not stack:
                 reason = "stack_underflow"
                 break
@@ -477,7 +530,7 @@ def run_solver(
                 reason = "mem_fault"
                 break
             stack.append(memory[addr])
-        elif code == I.OP_STORE:
+        elif code == OP_STORE:
             if len(stack) < 2:
                 reason = "stack_underflow"
                 break
@@ -487,18 +540,7 @@ def run_solver(
                 reason = "mem_fault"
                 break
             memory[addr] = val
-        elif code == I.OP_ACT:
-            if env is None:
-                reason = "no_env"
-                break
-            if not stack:
-                reason = "stack_underflow"
-                break
-            action = stack.pop() % 5
-            digest = _quick_state_digest(stack, memory, cursor, pc, steps)
-            reward = env.act(action, digest)
-            stack.append(reward & WORD_MASK)
-        elif code == I.OP_SENSE:
+        elif code == OP_SENSE:
             if env is None:
                 reason = "no_env"
                 break
@@ -511,24 +553,22 @@ def run_solver(
 
         pc = next_pc
 
-    executed = steps
-    billed = steps if halted else step_budget
-    comps = []
-    i = used.find(1)
-    while i >= 0:
-        comps.append(i + 1)
-        i = used.find(1, i + 1)
+    # Runs touch a few neighbouring slots of a long solver: read the flags
+    # only from the first slot used to the last (none: an empty window).
+    first = used.find(1)
+    end = used.rfind(1) + 1
     return RunOutcome(
-        output=BitString(out_val, out_len),
-        steps_used=billed,
-        executed=executed,
-        components_used=frozenset(comps),
-        halted=halted,
-        halt_reason=reason,
+        BitString(out_val, out_len),
+        steps if halted else step_budget,
+        steps,
+        frozenset(compress(range(first + 1, end + 1), used[first:end])),
+        halted,
+        reason,
     )
 
 
 def _quick_state_digest(stack, memory, cursor, pc, steps) -> str:
+    """The solver state at an ACT, as a live trace records it."""
     h = hashlib.sha256()
     h.update(repr((tuple(stack), tuple(memory), cursor, pc, steps)).encode())
     return h.hexdigest()[:12]

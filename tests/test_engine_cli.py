@@ -192,9 +192,12 @@ def test_an_archive_out_of_sequence_exits_three_and_names_the_entry(
 ):
     variant, found = DAMAGE[damage]
     lines = _damaged(four_entry_archives[variant], damage)
-    path = tmp_path / "archive.jsonl"
-    path.write_text("".join(lines))
-    args = {
+    _assert_corrupt(tmp_path, capsys, command, variant, lines, found)
+
+
+def _command(command, path, variant, tmp_path):
+    """The command line of ``audit``, ``report`` or ``run --resume`` on an archive."""
+    return {
         "audit": ["audit", str(path)],
         "report": ["report", str(path), "--out", str(tmp_path / "report")],
         "run": [
@@ -212,12 +215,94 @@ def test_an_archive_out_of_sequence_exits_three_and_names_the_entry(
             str(tmp_path / "m.csv"),
         ],
     }[command]
-    assert run_cli(args) == EXIT_AUDIT == 3
+
+
+def _assert_corrupt(tmp_path, capsys, command, variant, lines, found):
+    """The command exits 3 on the archive of these lines, naming entry ``found``."""
+    path = tmp_path / "archive.jsonl"
+    path.write_text("".join(lines))
+    assert run_cli(_command(command, path, variant, tmp_path)) == EXIT_AUDIT == 3
     events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert events[-1]["event"] == "archive_corrupt"
     assert events[-1]["entry"] == found
     assert path.read_text() == "".join(lines)  # resume must not rewrite it
     assert not (tmp_path / "report").exists()  # nor report write a partial one
+    return events[-1]["error"]
+
+
+def _stripped(lines, entry, fields):
+    """The archive lines with ``fields`` (top-level or in meta) taken out of one entry."""
+    lines = list(lines)
+    data = json.loads(lines[entry - 1])
+    for name in fields:
+        (data if name in data else data["meta"]).pop(name)
+    lines[entry - 1] = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    return lines
+
+
+@pytest.mark.parametrize("entry", [1, 2, 3, 4])
+@pytest.mark.parametrize("command", ["audit", "report", "run"])
+def test_a_stripped_ledger_exits_three_and_names_the_entry(
+    tmp_path, capsys, four_entry_archives, command, entry
+):
+    # The archive's first entry decides whether every entry carries a ledger
+    # (c, c* and cost parameters), so a variant II entry stripped of its
+    # ledger is no variant I entry to be audited as one.
+    lines = four_entry_archives["II"]
+    error = _assert_corrupt(
+        tmp_path, capsys, command, "II", _stripped(lines, entry, ["c", "c_star"]), entry
+    )
+    assert "ledger entry without c, c_star" in error
+    # Stripped of its cost parameters too, the entry differs from entry 1;
+    # entry 1 stripped so makes entry 2 the first to differ.
+    whole = _stripped(lines, entry, ["c", "c_star", "cost_params"])
+    error = _assert_corrupt(tmp_path, capsys, command, "II", whole, max(entry, 2))
+    assert "where entry 1 has" in error
+
+
+@pytest.mark.parametrize("entry", [2, 3, 4])
+def test_a_ledger_in_a_variant_one_archive_exits_three(
+    tmp_path, capsys, four_entry_archives, entry
+):
+    lines = list(four_entry_archives["I"])
+    data = json.loads(lines[entry - 1])
+    data["c"], data["c_star"] = "1", "2"
+    data["meta"]["cost_params"] = json.loads(four_entry_archives["II"][0])["meta"]["cost_params"]
+    lines[entry - 1] = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    error = _assert_corrupt(tmp_path, capsys, "audit", "I", lines, entry)
+    assert "carries a ledger where entry 1 has none" in error
+
+
+@pytest.mark.parametrize("archived, asked", [("I", "II"), ("II", "I")])
+def test_resuming_under_the_other_variant_exits_two_and_writes_nothing(
+    tmp_path, capsys, four_entry_archives, archived, asked
+):
+    # Appending would mix entries with and without a ledger.
+    path = tmp_path / "archive.jsonl"
+    text = "".join(four_entry_archives[archived])
+    path.write_text(text + '{"i": 5, "orig')  # a crash tail, which a resume would cut
+    assert run_cli(_command("run", path, asked, tmp_path)) == 2
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert events[-1]["event"] == "config_error"
+    assert f"variant {archived} archive as variant {asked}" in events[-1]["error"]
+    assert path.read_text() == text + '{"i": 5, "orig'
+
+
+def test_a_variant_two_run_with_external_tasks_writes_a_ledger_in_every_entry(tmp_path):
+    from autodidact.archive import ExternalTask, save_external_queue
+
+    queue = tmp_path / "queue.jsonl"
+    hard = PatternTask(2, nibble(5), nibble(12), 64, 1024)
+    save_external_queue(queue, [ExternalTask(hard, reward=7)])
+    cfg, res = small_run(
+        tmp_path, variant="II", domain="pattern", max_tasks=3, external_tasks_path=str(queue)
+    )
+    assert res.accepted == 3
+    assert [e.origin for e in res.entries].count("external") == 1
+    for line in open(cfg.archive_path):
+        data = json.loads(line)
+        assert {"c", "c_star"} <= set(data) and "cost_params" in data["meta"]
+    assert run_cli(["audit", cfg.archive_path]) == 0
 
 
 def test_small_run_and_audit_cli(tmp_path):
@@ -237,6 +322,109 @@ def test_flipped_bit_in_frozen_solver_fails_audit(tmp_path):
     lines[1] = json.dumps(data, sort_keys=True, separators=(",", ":"))
     open(cfg.archive_path, "w").write("\n".join(lines) + "\n")
     assert run_cli(["audit", cfg.archive_path]) == 3
+
+
+def test_a_snapshot_that_does_not_extend_its_predecessor_decodes_whole(monkeypatch):
+    # A snapshot after a SetSlot or Truncate edit shares no full prefix with
+    # the solver before it and is decoded whole; one after Append edits
+    # decodes only its appended code.  Either way it equals from_json's.
+    from autodidact import vm
+    from autodidact.isa import SOLVER_ISA
+    from autodidact.vm import Append, SetSlot, SolverProgram, Truncate, apply_modification
+
+    starts = []
+    real_decode = vm.decode
+
+    def spy(bits, *args, start=0):
+        starts.append(start)
+        return real_decode(bits, *args, start=start)
+
+    monkeypatch.setattr(vm, "decode", spy)
+    prev = SolverProgram(SOLVER_ISA.assemble("PUSH 1\nJZ 2\nREADBIT\nOUTPUT\nHALT"), {"2:40": 1})
+    prev = SolverProgram.from_json(prev.to_json())
+    shared = prev.code.length - 5
+    for edits, start in [
+        ([SetSlot(3, (SOLVER_ISA.by_name["DUP"].code, ()))], 0),
+        ([SetSlot(0, (SOLVER_ISA.by_name["PUSH"].code, (0,)))], 0),
+        ([Truncate(3)], 0),
+        ([Truncate(3), Append((SOLVER_ISA.by_name["HALT"].code, ()))], 0),
+        ([Append((SOLVER_ISA.by_name["POP"].code, ()))], shared),
+        ([], shared),
+    ]:
+        q, _changed = apply_modification(prev, edits)
+        data = q.to_json()
+        starts.clear()
+        got = SolverProgram.from_json(data, after=prev)
+        assert starts == [start]
+        assert got == SolverProgram.from_json(data) == q
+        assert got.code == q.code and got.size_bits == q.size_bits
+        assert got.frozen_prefix_len == q.frozen_prefix_len
+
+
+def _extending_entry(lines):
+    """The index of the first entry whose code extends the code before it."""
+    from autodidact.vm import SolverProgram
+
+    for k in range(2, len(lines) + 1):
+        before = SolverProgram.from_json(json.loads(lines[k - 2])["solver"]).code
+        code = SolverProgram.from_json(json.loads(lines[k - 1])["solver"]).code
+        shared = before.length - 5
+        if code.length > shared > 0 and code.value >> (code.length - shared) == before.value >> 5:
+            return k, shared
+    raise AssertionError("no snapshot extends its predecessor")
+
+
+@pytest.mark.parametrize(
+    "damage", ["wrong prefix", "other immediate in the prefix", "trailing bits",
+               "bad opcode past the prefix"]
+)
+def test_a_corrupt_snapshot_fails_as_a_whole_decode_does(
+    tmp_path, capsys, monkeypatch, four_entry_archives, damage
+):
+    # The audit decodes a snapshot past its predecessor's code; a damaged
+    # one must fail exactly as the whole decode of it fails.
+    from autodidact.archive import ArchiveEntry
+    from autodidact.bits import BitString
+    from autodidact.isa import SOLVER_ISA
+    from autodidact.vm import SolverProgram
+
+    lines = list(four_entry_archives["I"])
+    k, shared = _extending_entry(lines)
+    data = json.loads(lines[k - 1])
+    code = BitString.from_hex(data["solver"]["code"])
+    if damage == "wrong prefix":
+        value, length = code.value ^ (1 << (code.length - 3)), code.length
+    elif damage == "other immediate in the prefix":
+        # Flip the last bit of the prefix's last immediate: the code still
+        # decodes, to a solver that differs from the one frozen there.
+        end = 0
+        for op, args in SolverProgram.from_json(data["solver"]).instructions:
+            end += SOLVER_ISA.width(op)
+            if args and end <= shared:
+                last = end
+        value, length = code.value ^ (1 << (code.length - last)), code.length
+    elif damage == "trailing bits":
+        value, length = code.value << 5 | 3, code.length + 5
+    else:
+        tail = code.length - shared - 5  # the first opcode past the prefix
+        value, length = code.value | (31 << tail), code.length
+    data["solver"]["code"] = BitString(value, length).to_hex()
+    lines[k - 1] = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    path = tmp_path / "archive.jsonl"
+    path.write_text("".join(lines))
+
+    exit_code = run_cli(["audit", str(path)])
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    whole = ArchiveEntry.solver_program
+    monkeypatch.setattr(ArchiveEntry, "solver_program", lambda self, after=None: whole(self))
+    assert run_cli(["audit", str(path)]) == exit_code == EXIT_AUDIT
+    assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == events
+    if damage == "other immediate in the prefix":
+        assert events[-1]["event"] == "audit_failure"
+    elif damage != "wrong prefix":
+        assert (events[-1]["event"], events[-1]["entry"]) == ("archive_corrupt", k)
+        reason = "trailing bits" if damage == "trailing bits" else "InvalidOpcode"
+        assert reason in events[-1]["error"]
 
 
 @pytest.mark.parametrize("tamper", ["solver", "c", "t_max"])

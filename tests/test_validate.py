@@ -102,6 +102,26 @@ def test_update_usage_drops_stale_components():
     assert usage.by_component[6] == {2}
 
 
+def test_usage_records_equal_an_index_of_each_tasks_last_usage():
+    # However often tasks are refreshed, rerouted or moved between slots,
+    # the index equals one built afresh from each task's last usage.
+    from autodidact.validate import UsageIndex
+
+    rng = random.Random(8)
+    usage, last = UsageIndex(), {}
+    for _ in range(400):
+        task = rng.randrange(1, 9)
+        components = frozenset(rng.sample(range(1, 13), rng.randrange(0, 5)))
+        key = rng.choice(["a", "b", "c"])
+        usage.record(task, components, key)
+        last[task] = (components, key)
+        fresh = UsageIndex()
+        for t, (comps, k) in last.items():
+            fresh.record(t, comps, k)
+        assert usage.by_component == fresh.by_component  # no empty rows left either
+        assert usage.by_entry == fresh.by_entry
+
+
 def test_incremental_index_equals_rebuild_oracle():
     rng = random.Random(5)
     solver, items, usage = build_repertoire(rng, 5)

@@ -3,12 +3,14 @@ import random
 import pytest
 
 from autodidact.bits import BitString
+from autodidact import isa as I
 from autodidact.isa import SOLVER_ISA
 from autodidact.vm import (
     Append,
     EMPTY_SOLVER,
     FrozenViolation,
     InvalidResult,
+    RunOutcome,
     SetEntry,
     SetSlot,
     SolverProgram,
@@ -435,3 +437,141 @@ def test_apply_modification_matches_the_reference_over_random_scripts():
         if not isinstance(outcome[0], type):
             q, _changed = apply_modification(prev, edits)
             assert prev.size_bits + size_change(prev, edits) == q.size_bits
+
+
+# ---------------------------------------------------------------------------
+# The interpreter against its frozen reference (tests/reference_vm.py)
+# ---------------------------------------------------------------------------
+
+
+def _outcome_fields(outcome):
+    return tuple(getattr(outcome, f) for f in (*RunOutcome._fields, "fault"))
+
+
+def _random_instructions(rng, n):
+    codes = SOLVER_ISA.codes()
+    out = []
+    for _ in range(n):
+        c = rng.choice(codes)
+        out.append((c, tuple(rng.randrange(16) for _ in range(SOLVER_ISA.by_code[c].nibbles))))
+    return tuple(out)
+
+
+def _differential_cases(rng, trials):
+    """(program, input, entry_key, budget, task item or None) over random and
+    template-built solvers, the latter randomly edited."""
+    from conftest import build_repertoire, random_edit
+
+    for trial in range(trials):
+        if trial % 2:
+            instrs = _random_instructions(rng, rng.randrange(0, 20))
+            if trial % 6 == 1:
+                # A body of up to 7 slots looped back to its start by a JMP
+                # or JZ of -1..-8: long runs that fill the stack and act
+                # many times.
+                body = instrs[: rng.randrange(8)]
+                jump = rng.choice((I.OP_JMP, I.OP_JZ))
+                instrs = body + ((jump, ((-1 - len(body)) & 0xF,)),)
+            entries = {}
+            if instrs and rng.random() < 0.5:
+                entries[BitString(rng.randrange(4), 2).to_hex()] = rng.randrange(len(instrs) + 1)
+            prog = SolverProgram(instrs, entries)
+            inp = BitString.from_bits(rng.randrange(2) for _ in range(rng.randrange(0, 12)))
+            item = None
+        else:
+            solver, items, _usage = build_repertoire(rng, rng.randrange(1, 4))
+            item = rng.choice(items)
+            prog = solver
+            if rng.random() < 0.6:
+                try:
+                    prog, _changed = apply_modification(solver, random_edit(rng, solver, items))
+                except (InvalidResult, FrozenViolation):
+                    pass
+            inp = item.task.identifier
+        key = rng.choice([None, inp.to_hex(), BitString(rng.randrange(4), 2).to_hex()])
+        yield prog, inp, key, rng.randrange(1, 200), item
+
+
+def test_run_solver_equals_the_reference_interpreter():
+    # Every RunOutcome field and every live trace step, digests included,
+    # equal the pre-rewrite interpreter's, with no environment, a live
+    # gridworld and a replayed trace, over random and template-built programs.
+    import reference_vm as ref
+    from autodidact.grid import WORLDS, LiveEnv, ReplayEnv
+    from autodidact.tasks import DecisionTask
+
+    rng = random.Random(20261019)
+    reasons, acts = set(), 0
+    for prog, inp, key, budget, item in _differential_cases(rng, 900):
+        decision = item is not None and isinstance(item.task, DecisionTask)
+        if decision:
+            world, goal = item.task.world, item.task.goal.target_cell
+        else:
+            world = WORLDS[rng.randrange(len(WORLDS))]
+            goal = world.goals[rng.randrange(len(world.goals))]
+        for kind in ("none", "live", "replay"):
+            if kind == "none":
+                env, ref_env = None, None
+            elif kind == "live":
+                env, ref_env = LiveEnv(world, goal), ref.LiveEnv(world, goal)
+            else:
+                if decision and rng.random() < 0.7:
+                    steps, obs = item.trace.steps, item.task.initial_obs()
+                else:
+                    steps = tuple(
+                        (rng.randrange(256), rng.choice((-1, 0, 1)), "", rng.randrange(5))
+                        for _ in range(rng.randrange(0, 6))
+                    )
+                    obs = rng.randrange(256)
+                env, ref_env = ReplayEnv(steps, obs), ref.ReplayEnv(steps, obs)
+            got = run_solver(prog, inp, env, budget, key)
+            want = ref.run_solver(prog, inp, ref_env, budget, key)
+            assert _outcome_fields(got) == _outcome_fields(want)
+            if kind == "live":
+                assert env.trace_steps == ref_env.trace_steps
+                assert env.state == ref_env.state
+                acts += len(env.trace_steps)
+            elif kind == "replay":
+                assert (env.pos, env.diverged, env.exact) == (
+                    ref_env.pos, ref_env.diverged, ref_env.exact
+                )
+            reasons.add(want.halt_reason)
+    # The cases reach every way a run ends, and live runs act.
+    assert reasons >= {"halt", "end", "budget", "stack_underflow", "stack_overflow",
+                       "bad_jump", "input_exhausted", "no_env", "mem_fault"}
+    assert acts > 100
+
+
+def test_a_replay_run_computes_no_state_digest(monkeypatch):
+    # A live run records the solver-state digest at every ACT; a replay of
+    # its trace reproduces the run without computing a single digest.
+    from autodidact import vm
+    from autodidact.grid import LiveEnv, ReplayEnv
+    from autodidact.tasks import DecisionTask, replay_check
+
+    from conftest import build_repertoire
+
+    rng = random.Random(17)
+    replayed = 0
+    while replayed < 5:
+        solver, items, _usage = build_repertoire(rng, 3)
+        for item in items:
+            if not isinstance(item.task, DecisionTask):
+                continue
+            task, trace = item.task, item.trace
+            assert trace.steps and all(len(u) == 12 for _x, _r, u, _y in trace.steps)
+
+            def no_digest(*_state):
+                raise AssertionError("a replay computed a state digest")
+
+            with monkeypatch.context() as patched:
+                patched.setattr(vm, "_quick_state_digest", no_digest)
+                assert replay_check(solver, task, trace).success
+                env = ReplayEnv(trace.steps, task.initial_obs())
+                run_solver(solver, task.identifier, env, task.t, task.entry_key)
+                assert env.exact
+                # The patch is on the live path: a live run calls it.
+                with pytest.raises(AssertionError, match="computed a state digest"):
+                    live = LiveEnv(task.world, task.goal.target_cell)
+                    run_solver(solver, task.identifier, live, task.t, task.entry_key)
+            replayed += 1
