@@ -157,7 +157,7 @@ def _canonical(entry: ArchiveEntry) -> str:
 
 
 def append_entry(archive_path, entry: ArchiveEntry, existing: list) -> None:
-    """Persist one acceptance; flushed to disk before the search resumes."""
+    """Persist one acceptance, any sidecar trace first; synced before the search resumes."""
     expected = (existing[-1].i + 1) if existing else 1
     if entry.i < expected:
         raise DuplicateIndex(entry.i, "already frozen")
@@ -169,7 +169,10 @@ def append_entry(archive_path, entry: ArchiveEntry, existing: list) -> None:
             digest = hashlib.sha256(blob.encode()).hexdigest()[:24]
             side_dir = _sidecar_dir(archive_path)
             side_dir.mkdir(parents=True, exist_ok=True)
-            (side_dir / f"{digest}.json").write_text(blob)
+            with open(side_dir / f"{digest}.json", "w", encoding="utf-8") as side:
+                side.write(blob)
+                side.flush()
+                os.fsync(side.fileno())
             entry.trace = None
             entry.trace_ref = digest
     line = _canonical(entry)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .archive import ArchiveCorrupt, MalformedQueue
@@ -135,19 +136,25 @@ def _sibling(path: str, name: str) -> str:
     return str(p.parent / name)
 
 
-def cmd_audit(args) -> int:
-    import os
-
-    if not os.path.exists(args.archive):
-        _log_stderr({"event": "io_error", "error": f"no archive at {args.archive}"})
-        return EXIT_CONFIG
+def _read_archive(path: str, read) -> tuple:
+    """(read(path), None), or (None, exit code): an ``io_error`` event and 2 for
+    a missing archive or an OSError, ``archive_corrupt`` and 3 for ArchiveCorrupt."""
+    if not os.path.exists(path):
+        _log_stderr({"event": "io_error", "error": f"no archive at {path}"})
+        return None, EXIT_CONFIG
     try:
-        report = audit_archive(args.archive)
+        return read(path), None
     except ArchiveCorrupt as exc:
-        return _archive_corrupt(exc)
+        return None, _archive_corrupt(exc)
     except OSError as exc:
         _log_stderr({"event": "io_error", "error": str(exc)})
-        return EXIT_CONFIG
+        return None, EXIT_CONFIG
+
+
+def cmd_audit(args) -> int:
+    report, failed = _read_archive(args.archive, audit_archive)
+    if failed is not None:
+        return failed
     _log_stderr(
         {
             "event": "audit",
@@ -165,18 +172,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_report(args) -> int:
-    import os
-
-    if not os.path.exists(args.archive):
-        _log_stderr({"event": "io_error", "error": f"no archive at {args.archive}"})
-        return EXIT_CONFIG
-    try:
-        info = write_report(args.archive, args.out)
-    except ArchiveCorrupt as exc:
-        return _archive_corrupt(exc)
-    except OSError as exc:
-        _log_stderr({"event": "io_error", "error": str(exc)})
-        return EXIT_CONFIG
+    info, failed = _read_archive(args.archive, lambda path: write_report(path, args.out))
+    if failed is not None:
+        return failed
     _log_stderr({"event": "report", "tasks": info["tasks"], "out": args.out})
     return EXIT_OK
 

@@ -6,6 +6,7 @@ learned task.  Variant II replaces that gate with explicit cost accounting:
 accept when the whole-repertoire cost drops by more than epsilon, forgetting
 allowed.  Both share the same searchers, candidate language, usage-indexed
 incremental revalidation, scratch-undo isolation, and append-only archive.
+A commit and a resume learn from each frozen entry through one step.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .costs import (
     saves,
     task_with_cost_bounds,
 )
-from .meta import MetaContext, Meter, ScratchStore
+from .meta import META_ISA, MetaContext, MetaProgram, Meter, ScratchStore
 from .prior import Prior
 from .search import (
     Acceptance,
@@ -45,8 +46,6 @@ from .search import (
     oops_search,
     stochastic_search,
 )
-from .isa import TERMINATOR
-from .meta import META_ISA
 from .tasks import Task, least_grant, report_within, run_record, solves
 from .validate import (
     CUT,
@@ -125,7 +124,6 @@ class Engine:
         self.usage = UsageIndex()
         self.segments: list[tuple[int, int]] = []
         self.prior = Prior(META_ISA, adapted=config.adapt_prior)
-        self.theta: dict[int, int] = {}
         self.scratch = ScratchStore()
         self.entries: list[ArchiveEntry] = []
         self.external_rewards: dict[str, int] = {}
@@ -145,13 +143,7 @@ class Engine:
         entries = load_archive(path)
         replay = Replay(entries, path)
         for entry, candidate, _task, _trace, _params, _ledger in replay:
-            span = entry.meta.get("appended")
-            if span:
-                self.segments.append((span[0], span[1]))
-            self.prior.adapt(candidate.opcode_sequence)
-            for c in candidate.opcode_sequence:
-                if c != TERMINATOR:
-                    self.theta[c] = self.theta.get(c, 1) * 2
+            self._learn(entry, candidate)
         if entries and replay.ledger != (self.config.variant == "II"):
             # Appending would mix ledger entries with entries without one.
             raise ConfigError(
@@ -292,7 +284,6 @@ class Engine:
             problem,
             cfg.seed,
             phase,
-            self.theta,
             cfg.stoch_candidate_budget,
             cfg.stoch_max_candidates,
             self.log,
@@ -593,8 +584,6 @@ class Engine:
         duplicate = any(item.task.identity() == identity for item in self.repertoire)
 
         self.solver = acc.solver.frozen_copy() if cfg.prefix_mode else acc.solver
-        if acc.proposal.appended:
-            self.segments.append((acc.proposal.append_start, acc.proposal.appended))
 
         per_task_usage: dict = {}
         if not duplicate:
@@ -611,9 +600,6 @@ class Engine:
             target.components_used = comps
             per_task_usage[j] = (comps, target.entry_key)
         update_usage(self.usage, per_task_usage)
-        self.prior.adapt(acc.meta.opcode_sequence)
-        # theta is the stochastic searcher's distribution; it updates itself
-        # on acceptance, so the commit must not double the step.
 
         meta_info = {
             "kind": task.kind,
@@ -656,6 +642,17 @@ class Engine:
             meta=meta_info,
         )
         append_entry(cfg.archive_path, entry, self.entries)
+        self._learn(entry, acc.meta)
+
+    def _learn(self, entry: ArchiveEntry, candidate: MetaProgram) -> None:
+        """What a frozen entry teaches the search beyond its solver: the segment
+        its edit appended and its candidate's opcodes, counted in the prior.
+        A commit learns from the entry it wrote, a resume from each it replays.
+        """
+        span = entry.meta.get("appended")
+        if span:
+            self.segments.append((span[0], span[1]))
+        self.prior.adapt(candidate.opcode_sequence)
 
 
 def inject_external_task(

@@ -1,11 +1,12 @@
 """Probability prior over candidate programs.
 
-Uniform mode assigns P(p) = 2**-L(p), exact in rational arithmetic so budget
-ceilings never flip on floating-point noise.  Adapted mode keeps one weight
-per opcode (terminators included); whenever a candidate is frozen, every
-instruction it used gets its weight multiplied by gamma and the distribution
-is renormalized back to its original total mass, so the Kraft bound survives
-any number of adaptations.
+The prior keeps one weight per opcode (terminators included); whenever a
+candidate is frozen, every instruction it used gets its weight multiplied by
+gamma.  The stochastic searcher samples opcodes by these weights in both
+modes.  Uniform mode assigns P(p) = 2**-L(p) whatever the weights, exact in
+rational arithmetic so budget ceilings never flip on floating-point noise.
+Adapted mode reads P(p) off the weights, renormalized back to their original
+total mass, so the Kraft bound survives any number of adaptations.
 """
 
 from __future__ import annotations
@@ -66,12 +67,14 @@ class Prior:
     # -- adaptation ------------------------------------------------------
 
     def adapt(self, token_codes) -> None:
-        """Make the just-frozen program's instructions more likely."""
-        if not self.adapted:
-            return
+        """Count the just-frozen program's instructions in the weights.
+
+        Only adapted mode renormalizes, so only there does P(p) change.
+        """
         for c in token_codes:
             self.weights[c] *= GAMMA
-        self._renormalize()
+        if self.adapted:
+            self._renormalize()
 
     def kraft_mass_per_token(self) -> Fraction:
         """Total opcode mass; < 1 guarantees the program-space Kraft bound."""

@@ -768,11 +768,10 @@ def oops_search(
 
 
 def _sample_candidate(
-    rng: random.Random, theta: dict, space: CandidateSpace
+    rng: random.Random, weights: dict, space: CandidateSpace
 ) -> MetaProgram:
     def weighted(codes):
-        weights = [theta.get(c, 1) for c in codes]
-        return rng.choices(codes, weights=weights, k=1)[0]
+        return rng.choices(codes, weights=[weights[c] for c in codes], k=1)[0]
 
     def rand_args(code):
         return tuple(rng.randrange(16) for _ in range(META_ISA.by_code[code].nibbles))
@@ -804,32 +803,30 @@ def stochastic_search(
     problem: SearchProblem,
     seed: int,
     phase_index: int,
-    theta: dict,
     candidate_budget: int = 4096,
     max_candidates: int = 200_000,
     log: Optional[Callable] = None,
 ) -> tuple[Acceptance, PhaseStats]:
-    """Hill-climbing baseline: sample (task, edit) proposals, keep the first
-    accepted one, then shift the proposal distribution toward it.
+    """Hill-climbing baseline: sample (task, edit) proposals by the prior's
+    opcode weights and keep the first accepted one.
 
-    Reseeded per phase from (seed, phase index) so an interrupted run resumes
-    on exactly the same trajectory.  Acceptance goes through the very same
-    judge as the ordered scheduler.
+    The engine's commit counts the winner's opcodes in those weights, which
+    shifts the proposal distribution toward it.  Reseeded per phase from
+    (seed, phase index) so an interrupted run resumes on exactly the same
+    trajectory.  Acceptance goes through the very same judge as the ordered
+    scheduler.
     """
     stats = PhaseStats()
     space = candidate_space(problem.domain, problem.external)
     rng = random.Random(f"{seed}:{phase_index}")
     caches = fresh_caches()
     for trial in range(max_candidates):
-        meta = _sample_candidate(rng, theta, space)
+        meta = _sample_candidate(rng, problem.prior.weights, space)
         entry = (meta.code.value, *meta.parts)
         record, acc = try_candidate(entry, meta.code.length, problem, candidate_budget, caches)
         stats.candidates_run += 1
         stats.steps_total += record.steps
         if acc is not None:
-            for c in meta.opcode_sequence:
-                if c != TERMINATOR:
-                    theta[c] = theta.get(c, 1) * 2
             stats.t_lim = candidate_budget
             return acc, stats
     raise SearchCeilingReached(f"no acceptance within {max_candidates} samples")

@@ -220,46 +220,44 @@ def _clean_halt(outcome: RunOutcome) -> bool:
     return outcome.halted and outcome.halt_reason == HALT_EXPLICIT
 
 
-def solves_pattern(
-    solver: SolverProgram, task: PatternTask, budget: Optional[int] = None
-) -> SolveReport:
-    """Success iff the solver is under the size bound and computes O within t steps.
+def _run(solver: SolverProgram, task: Task, env, budget: Optional[int], check) -> SolveReport:
+    """One bounded run of the solver on the task, in ``env``.
 
-    ``budget`` caps the run below the task bound when the caller's own step
-    meter is nearly empty; a cut run that did not finish is inconclusive.
+    The run is granted min(t, budget) steps (t without a budget): a caller
+    whose own step meter is nearly empty caps it below the task bound, and a
+    grant below 1 runs nothing and is cut.  A run is conclusive when it
+    halted, faulted or had the whole bound.  It succeeds when the solver is
+    under the size bound, halts cleanly and passes ``check(outcome)``, the
+    domain check, which runs last.
     """
-    if task.i1 >= PATTERN_COUNT:
-        raise MissingPattern(task.i1)
     granted = task.t if budget is None else min(task.t, budget)
     if granted < 1:
         return SolveReport(False, 0, frozenset(), None, conclusive=False)
-    outcome = run_solver(solver, task.identifier, None, granted, task.entry_key)
+    outcome = run_solver(solver, task.identifier, env, granted, task.entry_key)
+    ok = solver.component_count < task.n and _clean_halt(outcome) and check(outcome)
     conclusive = outcome.halted or outcome.fault or granted == task.t
-    ok = (
-        solver.component_count < task.n
-        and _clean_halt(outcome)
-        and outcome.output == task.o
-    )
     return SolveReport(ok, outcome.steps_used, outcome.components_used, outcome, conclusive)
+
+
+def solves_pattern(
+    solver: SolverProgram, task: PatternTask, budget: Optional[int] = None
+) -> SolveReport:
+    """Success iff the solver is under the size bound and computes O within t steps."""
+    if task.i1 >= PATTERN_COUNT:
+        raise MissingPattern(task.i1)
+    return _run(solver, task, None, budget, lambda outcome: outcome.output == task.o)
 
 
 def solve_decision(
     solver: SolverProgram, task: DecisionTask, budget: Optional[int] = None
 ) -> tuple[SolveReport, Trace]:
     """Live run in the task's world; returns the recorded trace alongside."""
-    granted = task.t if budget is None else min(task.t, budget)
-    if granted < 1:
-        return SolveReport(False, 0, frozenset(), None, conclusive=False), Trace()
     env = LiveEnv(task.world, task.goal.target_cell)
-    outcome = run_solver(solver, task.identifier, env, granted, task.entry_key)
-    trace = Trace(tuple(env.trace_steps))
-    conclusive = outcome.halted or outcome.fault or granted == task.t
-    ok = (
-        solver.component_count < task.n
-        and _clean_halt(outcome)
-        and evaluate_goal(task.goal, trace, task.world)
-    )
-    return SolveReport(ok, outcome.steps_used, outcome.components_used, outcome, conclusive), trace
+
+    def reached(_outcome):
+        return evaluate_goal(task.goal, Trace(tuple(env.trace_steps)), task.world)
+
+    return _run(solver, task, env, budget, reached), Trace(tuple(env.trace_steps))
 
 
 def evaluate_goal(goal: GoalSpec, trace: Trace, world: GridWorld) -> bool:
@@ -294,19 +292,12 @@ def replay_check(
     trace itself satisfies the goal.  For deterministic environments this
     equals live re-execution success of the solver that recorded the trace.
     """
-    granted = task.t if budget is None else min(task.t, budget)
-    if granted < 1:
-        return SolveReport(False, 0, frozenset(), None, conclusive=False)
     env = ReplayEnv(recorded.steps, task.initial_obs())
-    outcome = run_solver(solver, task.identifier, env, granted, task.entry_key)
-    conclusive = outcome.halted or outcome.fault or granted == task.t
-    ok = (
-        solver.component_count < task.n
-        and _clean_halt(outcome)
-        and env.exact
-        and evaluate_goal(task.goal, recorded, task.world)
-    )
-    return SolveReport(ok, outcome.steps_used, outcome.components_used, outcome, conclusive)
+
+    def replayed(_outcome):
+        return env.exact and evaluate_goal(task.goal, recorded, task.world)
+
+    return _run(solver, task, env, budget, replayed)
 
 
 def solves(

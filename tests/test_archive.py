@@ -139,6 +139,25 @@ def test_big_traces_go_to_sidecar_files(tmp_path):
     assert side.exists()
 
 
+def test_a_sidecar_is_synced_before_the_line_that_names_it(tmp_path, monkeypatch):
+    import os
+
+    from autodidact import archive
+
+    synced = []
+    real_fsync = os.fsync
+
+    def spy(fd):
+        synced.append(os.fstat(fd).st_ino)
+        real_fsync(fd)
+
+    monkeypatch.setattr(archive.os, "fsync", spy)
+    path = tmp_path / "archive.jsonl"
+    append_entry(path, entry(1, trace=[[0, 0, "u" * 40, 0] for _ in range(400)]), [])
+    side = tmp_path / "archive.jsonl.traces" / f"{load_archive(path)[0].trace_ref}.json"
+    assert synced == [side.stat().st_ino, path.stat().st_ino]
+
+
 def test_external_queue_round_trip(tmp_path):
     path = tmp_path / "queue.jsonl"
     t = PatternTask(2, nibble(3), nibble(9), 64, 1024)

@@ -42,6 +42,13 @@ def test_adaptation_disabled_changes_nothing():
     p = prior.program_prior([6, 0, 0, 0], 1)
     prior.adapt([6, 6, 6])
     assert prior.program_prior([6, 0, 0, 0], 1) == p
+    # The weights still count the frozen opcodes, which the stochastic
+    # searcher samples by, but P(p) stays 2**-L(p).
+    assert prior.weights[6] == 8
+    assert all(w == 1 for c, w in prior.weights.items() if c != 6)
+    for bits in enumerate_programs(19, META_ISA):
+        codes, nibbles = program_tokens(bits, META_ISA)
+        assert prior.program_prior(codes, nibbles) == Fraction(1, 1 << bits.length)
 
 
 def test_kraft_mass_survives_one_hundred_adaptations():

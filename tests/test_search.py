@@ -370,24 +370,43 @@ def test_stochastic_same_seed_same_outcome():
     for _ in range(2):
         target, problem = planted_problem(needed_steps=10)
         acc, stats = stochastic_search(
-            problem, seed=5, phase_index=1, theta={}, candidate_budget=64,
-            max_candidates=200_000,
+            problem, seed=5, phase_index=1, candidate_budget=64, max_candidates=200_000
         )
         results.append((acc.meta.code.to_hex(), stats.candidates_run))
     assert results[0] == results[1]
 
 
-def test_stochastic_uses_the_same_judge_and_updates_theta():
+def test_stochastic_uses_the_same_judge():
     target, problem = planted_problem(needed_steps=10)
-    theta = {}
     acc, _stats = stochastic_search(
-        problem, seed=5, phase_index=1, theta=theta, candidate_budget=64,
-        max_candidates=200_000,
+        problem, seed=5, phase_index=1, candidate_budget=64, max_candidates=200_000
     )
     assert acc.details == {"winner": True}
-    # Proposal mass moved toward the accepted candidate's own opcodes.
-    for code in set(acc.meta.opcode_sequence) - {0}:
-        assert theta.get(code, 1) > 1
+
+
+def test_a_stochastic_phase_samples_by_the_prior_weights(monkeypatch):
+    def never(q, changed, proposal, meter, caches):
+        return None
+
+    problem = SearchProblem(ctx=make_ctx(), prior=Prior(META_ISA), judge=never)
+    space = candidate_space(problem.domain, problem.external)
+    kept = space.task_ops[-1]
+    for code in space.task_ops:
+        if code != kept:
+            problem.prior.weights[code] = 0
+    sampled = []
+    real = search._sample_candidate
+
+    def spy(rng, weights, space):
+        meta = real(rng, weights, space)
+        sampled.append(meta)
+        return meta
+
+    monkeypatch.setattr(search, "_sample_candidate", spy)
+    with pytest.raises(SearchCeilingReached):
+        stochastic_search(problem, seed=3, phase_index=1, max_candidates=300)
+    assert len(sampled) == 300
+    assert {meta.inventor[-1][0] for meta in sampled} == {kept}
 
 
 def test_stochastic_ceiling():
@@ -396,7 +415,7 @@ def test_stochastic_ceiling():
 
     problem = SearchProblem(ctx=make_ctx(), prior=Prior(META_ISA), judge=never)
     with pytest.raises(SearchCeilingReached):
-        stochastic_search(problem, seed=1, phase_index=1, theta={}, max_candidates=50)
+        stochastic_search(problem, seed=1, phase_index=1, max_candidates=50)
 
 
 # ---------------------------------------------------------------------------
