@@ -1,16 +1,15 @@
 """Append-only archive of frozen acceptances.
 
-One JSON object per line; every entry carries the full solver snapshot, the
-task, the candidate bits, the trace (inline up to a size threshold, sidecar
-file otherwise) and enough metadata to resume or re-audit without any other
-engine state.  Frozen entries never change: the digest of lines 1..k is
-stable once entry k+1 exists, and a truncated final line (crash) is dropped
-on reload.
+One JSON object per line, and no other file: every entry carries the full
+solver snapshot, the task, the candidate bits, its trace inline and enough
+metadata to resume or re-audit without any other engine state.  Frozen
+entries never change: the digest of lines 1..k is stable once entry k+1
+exists, and a truncated final line (crash) is dropped on reload.
 
 Reading fails with ArchiveCorrupt, naming the entry, on a torn line before
 the last and on any line that parses but is not a well-formed entry in
 sequence; ``Replay`` is the one way to rebuild the state the entries add up
-to.
+to, and fails so on a decision task whose trace is missing.
 """
 
 from __future__ import annotations
@@ -26,12 +25,9 @@ from .bits import BitString
 from .config import ConfigError
 from .costs import CostParams, parse_ratio
 from .meta import MetaProgram, decode_meta
-from .tasks import Task, Trace, task_from_json
+from .tasks import DecisionTask, Task, Trace, task_from_json
 from .validate import RepertoireItem
 from .vm import SolverProgram
-
-TRACE_INLINE_LIMIT = 4096  # bytes of serialized trace kept in the main file
-
 
 class ArchiveCorrupt(ValueError):
     """An archive line that parses as JSON but is no well-formed entry in sequence."""
@@ -79,7 +75,6 @@ class ArchiveEntry:
     solver: dict  # SolverProgram.to_json() snapshot after acceptance
     task: dict
     trace: Optional[list] = None
-    trace_ref: Optional[str] = None  # sidecar digest when the trace is big
     c: Optional[str] = None  # exact rational strings, cost variant only
     c_star: Optional[str] = None
     meta: dict = field(default_factory=dict)
@@ -94,8 +89,6 @@ class ArchiveEntry:
         }
         if self.trace is not None:
             out["trace"] = self.trace
-        if self.trace_ref is not None:
-            out["trace_ref"] = self.trace_ref
         if self.c is not None:
             out["c"] = self.c
             out["c_star"] = self.c_star
@@ -107,6 +100,14 @@ class ArchiveEntry:
         meta = data.get("meta", {})
         if not isinstance(meta, dict):
             raise TypeError(f"meta is a {type(meta).__name__}, not an object")
+        steps = meta.get("search_steps", 0)
+        if type(steps) is not int:
+            raise TypeError(f"meta.search_steps {steps!r} is no integer")
+        span = meta.get("appended", [0, 0])
+        if not (
+            type(span) is list and len(span) == 2 and all(type(n) is int and n >= 0 for n in span)
+        ):
+            raise TypeError(f"meta.appended {span!r} is no pair of non-negative integers")
         return cls(
             i=int(data["i"]),
             origin=data["origin"],
@@ -114,7 +115,6 @@ class ArchiveEntry:
             solver=data["solver"],
             task=data["task"],
             trace=data.get("trace"),
-            trace_ref=data.get("trace_ref"),
             c=data.get("c"),
             c_star=data.get("c_star"),
             meta=meta,
@@ -134,22 +134,10 @@ class ArchiveEntry:
     def task_obj(self) -> Task:
         return _decoded(self.i, "task", task_from_json, self.task)
 
-    def trace_obj(self, archive_path) -> Optional[Trace]:
-        if self.trace is not None:
-            return _decoded(self.i, "trace", Trace.from_json, self.trace)
-        if self.trace_ref is None:
+    def trace_obj(self) -> Optional[Trace]:
+        if self.trace is None:
             return None
-        side = _sidecar_dir(archive_path) / f"{self.trace_ref}.json"
-        try:
-            text = side.read_text()
-        except FileNotFoundError as exc:
-            raise ArchiveCorrupt(self.i, f"sidecar trace {side.name} is missing") from exc
-        return _decoded(self.i, "sidecar trace", lambda: Trace.from_json(json.loads(text)))
-
-
-def _sidecar_dir(archive_path) -> Path:
-    p = Path(archive_path)
-    return p.parent / (p.name + ".traces")
+        return _decoded(self.i, "trace", Trace.from_json, self.trace)
 
 
 def _canonical(entry: ArchiveEntry) -> str:
@@ -157,24 +145,12 @@ def _canonical(entry: ArchiveEntry) -> str:
 
 
 def append_entry(archive_path, entry: ArchiveEntry, existing: list) -> None:
-    """Persist one acceptance, any sidecar trace first; synced before the search resumes."""
+    """Persist one acceptance, synced before the search resumes."""
     expected = (existing[-1].i + 1) if existing else 1
     if entry.i < expected:
         raise DuplicateIndex(entry.i, "already frozen")
     if entry.i > expected:
         raise IndexGap(entry.i, f"appended where entry {expected} was expected")
-    if entry.trace is not None:
-        blob = json.dumps(entry.trace, separators=(",", ":"))
-        if len(blob) > TRACE_INLINE_LIMIT:
-            digest = hashlib.sha256(blob.encode()).hexdigest()[:24]
-            side_dir = _sidecar_dir(archive_path)
-            side_dir.mkdir(parents=True, exist_ok=True)
-            with open(side_dir / f"{digest}.json", "w", encoding="utf-8") as side:
-                side.write(blob)
-                side.flush()
-                os.fsync(side.fileno())
-            entry.trace = None
-            entry.trace_ref = digest
     line = _canonical(entry)
     with open(archive_path, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
@@ -233,14 +209,16 @@ class Replay:
     While a step is out, ``repertoire`` still holds only the tasks of earlier
     entries, the set the entry was judged against, and ``origins`` and
     ``external_rewards`` already include the entry.  Each distinct task joins
-    the repertoire once, with the trace of its first entry.  An external
+    the repertoire once, with the trace of its first entry.  A decision task's
+    trace is the proof that it was solved, so an entry of one without its trace
+    raises ArchiveCorrupt, unless it is a ledger entry re-proposing a known
+    task (variant II only; variant I accepts no task twice).  An external
     entry's reward must be an integer, or the entry raises ArchiveCorrupt.
     Solvers are left to the caller: only the audit needs every one.
     """
 
-    def __init__(self, entries: list, archive_path):
+    def __init__(self, entries: list):
         self.entries = entries
-        self.archive_path = archive_path
         self.repertoire: list[RepertoireItem] = []
         self.items: dict[str, RepertoireItem] = {}  # task identity -> repertoire item
         self.origins: dict[str, str] = {}  # task identity -> origin of its first entry
@@ -252,8 +230,9 @@ class Replay:
         for entry in self.entries:
             candidate = entry.candidate()
             task = entry.task_obj()
-            trace = entry.trace_obj(self.archive_path)
+            trace = entry.trace_obj()
             identity = task.identity()
+            first = identity not in self.items
             self.origins.setdefault(identity, entry.origin)
             if entry.origin == "external" and "reward" in entry.meta:
                 reward = entry.meta["reward"]
@@ -261,7 +240,10 @@ class Replay:
                     raise ArchiveCorrupt(entry.i, f"reward {reward!r} is no integer")
                 self.external_rewards[identity] = reward
             params = ledger = None
-            if self._carries_ledger(entry):
+            carries = self._carries_ledger(entry)
+            if trace is None and isinstance(task, DecisionTask) and (first or not carries):
+                raise ArchiveCorrupt(entry.i, "decision task without its trace")
+            if carries:
                 ledger = (
                     _decoded(entry.i, "c", parse_ratio, entry.c),
                     _decoded(entry.i, "c_star", parse_ratio, entry.c_star),
@@ -279,7 +261,7 @@ class Replay:
                     last_stored = stored
                 params = last
             yield ReplayStep(entry, candidate, task, trace, params, ledger)
-            if identity not in self.items:
+            if first:
                 item = RepertoireItem(len(self.repertoire) + 1, task, trace)
                 self.repertoire.append(item)
                 self.items[identity] = item

@@ -61,7 +61,7 @@ def audit_archive(archive_path) -> AuditReport:
     report = AuditReport()
     entries = load_archive(archive_path)
     report.phases = len(entries)
-    replay = Replay(entries, archive_path)
+    replay = Replay(entries)
     prev_solver = EMPTY_SOLVER
     measured = (None, {})  # the previous cost entry's solver and c measures
     for entry, _candidate, task, trace, params, ledger in replay:
@@ -88,9 +88,6 @@ def _audit_strict_entry(report, i, prev_solver, solver, task, trace, repertoire)
         report.novelty_confirmed += 1
 
     if isinstance(task, DecisionTask):
-        if trace is None:
-            report.failures.append(AuditFailure(i, "trace", "decision task without a trace"))
-            return
         new_item = RepertoireItem(index=0, task=task, trace=trace)
         rep, _ = preservation_run(solver, new_item)
         if not rep.success:

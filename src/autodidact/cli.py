@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 configuration error (for a malformed
 external-task line a ``config_error`` event names the line; resuming an
 archive under the other variant is one too), 3 audit mismatch or a damaged
 archive: a torn line before the last, an entry that does not decode, whose
-index breaks sequence, or that carries a ledger where the first entry has
-none or the other way round (any subcommand; an ``archive_corrupt`` event
+index breaks sequence, that carries a ledger where the first entry has
+none or the other way round, or that holds a decision task without the
+trace it needs (any subcommand; an ``archive_corrupt`` event
 names the entry), 4 search ceiling reached with zero acceptances.
 Progress events stream as one JSON object per line on standard error; all
 result files are deterministic functions of (config, seed).

@@ -141,7 +141,7 @@ class Engine:
     def _resume(self) -> None:
         path = self.config.archive_path
         entries = load_archive(path)
-        replay = Replay(entries, path)
+        replay = Replay(entries)
         for entry, candidate, _task, _trace, _params, _ledger in replay:
             self._learn(entry, candidate)
         if entries and replay.ledger != (self.config.variant == "II"):

@@ -57,12 +57,16 @@ def metrics_rows(entries: list) -> list[dict]:
     return rows
 
 
-def write_metrics(entries: list, path) -> None:
+def _write_csv(path, header: list, rows) -> None:
+    """A CSV file of the header line and, per row (a dict), its header fields."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRICS_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=header, extrasaction="ignore")
         writer.writeheader()
-        for row in metrics_rows(entries):
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def write_metrics(entries: list, path) -> None:
+    _write_csv(path, METRICS_FIELDS, metrics_rows(entries))
 
 
 def ledger_rows(entries: list) -> list[dict]:
@@ -87,11 +91,7 @@ def ledger_rows(entries: list) -> list[dict]:
 
 
 def write_cost_ledger(entries: list, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=LEDGER_FIELDS)
-        writer.writeheader()
-        for row in ledger_rows(entries):
-            writer.writerow(row)
+    _write_csv(path, LEDGER_FIELDS, ledger_rows(entries))
 
 
 def summary(entries: list, config=None) -> dict:
@@ -142,7 +142,7 @@ def write_report(archive_path, out_dir) -> dict:
     if entries:
         # The final solver's usage over every learned task; a cost archive
         # measures its tasks as they were judged, under the stored parameters.
-        replay = Replay(entries, archive_path)
+        replay = Replay(entries)
         last = list(replay)[-1]
         usage, _ = rebuild_usage(entries[-1].solver_program(), replay.repertoire, last.params)
         histogram = {k: len(v) for k, v in sorted(usage.by_component.items()) if v}
@@ -151,39 +151,17 @@ def write_report(archive_path, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     rows = metrics_rows(entries)
 
-    with open(out / "solver_size_over_time.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "solver_slots", "solver_bits"])
-        for r in rows:
-            w.writerow([r["i"], r["solver_slots"], r["solver_bits"]])
-
-    with open(out / "search_cost_per_acceptance.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "search_steps", "validation_steps", "revalidated", "candidates", "t_lim"])
-        for r in rows:
-            w.writerow(
-                [
-                    r["i"],
-                    r["search_steps"],
-                    r["validation_steps"],
-                    r["revalidated"],
-                    r["candidates"],
-                    r["t_lim"],
-                ]
-            )
-
-    with open(out / "component_reuse_histogram.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["component", "task_count"])
-        for k, n in histogram.items():
-            w.writerow([k, n])
-
+    _write_csv(out / "solver_size_over_time.csv", ["i", "solver_slots", "solver_bits"], rows)
+    cost = ["i", "search_steps", "validation_steps", "revalidated", "candidates", "t_lim"]
+    _write_csv(out / "search_cost_per_acceptance.csv", cost, rows)
+    reuse = [{"component": k, "task_count": n} for k, n in histogram.items()]
+    _write_csv(out / "component_reuse_histogram.csv", ["component", "task_count"], reuse)
     wow = sum(r["wow"] for r in rows)
-    with open(out / "task_mix.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["category", "count"])
-        w.writerow(["novel", len(rows) - wow])
-        w.writerow(["efficiency", wow])
+    mix = [
+        {"category": "novel", "count": len(rows) - wow},
+        {"category": "efficiency", "count": wow},
+    ]
+    _write_csv(out / "task_mix.csv", ["category", "count"], mix)
 
     info = summary(entries)
     info["reuse_histogram_total"] = sum(histogram.values())

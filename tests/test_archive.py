@@ -11,6 +11,7 @@ from autodidact.archive import (
     ExternalTask,
     IndexGap,
     IndexOutOfRange,
+    Replay,
     append_entry,
     archive_digest,
     fork_solver,
@@ -19,7 +20,7 @@ from autodidact.archive import (
     save_external_queue,
 )
 from autodidact.engine import inject_external_task
-from autodidact.tasks import PatternTask, solves
+from autodidact.tasks import PatternTask, Trace, solves
 from autodidact.bits import nibble
 from autodidact.vm import SolverProgram
 
@@ -30,7 +31,7 @@ def entry(i, solver=None, task=None, trace=None):
     return ArchiveEntry(
         i=i,
         origin="self",
-        meta_code="15:000000",
+        meta_code="15:0000",
         solver=solver.to_json(),
         task=task.to_json(),
         trace=trace,
@@ -114,7 +115,7 @@ def test_fork_still_solves_its_frozen_tasks():
         e = ArchiveEntry(
             i=item.index,
             origin="self",
-            meta_code="15:000000",
+            meta_code="15:0000",
             solver=solver.to_json(),
             task=item.task.to_json(),
             trace=item.trace.to_json() if item.trace else None,
@@ -126,20 +127,18 @@ def test_fork_still_solves_its_frozen_tasks():
     assert report.success
 
 
-def test_big_traces_go_to_sidecar_files(tmp_path):
+def test_a_big_trace_stays_in_its_line_and_replays(tmp_path):
     path = tmp_path / "archive.jsonl"
-    entries = []
     big_trace = [[0, 0, "u" * 40, 0] for _ in range(400)]
-    e = entry(1, trace=big_trace)
-    append_entry(path, e, entries)
-    reloaded = load_archive(path)[0]
-    assert reloaded.trace is None and reloaded.trace_ref
-    assert len(reloaded.trace_obj(path)) == 400
-    side = tmp_path / "archive.jsonl.traces" / f"{reloaded.trace_ref}.json"
-    assert side.exists()
+    append_entry(path, entry(1, trace=big_trace), [])
+    line = path.read_text()
+    assert len(line) > 20_000 and json.loads(line)["trace"] == big_trace
+    assert list(tmp_path.iterdir()) == [path]  # no second file beside the archive
+    (step,) = Replay(load_archive(path))
+    assert step.trace == Trace.from_json(big_trace)
 
 
-def test_a_sidecar_is_synced_before_the_line_that_names_it(tmp_path, monkeypatch):
+def test_an_append_syncs_the_archive_file_once(tmp_path, monkeypatch):
     import os
 
     from autodidact import archive
@@ -154,8 +153,7 @@ def test_a_sidecar_is_synced_before_the_line_that_names_it(tmp_path, monkeypatch
     monkeypatch.setattr(archive.os, "fsync", spy)
     path = tmp_path / "archive.jsonl"
     append_entry(path, entry(1, trace=[[0, 0, "u" * 40, 0] for _ in range(400)]), [])
-    side = tmp_path / "archive.jsonl.traces" / f"{load_archive(path)[0].trace_ref}.json"
-    assert synced == [side.stat().st_ino, path.stat().st_ino]
+    assert synced == [path.stat().st_ino]
 
 
 def test_external_queue_round_trip(tmp_path):

@@ -147,7 +147,11 @@ DAMAGE = {
     "line 2 torn": ("I", 2),
     "task kind bogus": ("I", 2),
     "solver missing": ("I", 2),
-    "sidecar trace missing": ("I", 2),
+    "trace missing": ("I", 2),
+    "trace_ref in place of trace": ("I", 2),
+    "entry 1's task again without a trace": ("I", 2),
+    "appended no pair": ("I", 2),
+    "search_steps a string": ("I", 2),
     "cost_params missing": ("II", 2),
     "p not bits": ("I", 2),
     "p no program": ("I", 2),
@@ -175,9 +179,18 @@ def _damaged(lines, damage):
         data["task"]["kind"] = "bogus"
     elif damage == "solver missing":
         del data["solver"]
-    elif damage == "sidecar trace missing":
+    elif damage == "trace missing":
         del data["trace"]
-        data["trace_ref"] = "0" * 24
+    elif damage == "trace_ref in place of trace":
+        del data["trace"]
+        data["trace_ref"] = "0" * 24  # how archives once named a trace in a second file
+    elif damage == "entry 1's task again without a trace":
+        data["task"] = json.loads(lines[0])["task"]  # variant I never re-proposes a task
+        del data["trace"]
+    elif damage == "appended no pair":
+        data["meta"]["appended"] = 5
+    elif damage == "search_steps a string":
+        data["meta"]["search_steps"] = "abc"
     elif damage == "p not bits":
         data["p"] = "zz"
     elif damage == "p no program":
