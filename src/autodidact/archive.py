@@ -67,10 +67,13 @@ class AlreadySolvable(ValueError):
     """An injected external task the current solver already handles."""
 
 
+ORIGINS = ("self", "external")
+
+
 @dataclass
 class ArchiveEntry:
     i: int
-    origin: str  # "self" | "external"
+    origin: str  # one of ORIGINS
     meta_code: str  # candidate bits, len:hex
     solver: dict  # SolverProgram.to_json() snapshot after acceptance
     task: dict
@@ -97,6 +100,10 @@ class ArchiveEntry:
 
     @classmethod
     def from_json(cls, data: dict) -> "ArchiveEntry":
+        if type(data["i"]) is not int:
+            raise TypeError(f"i {data['i']!r} is no integer")
+        if data["origin"] not in ORIGINS:
+            raise ValueError(f"origin {data['origin']!r} is none of {ORIGINS}")
         meta = data.get("meta", {})
         if not isinstance(meta, dict):
             raise TypeError(f"meta is a {type(meta).__name__}, not an object")
@@ -109,7 +116,7 @@ class ArchiveEntry:
         ):
             raise TypeError(f"meta.appended {span!r} is no pair of non-negative integers")
         return cls(
-            i=int(data["i"]),
+            i=data["i"],
             origin=data["origin"],
             meta_code=data["p"],
             solver=data["solver"],
@@ -213,8 +220,11 @@ class Replay:
     trace is the proof that it was solved, so an entry of one without its trace
     raises ArchiveCorrupt, unless it is a ledger entry re-proposing a known
     task (variant II only; variant I accepts no task twice).  An external
-    entry's reward must be an integer, or the entry raises ArchiveCorrupt.
-    Solvers are left to the caller: only the audit needs every one.
+    entry's reward must be an integer, and an appended span must start at
+    the previous entry's ``solver_slots`` (0 for entry 1), where the commit
+    appended it, or the entry raises ArchiveCorrupt.  Solvers are left to
+    the caller: only the audit needs every one, and it checks each entry's
+    ``solver_slots`` against its snapshot.
     """
 
     def __init__(self, entries: list):
@@ -227,6 +237,7 @@ class Replay:
 
     def __iter__(self) -> Iterator[ReplayStep]:
         last = last_stored = None  # the latest ledger entry's parameters, decoded and as stored
+        slots = 0  # the previous entry's solver_slots
         for entry in self.entries:
             candidate = entry.candidate()
             task = entry.task_obj()
@@ -239,6 +250,10 @@ class Replay:
                 if type(reward) is not int:
                     raise ArchiveCorrupt(entry.i, f"reward {reward!r} is no integer")
                 self.external_rewards[identity] = reward
+            span = entry.meta.get("appended")
+            if span is not None and span[0] != slots:
+                raise ArchiveCorrupt(entry.i, f"appended span {span} is not at slot {slots}")
+            slots = entry.meta.get("solver_slots")
             params = ledger = None
             carries = self._carries_ledger(entry)
             if trace is None and isinstance(task, DecisionTask) and (first or not carries):

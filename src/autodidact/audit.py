@@ -56,7 +56,8 @@ def audit_archive(archive_path) -> AuditReport:
     passes every earlier task (patterns re-run, decisions replayed against
     their stored traces).  An entry that does not decode raises
     ArchiveCorrupt.  Each solver snapshot is decoded past the code it shares
-    with the one before it, with the outcome of a whole decode.
+    with the one before it, with the outcome of a whole decode, and must
+    have the slot count and size its entry records.
     """
     report = AuditReport()
     entries = load_archive(archive_path)
@@ -66,6 +67,10 @@ def audit_archive(archive_path) -> AuditReport:
     measured = (None, {})  # the previous cost entry's solver and c measures
     for entry, _candidate, task, trace, params, ledger in replay:
         solver = entry.solver_program(prev_solver)
+        size = (solver.component_count, solver.size_bits)
+        if (entry.meta.get("solver_slots"), entry.meta.get("solver_bits")) != size:
+            detail = f"solver_slots and solver_bits are not the snapshot's {size}"
+            report.failures.append(AuditFailure(entry.i, "snapshot", detail))
         if params is None:
             _audit_strict_entry(
                 report, entry.i, prev_solver, solver, task, trace, replay.repertoire

@@ -4,10 +4,12 @@ Exit codes: 0 success, 2 configuration error (for a malformed
 external-task line a ``config_error`` event names the line; resuming an
 archive under the other variant is one too), 3 audit mismatch or a damaged
 archive: a torn line before the last, an entry that does not decode, whose
-index breaks sequence, that carries a ledger where the first entry has
-none or the other way round, or that holds a decision task without the
-trace it needs (any subcommand; an ``archive_corrupt`` event
-names the entry), 4 search ceiling reached with zero acceptances.
+index is no integer or breaks sequence, whose origin is neither "self" nor
+"external", whose appended span does not start at the previous solver's
+slot count, that carries a ledger where the first entry has none or the
+other way round, or that holds a decision task without the trace it needs
+(any subcommand; an ``archive_corrupt`` event names the entry), 4 search
+ceiling reached with zero acceptances.
 Progress events stream as one JSON object per line on standard error; all
 result files are deterministic functions of (config, seed).
 """
@@ -62,9 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--prefix-mode", action="store_true")
     run.add_argument("--paranoid", action="store_true")
     run.add_argument("--adapt-prior", action="store_true")
-    run.add_argument("--archive", default=d.archive_path)
-    run.add_argument("--metrics", default=d.metrics_path)
-    run.add_argument("--external-tasks", default=d.external_tasks_path)
+    run.add_argument("--archive", dest="archive_path", default=d.archive_path)
+    run.add_argument("--metrics", dest="metrics_path", default=d.metrics_path)
+    run.add_argument("--external-tasks", dest="external_tasks_path", default=d.external_tasks_path)
     run.add_argument("--resume", action="store_true")
 
     audit = sub.add_parser("audit", help="re-verify every acceptance in an archive")
@@ -77,25 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    """The RunConfig a parsed ``run`` command line asks for (no env overrides)."""
-    return RunConfig(
-        variant=args.variant,
-        searcher=args.searcher,
-        domain=args.domain,
-        seed=args.seed,
-        max_tasks=args.max_tasks,
-        step_ceiling=args.step_ceiling,
-        alpha=parse_ratio(args.alpha),
-        epsilon=parse_ratio(args.epsilon),
-        eps_wow=args.eps_wow,
-        prefix_mode=args.prefix_mode,
-        paranoid=args.paranoid,
-        adapt_prior=args.adapt_prior,
-        archive_path=args.archive,
-        metrics_path=args.metrics,
-        external_tasks_path=args.external_tasks,
-        resume=args.resume,
-    )
+    """The RunConfig a parsed ``run`` command line asks for (no env overrides);
+    each flag's dest is its field's name."""
+    flags = {k: v for k, v in vars(args).items() if k != "command"}
+    flags["alpha"], flags["epsilon"] = parse_ratio(args.alpha), parse_ratio(args.epsilon)
+    return RunConfig(**flags)
 
 
 def cmd_run(args) -> int:

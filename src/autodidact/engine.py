@@ -11,7 +11,7 @@ A commit and a resume learn from each frozen entry through one step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -46,7 +46,7 @@ from .search import (
     oops_search,
     stochastic_search,
 )
-from .tasks import Task, least_grant, report_within, run_record, solves
+from .tasks import Task, least_grant, report_within, solves
 from .validate import (
     CUT,
     BudgetExhausted,
@@ -91,11 +91,12 @@ class PhaseLedger:
     """Variant II's ledger under the current solver, fixed for one phase.
 
     The solver, the repertoire and every stored measure stay put until the
-    phase commits, so what each judge call needs of them is worked out once:
-    the cost of the whole repertoire, each task's contribution and its
-    cost-bounded probe task, and the previous solver's run on every task
-    proposed so far (``novelty``).  A judge call then costs what it
-    re-measures, whatever the size of the repertoire or the solver.
+    phase commits, so the phase's first judge call works out once, into the
+    phase tables: the cost of the whole repertoire, and each task's
+    contribution and cost-bounded probe task.  A proposed task joins both on
+    its first call, its contribution read off the previous solver's run on
+    it in the tables' ``prev``.  A judge call then costs what it re-measures,
+    whatever the size of the repertoire or the solver.
     """
 
     params: CostParams
@@ -104,7 +105,6 @@ class PhaseLedger:
     contrib: dict  # identity -> contribution under s, an int
     items: dict  # identity -> RepertoireItem
     probes: dict  # identity -> task_with_cost_bounds(task)
-    novelty: dict = field(default_factory=dict)  # identity -> (probe, run at t_max, contrib)
 
 
 @dataclass
@@ -112,7 +112,6 @@ class RunResult:
     accepted: int
     ceiling_reached: bool
     entries: list
-    skipped_external: list = field(default_factory=list)
 
 
 class Engine:
@@ -130,7 +129,6 @@ class Engine:
         self.task_origin: dict[str, str] = {}
         self.cost_measures: dict[str, TaskMeasure] = {}
         self.skipped_external: list[str] = []
-        self._ledger: Optional[PhaseLedger] = None  # built by the first judge call of a phase
         # A malformed queue fails here, before resume may repair the archive.
         self.queue = load_external_queue(config.external_tasks_path)
         if config.resume:
@@ -209,7 +207,7 @@ class Engine:
                     "steps": stats.steps_total,
                 }
             )
-        return RunResult(len(self.entries), ceiling, self.entries, self.skipped_external)
+        return RunResult(len(self.entries), ceiling, self.entries)
 
     def _next_external(self, queue: list[ExternalTask]) -> Optional[ExternalTask]:
         """First queued task the current solver cannot already handle.
@@ -249,7 +247,6 @@ class Engine:
             self.task_origin[identity] = "external"
             if external.reward is not None:
                 self.external_rewards[identity] = external.reward
-        self._ledger = None
         ctx = MetaContext(
             solver=self.solver,
             repertoire=self.repertoire,
@@ -274,7 +271,6 @@ class Engine:
             prior=self.prior,
             judge=judge,
             domain=cfg.domain,
-            external=external is not None,
             paranoid=cfg.paranoid,
             table_bill=self._table_bill,
         )
@@ -294,35 +290,32 @@ class Engine:
 
         Read off this phase's tables, without running anything; None while
         they have no entry for the task.  The first stage of the judge's
-        validate.Chain is novelty.  In variant I the chain starts at the
+        validate.Chain is novelty, answered from the previous solver's run
+        on the task in ``prev``.  In variant I the chain starts at the
         novelty cache's bill once the cache holds the task; until then the
         first run to conclude writes to the cache what the previous
         solver's run at the task's whole bound bills under its grant: a
         halt or a timeout bills the same under every concluding grant, a
         fault its whole grant.  So the bill is the cache's, or else what
         that run bills under its least grant (the chain's ``least`` after
-        the stage), which no later entry undercuts.  In variant II, whose
-        memo is that run at t_max and answers a grant of 0 with a cut, it
-        is the least grant itself.  A repertoire task in variant II skips
-        novelty, and the memo never holds one.  Every pair-cache bill for
-        the task includes a novelty bill at least this large, so a
-        candidate that reaches the judge with fewer steps left is cut
-        whichever table answers it.
+        the stage), which no later entry undercuts.  Variant II has no
+        novelty cache, and its run is at t_max and answers a grant of 0
+        with a cut, so the bill is the least grant itself.  A repertoire
+        task in variant II skips novelty, and ``prev`` never holds one.
+        Every pair-cache bill for the task includes a novelty bill at least
+        this large, so a candidate that reaches the judge with fewer steps
+        left is cut whichever table answers it.
         """
         identity = task.identity()
-        if self.config.variant == "I":
-            hit = caches["novelty"].get(identity)
-            if hit is not None:
-                return hit[1]
-            run = caches["prev"].get(identity)
-            if run is None:
-                return None
-            return report_within(run, least_grant(run, task.t), task.t)[1]
-        ledger = self._ledger
-        memo = None if ledger is None else ledger.novelty.get(identity)
-        if memo is None:
+        hit = caches["novelty"].get(identity)
+        if hit is not None:
+            return hit[1]
+        run = caches["prev"].get(identity)
+        if run is None:
             return None
-        return least_grant(memo[1], ledger.params.t_max)
+        if self.config.variant == "I":
+            return report_within(run, least_grant(run, task.t), task.t)[1]
+        return least_grant(run, self.config.t_max)
 
     # -- the judges ------------------------------------------------------------
 
@@ -431,29 +424,15 @@ class Engine:
             },
         )
 
-    def _novelty(self, ledger: PhaseLedger, task: Task):
-        """The previous solver's run on a proposed task: (probe, run, contribution).
-
-        The solver runs on each proposed task once per phase, at the whole
-        t_max, and its measure there gives the task's contribution to c*;
-        every grant is answered from that run.
-        """
-        identity = task.identity()
-        memo = ledger.novelty.get(identity)
-        if memo is None:
-            params = ledger.params
-            probe = task_with_cost_bounds(task, params)
-            full, _trace, rep = measure_task(self.solver, probe, params)
-            memo = (probe, run_record(rep), contribution(full, identity, ledger.origins, params))
-            ledger.novelty[identity] = memo
-        return memo
-
-    def _ledger_verdict(self, edit, task: Task, meter: Meter, _caches):
+    def _ledger_verdict(self, edit, task: Task, meter: Meter, caches):
         new_id = task.identity()
-        if self._ledger is None:
-            self._ledger = self._phase_ledger()
-        ledger = self._ledger
+        ledger = caches.get("ledger")
+        if ledger is None:
+            ledger = caches["ledger"] = self._phase_ledger()
         params = ledger.params
+        probe = ledger.probes.get(new_id)
+        if probe is None:
+            probe = ledger.probes[new_id] = task_with_cost_bounds(task, params)
 
         def q_stage(key, probe, trace):
             live = lambda b: measure_task(edit.applied()[0], probe, params, trace, b)[2]  # noqa: E731
@@ -469,12 +448,14 @@ class Engine:
         known = ledger.items.get(new_id)
         stages = []
         if known is None:
-            probe, run, contrib_prev = self._novelty(ledger, task)
             live = lambda b: measure_task(self.solver, probe, params, None, b)[2]  # noqa: E731
+            run = table_run(caches["prev"], new_id, live)
             stages.append((live, run))
+            if new_id not in ledger.contrib:
+                full = TaskMeasure(*report_within(run, None, params.t_max), run[3])
+                ledger.contrib[new_id] = contribution(full, new_id, ledger.origins, params)
         else:
-            m_prev, contrib_prev = self.cost_measures[new_id], ledger.contrib[new_id]
-            probe = ledger.probes[new_id]
+            m_prev = self.cost_measures[new_id]
         redone = [self.repertoire[j - 1] for j in edit.revalidation(self.usage)]
         for item in redone:
             stages.append(q_stage(item.index, ledger.probes[item.task.identity()], item.trace))
@@ -504,8 +485,7 @@ class Engine:
         if edit.size is None:
             edit.size = size_change(self.solver, edit.script)
         moved = sum(
-            contribution(m, identity, ledger.origins, params)
-            - ledger.contrib.get(identity, contrib_prev)
+            contribution(m, identity, ledger.origins, params) - ledger.contrib[identity]
             for identity, m in measures.items()
         )
         accepted = saves(edit.size, moved, params)
@@ -515,7 +495,7 @@ class Engine:
         # accepted entry records both, and paranoid mode checks them.
         c_star = ledger.base
         if known is None:
-            c_star += params.alpha * contrib_prev
+            c_star += params.alpha * ledger.contrib[new_id]
         c = c_star + edit.size + params.alpha * moved
         if self.config.paranoid:
             q = edit.applied()[0]
@@ -587,18 +567,11 @@ class Engine:
 
         per_task_usage: dict = {}
         if not duplicate:
-            item = RepertoireItem(
-                index=len(self.repertoire) + 1,
-                task=task,
-                trace=details.trace,
-                components_used=details.components,
-            )
+            item = RepertoireItem(len(self.repertoire) + 1, task, details.trace)
             self.repertoire.append(item)
             per_task_usage[item.index] = (details.components, item.entry_key)
         for j, comps in details.usage_updates.items():
-            target = self.repertoire[j - 1]
-            target.components_used = comps
-            per_task_usage[j] = (comps, target.entry_key)
+            per_task_usage[j] = (comps, self.repertoire[j - 1].entry_key)
         update_usage(self.usage, per_task_usage)
 
         meta_info = {

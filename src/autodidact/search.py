@@ -214,7 +214,6 @@ class SearchProblem:
     prior: Prior
     judge: Judge
     domain: str = "mixed"
-    external: bool = False
     paranoid: bool = False
     on_candidate: Optional[Callable] = None  # instrumentation hook
     # (task, caches) -> the least bill with which the judge's first stage can
@@ -379,9 +378,11 @@ def fresh_caches() -> dict:
     solver per task at the task's whole bound.  So each script is applied
     once per phase, each (script, task) run once, and a pair is judged again
     only with at least its floor left.
-    ``prev`` (variant I) maps a task identity to the previous solver's run
-    at the task's whole bound, and ``novelty`` to its first conclusive
-    novelty verdict and step bill.  Every judge stage is answered from these
+    ``prev`` maps a task identity to the previous solver's run at the
+    task's whole bound (t_max in variant II), for both judges, and
+    ``novelty`` to variant I's first conclusive novelty verdict and step
+    bill.  ``ledger`` is variant II's engine.PhaseLedger, which the phase's
+    first judge call builds.  Every judge stage is answered from these
     runs by the prefix rule (tasks.report_within), which returns what a live
     run under the stage's grant returns.  Candidates differing only in dead
     compute prefixes share a record and so hit the pair cache.
@@ -397,7 +398,7 @@ def fresh_caches() -> dict:
     different amount and can even be cut where the hit is rejected.
     Archives record these bills, so making hits exact changes archive bytes.
     """
-    return {"edits": {}, "prev": {}, "novelty": {}, "held": {}}
+    return {"edits": {}, "prev": {}, "novelty": {}, "held": {}, "ledger": None}
 
 
 def edit_record(caches: dict, edits, solver: SolverProgram) -> EditRecord:
@@ -565,7 +566,7 @@ def oops_search(
     bucket's groups are all built then, because its priors are per entry.
     """
     stats = PhaseStats()
-    space = candidate_space(problem.domain, problem.external)
+    space = candidate_space(problem.domain, problem.ctx.external_task is not None)
     prior = problem.prior
     uniform = not prior.adapted
     paranoid, hook = problem.paranoid, problem.on_candidate
@@ -817,7 +818,7 @@ def stochastic_search(
     scheduler.
     """
     stats = PhaseStats()
-    space = candidate_space(problem.domain, problem.external)
+    space = candidate_space(problem.domain, problem.ctx.external_task is not None)
     rng = random.Random(f"{seed}:{phase_index}")
     caches = fresh_caches()
     for trial in range(max_candidates):

@@ -57,7 +57,6 @@ class RepertoireItem:
     index: int  # 1-based position in the repertoire
     task: object
     trace: Optional[Trace]  # decision tasks only
-    components_used: frozenset = frozenset()
 
     @property
     def entry_key(self) -> str:
@@ -67,8 +66,9 @@ class RepertoireItem:
 class UsageIndex:
     """Component index k -> task indices, plus entry key -> task indices.
 
-    ``rows`` keeps each task's current components and entry key, so that
-    refreshing a task touches only its own old and new rows.
+    ``rows`` keeps each task's current components and entry key, the one
+    record of what each task's run uses, so that refreshing a task touches
+    only its own old and new rows.
     """
 
     def __init__(self):
@@ -114,7 +114,6 @@ def rebuild_usage(
 ) -> tuple[UsageIndex, dict]:
     """Recompute the whole index from stored solutions (the rebuild oracle).
 
-    Each item's ``components_used`` is refreshed from its run.
     Given CostParams, tasks are measured as the cost variant judges them
     (``costs.measure_task``) and their measures come back by task identity;
     otherwise they are re-run or replayed, and the dict is empty.
@@ -127,7 +126,6 @@ def rebuild_usage(
         else:
             measure, _trace, report = costs.measure_task(solver, item.task, params, item.trace)
             measures[item.task.identity()] = measure
-        item.components_used = report.components_used
         fresh.record(item.index, report.components_used, item.entry_key)
     return fresh, measures
 

@@ -73,12 +73,7 @@ def build_repertoire(rng: random.Random, n_tasks: int):
         solver, _changed = install_segment(solver, code, task.identifier.to_hex())
         report, trace = solves(solver, task)
         assert report.success, "builder produced an unsolvable task"
-        item = RepertoireItem(
-            index=index,
-            task=task,
-            trace=trace,
-            components_used=report.components_used,
-        )
+        item = RepertoireItem(index=index, task=task, trace=trace)
         items.append(item)
         usage.record(index, report.components_used, item.entry_key)
     return solver, items, usage

@@ -129,6 +129,34 @@ def test_run_flags_default_to_the_run_config_defaults():
     assert config_from_args(build_parser().parse_args(["run"])) == RunConfig()
 
 
+def test_every_run_flag_lands_in_its_field():
+    from fractions import Fraction
+
+    argv = (
+        "run --variant II --searcher stochastic --domain pattern --seed 7 --max-tasks 9"
+        " --step-ceiling 1024 --alpha 3/2 --epsilon 1/4 --eps-wow 6 --prefix-mode --paranoid"
+        " --adapt-prior --archive a.jsonl --metrics m.csv --external-tasks q.jsonl --resume"
+    ).split()
+    assert config_from_args(build_parser().parse_args(argv)) == RunConfig(
+        variant="II",
+        searcher="stochastic",
+        domain="pattern",
+        seed=7,
+        max_tasks=9,
+        step_ceiling=1024,
+        alpha=Fraction(3, 2),
+        epsilon=Fraction(1, 4),
+        eps_wow=6,
+        prefix_mode=True,
+        paranoid=True,
+        adapt_prior=True,
+        archive_path="a.jsonl",
+        metrics_path="m.csv",
+        external_tasks_path="q.jsonl",
+        resume=True,
+    )
+
+
 @pytest.fixture(scope="module")
 def four_entry_archives(tmp_path_factory):
     """The lines of a variant I and a variant II gridworld archive, four entries each."""
@@ -160,6 +188,9 @@ DAMAGE = {
     "reward a string": ("II", 2),
     "reward a float": ("II", 2),
     "reward a bool": ("II", 2),
+    "i a string": ("I", 2),
+    "origin bogus": ("I", 2),
+    "appended past the solver": ("I", 2),
 }
 
 
@@ -189,6 +220,12 @@ def _damaged(lines, damage):
         del data["trace"]
     elif damage == "appended no pair":
         data["meta"]["appended"] = 5
+    elif damage == "appended past the solver":
+        data["meta"]["appended"] = [1000000, 2]
+    elif damage == "i a string":
+        data["i"] = "2"
+    elif damage == "origin bogus":
+        data["origin"] = "bogus"
     elif damage == "search_steps a string":
         data["meta"]["search_steps"] = "abc"
     elif damage == "p not bits":
@@ -281,6 +318,22 @@ def test_a_stripped_ledger_exits_three_and_names_the_entry(
     whole = _stripped(lines, entry, ["c", "c_star", "cost_params"])
     error = _assert_corrupt(tmp_path, capsys, command, "II", whole, max(entry, 2))
     assert "where entry 1 has" in error
+
+
+@pytest.mark.parametrize("variant", ["I", "II"])
+def test_a_solver_size_that_is_not_its_snapshots_fails_the_audit(
+    tmp_path, capsys, four_entry_archives, variant
+):
+    lines = list(four_entry_archives[variant])
+    data = json.loads(lines[-1])
+    data["meta"]["solver_slots"] += 1
+    lines[-1] = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    path = tmp_path / "archive.jsonl"
+    path.write_text("".join(lines))
+    assert run_cli(["audit", str(path)]) == EXIT_AUDIT
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    failures = [e for e in events if e["event"] == "audit_failure"]
+    assert [(f["phase"], f["check"]) for f in failures] == [(4, "snapshot")], failures
 
 
 @pytest.mark.parametrize("entry", [2, 3, 4])
@@ -749,7 +802,7 @@ def test_variant2_forgetting_is_visible_in_the_judge(tmp_path):
     )
     rep, _ = solves(eng.solver, old_task)
     assert rep.success
-    item = RepertoireItem(1, old_task, None, rep.components_used)
+    item = RepertoireItem(1, old_task, None)
     eng.repertoire.append(item)
     eng.usage.record(1, rep.components_used, item.entry_key)
     m, _t, _r = measure_task(eng.solver, old_task, eng._params())
@@ -873,7 +926,6 @@ def test_variant2_paranoid_judge_checks_the_phase_ledger(tmp_path, monkeypatch):
         return solved, max(billed - 1, 0)
 
     monkeypatch.setattr(validate_mod, "report_within", off_by_one)
-    eng._ledger = None
     with pytest.raises(AssertionError, match="run table"):
         judge_many(200)
     monkeypatch.setattr(validate_mod, "report_within", real_within)
@@ -886,7 +938,6 @@ def test_variant2_paranoid_judge_checks_the_phase_ledger(tmp_path, monkeypatch):
         "contribution",
         lambda m, identity, origins, params: real_contribution(m, identity, origins, params) + 1,
     )
-    eng._ledger = None
     with pytest.raises(AssertionError, match="phase ledger"):
         judge_many(200)
 
@@ -895,12 +946,7 @@ def _engine_state(engine):
     return {
         "solver": engine.solver.to_json(),
         "repertoire": [
-            (
-                item.index,
-                item.task.to_json(),
-                item.trace,
-                item.components_used,
-            )
+            (item.index, item.task.to_json(), item.trace)
             for item in engine.repertoire
         ],
         "usage": engine.usage.snapshot(),

@@ -154,7 +154,6 @@ def test_grid_template_requires_decision_task():
 def test_clone_copies_a_stored_segment_and_charges_reads():
     rng = random.Random(2)
     solver, items, _usage = build_repertoire(rng, 1)
-    seg_len = items[0].components_used and solver.component_count
     ctx = make_ctx(items, solver, segments=[(0, solver.component_count)])
     bits = meta_bits([(M_T_COPY, (0,))], [(M_E_CLONE, (0,))])
     meter = Meter(10_000)

@@ -389,7 +389,7 @@ def test_a_stochastic_phase_samples_by_the_prior_weights(monkeypatch):
         return None
 
     problem = SearchProblem(ctx=make_ctx(), prior=Prior(META_ISA), judge=never)
-    space = candidate_space(problem.domain, problem.external)
+    space = candidate_space(problem.domain, False)
     kept = space.task_ops[-1]
     for code in space.task_ops:
         if code != kept:
@@ -500,9 +500,7 @@ def _entries_with_records(space, total):
 @pytest.mark.parametrize("context", ["empty", "mid_run", "external", "external_known"])
 def test_static_verdicts_equal_executed_records(context):
     ctx, external, max_bits, expected = _context(context)
-    problem = SearchProblem(
-        ctx=ctx, prior=Prior(META_ISA), judge=lambda *args: None, external=external
-    )
+    problem = SearchProblem(ctx=ctx, prior=Prior(META_ISA), judge=lambda *args: None)
     space = candidate_space("mixed", external)
     boundary = BoundaryVerdicts(ctx)
     reasons = set()
@@ -687,15 +685,13 @@ def test_stochastic_search_keeps_one_cache_per_phase(tmp_path, monkeypatch):
 def _novelty_table_bill(problem, task, caches):
     """The judge's first-stage bill for task, read straight off its tables."""
     engine = problem.judge.__self__
+    run = caches["prev"].get(task.identity())
     if engine.config.variant == "I":
         hit = caches["novelty"].get(task.identity())
         if hit is not None:
             return hit[1]
-        run = caches["prev"].get(task.identity())
         return None if run is None else report_within(run, least_grant(run, task.t), task.t)[1]
-    ledger = engine._ledger
-    memo = None if ledger is None else ledger.novelty.get(task.identity())
-    return None if memo is None else least_grant(memo[1], ledger.params.t_max)
+    return None if run is None else least_grant(run, engine.config.t_max)
 
 
 def _classified_run(tmp_path, monkeypatch, name, **overrides):
@@ -1084,6 +1080,49 @@ def _judging_engine(tmp_path, variant, rng, paranoid=True):
     return eng, proposed
 
 
+def test_variant_two_keeps_its_ledger_and_previous_solver_runs_in_the_phase_tables(
+    tmp_path, monkeypatch
+):
+    # The first judge call of a phase builds the ledger into the phase's
+    # tables, and the previous solver's run on a new task goes to ``prev``,
+    # as in variant I: the run a live measure at t_max makes.
+    from autodidact.costs import measure_task
+    from autodidact.meta import Meter
+    from autodidact.tasks import run_record
+
+    built = []
+    real = Engine._phase_ledger
+
+    def counting(self):
+        built.append(len(self.entries) + 1)
+        return real(self)
+
+    monkeypatch.setattr(Engine, "_phase_ledger", counting)
+    cfg = RunConfig(
+        variant="II",
+        domain="pattern",
+        max_tasks=3,
+        archive_path=str(tmp_path / "a.jsonl"),
+        metrics_path=str(tmp_path / "m.csv"),
+    )
+    assert Engine(cfg).run().accepted == 3
+    assert built == [1, 2, 3]
+
+    built.clear()
+    (tmp_path / "built").mkdir()
+    eng, proposed = _judging_engine(tmp_path / "built", "II", random.Random(53))
+    caches = search.fresh_caches()
+    for task, code in proposed[:4]:  # the new tasks: a timeout, a fault and two others
+        start = eng.solver.component_count
+        edits = [Append(i) for i in code] + [SetEntry(task.identifier.to_hex(), start)]
+        proposal = Proposal(task, edits, len(code), start)
+        eng._judge_v2(None, None, proposal, Meter(10**9), caches)
+        live = measure_task(eng.solver, task, eng._params())[2]
+        assert caches["prev"][task.identity()] == run_record(live)
+    assert built == [1]  # one ledger for the four calls on these tables
+    assert set(caches["ledger"].probes) >= {task.identity() for task, _code in proposed}
+
+
 def _judge_calls(eng, proposed, rng, n):
     """n random judge calls, (proposal, budget, caches); each 20 share one
     phase's tables."""
@@ -1151,7 +1190,12 @@ def test_judge_cuts_on_a_built_repertoire_have_exact_floors(tmp_path, variant):
         assert floor > budget
         identity = proposal.task.identity()
         run = caches["prev"].get(identity)
-        capped = identity not in caches["novelty"] and run is not None and run[0] == FAULTED
+        capped = (
+            variant == "I"
+            and identity not in caches["novelty"]
+            and run is not None
+            and run[0] == FAULTED
+        )
         below = _judge(eng, proposal, floor - 1, _copy_tables(caches))
         assert below == (None, floor), (identity, budget, floor, below)
         tables = _copy_tables(caches)
@@ -1316,10 +1360,8 @@ def _check_table_bill(eng, task, caches, answers) -> Optional[int]:
     if owed is None or task.entry_key in solver.frozen_entry_keys:
         return None
     identity = task.identity()
-    if eng.config.variant == "I":
-        judge, novelty_run = eng._judge_v1, caches["prev"][identity]
-    else:
-        judge, novelty_run = eng._judge_v2, eng._ledger.novelty[identity][1]
+    judge = eng._judge_v1 if eng.config.variant == "I" else eng._judge_v2
+    novelty_run = caches["prev"][identity]
     edits = [Append(ins) for ins in copy_query_loop()]
     edits.append(SetEntry(task.entry_key, solver.component_count))
     q, changed = apply_modification(solver, edits)

@@ -54,7 +54,7 @@ def test_touched_components_force_exactly_their_tasks():
     rng = random.Random(2)
     solver, items, usage = build_repertoire(rng, 4)
     victim = items[1]
-    slot = sorted(victim.components_used)[0] - 1
+    slot = sorted(usage.rows[victim.index][0])[0] - 1
     q, changed = apply_modification(solver, [SetSlot(slot, (1, ()))])  # HALT it
     todo = revalidate_set(usage, changed)
     assert victim.index in todo
