@@ -8,8 +8,10 @@ index is no integer or breaks sequence, whose origin is neither "self" nor
 "external", whose appended span does not start at the previous solver's
 slot count, that carries a ledger where the first entry has none or the
 other way round, or that holds a decision task without the trace it needs
-(any subcommand; an ``archive_corrupt`` event names the entry), 4 search
-ceiling reached with zero acceptances.
+(any subcommand), or, for ``run --resume``, a last entry whose
+``solver_slots`` and ``solver_bits`` are not its snapshot's (an
+``archive_corrupt`` event names the entry), 4 search ceiling reached with
+zero acceptances in this run (entries read by ``--resume`` do not count).
 Progress events stream as one JSON object per line on standard error; all
 result files are deterministic functions of (config, seed).
 """

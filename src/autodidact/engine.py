@@ -6,7 +6,10 @@ learned task.  Variant II replaces that gate with explicit cost accounting:
 accept when the whole-repertoire cost drops by more than epsilon, forgetting
 allowed.  Both share the same searchers, candidate language, usage-indexed
 incremental revalidation, scratch-undo isolation, and append-only archive.
-A commit and a resume learn from each frozen entry through one step.
+Each judge hands the commit one record, validate.Details: the entry's judge
+fields, the usage rows the acceptance changes and, in variant II, the
+ledger; so one commit serves both variants.  A commit and a resume learn
+from each frozen entry through one step.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Callable, Optional
 
 from .archive import (
     AlreadySolvable,
+    ArchiveCorrupt,
     ArchiveEntry,
     ExternalTask,
     Replay,
@@ -51,6 +55,7 @@ from .validate import (
     CUT,
     BudgetExhausted,
     Chain,
+    Details,
     RepertoireItem,
     UsageIndex,
     demonstrate,
@@ -59,31 +64,6 @@ from .validate import (
     update_usage,
 )
 from .vm import EMPTY_SOLVER, SolverProgram, size_change
-
-
-@dataclass
-class Details:
-    """What an accepted judge call hands to the commit, from live runs of the winner."""
-
-    trace: object  # the new task's fresh trace, or None
-    components: frozenset  # the components the new task's run used
-    steps: int  # the new task's steps
-    usage_updates: dict  # repertoire index -> component set, each task run again
-    wow: bool
-    billed: int  # the judge's validation steps
-
-
-@dataclass
-class V2Details(Details):
-    """Variant II's ledger on top: c, c* and the measures it was summed from."""
-
-    c: Fraction
-    c_star: Fraction
-    measures: dict  # identity -> TaskMeasure under the candidate
-    forgotten: list
-    solved_count: int
-    sum_t_old_before: int
-    sum_t_old_after: int
 
 
 @dataclass
@@ -109,7 +89,7 @@ class PhaseLedger:
 
 @dataclass
 class RunResult:
-    accepted: int
+    accepted: int  # this run's acceptances, not counting resumed entries
     ceiling_reached: bool
     entries: list
 
@@ -149,7 +129,14 @@ class Engine:
                 f"as variant {self.config.variant}"
             )
         if entries:
-            self.solver = entries[-1].solver_program()
+            last = entries[-1]
+            self.solver = last.solver_program()
+            size = (self.solver.component_count, self.solver.size_bits)
+            if (last.meta.get("solver_slots"), last.meta.get("solver_bits")) != size:
+                # The next entry's appended span would start at the wrong slot.
+                raise ArchiveCorrupt(
+                    last.i, f"solver_slots and solver_bits are not the snapshot's {size}"
+                )
         # Only an archive that decoded throughout may be rewritten.
         if repair_archive(path, entries):
             self.log({"event": "archive_repaired", "entries": len(entries)})
@@ -171,6 +158,7 @@ class Engine:
     def run(self) -> RunResult:
         cfg = self.config
         ceiling = False
+        resumed = len(self.entries)
         while len(self.entries) < cfg.max_tasks:
             phase = len(self.entries) + 1
             external = self._next_external(self.queue)
@@ -207,7 +195,7 @@ class Engine:
                     "steps": stats.steps_total,
                 }
             )
-        return RunResult(len(self.entries), ceiling, self.entries)
+        return RunResult(len(self.entries) - resumed, ceiling, self.entries)
 
     def _next_external(self, queue: list[ExternalTask]) -> Optional[ExternalTask]:
         """First queued task the current solver cannot already handle.
@@ -388,20 +376,7 @@ class Engine:
             edit=edit,
             spent=meter.spent,
         )
-        if not report.accepted:
-            return None, report.steps_spent
-        details = Details(
-            trace=report.new_trace,
-            components=report.new_outcome.components_used,
-            steps=report.new_outcome.steps,
-            usage_updates={
-                j: report.revalidation_reports[j].components_used
-                for j in report.revalidated_tasks
-            },
-            wow=task.entry_key in self.usage.by_entry,
-            billed=report.steps_spent,
-        )
-        return details, report.steps_spent
+        return report.details, report.steps_spent
 
     # -- Variant II ----------------------------------------------------------
 
@@ -506,37 +481,32 @@ class Engine:
         # Accepted: the winner's runs again, live, for what the run table
         # does not keep: the components each run used, and the trace.
         q = edit.applied()[0]
-        usage_updates: dict = {}
+        usage = {}
         for item in redone:
             probe_j = ledger.probes[item.task.identity()]
-            _m, _tr, rep = measure_task(q, probe_j, params, item.trace)
-            usage_updates[item.index] = rep.components_used
+            usage[item.index] = measure_task(q, probe_j, params, item.trace)[2].components_used
         trace_for_new = known.trace if known is not None else None
         _m, new_trace, rep_new = measure_task(q, probe, params, trace_for_new)
-        if known is not None:
-            usage_updates[known.index] = rep_new.components_used
+        new_row = known.index if known is not None else len(self.repertoire) + 1
+        usage[new_row] = rep_new.components_used
         old = self.cost_measures
-        q_measures = dict(old)
-        q_measures.update(measures)
+        q_measures = {**old, **measures}
         before = sum(m.t_prime(params) for m in old.values())
         after = sum(q_measures[i].t_prime(params) for i in old)
-        forgotten = [i for i, m in measures.items() if i in old and old[i].solved and not m.solved]
-        details = V2Details(
-            trace=new_trace,
-            components=rep_new.components_used,
-            steps=measures[new_id].t_prime(params),
-            usage_updates=usage_updates,
-            wow=after < before,
-            billed=billed,
-            c=c,
-            c_star=c_star,
-            measures=q_measures,
-            forgotten=sorted(forgotten),
-            solved_count=sum(1 for m in q_measures.values() if m.solved),
-            sum_t_old_before=before,
-            sum_t_old_after=after,
-        )
-        return details, billed
+        lost = [i for i, m in measures.items() if i in old and old[i].solved and not m.solved]
+        meta = {
+            "wow": after < before,
+            "steps": measures[new_id].t_prime(params),
+            "validation_steps": billed,
+            # distinct stored tasks run again: a re-proposed task may be in redone
+            "revalidated": len(usage) - (known is None),
+            "forgotten": len(lost),
+            "solved_count": sum(1 for m in q_measures.values() if m.solved),
+            "sum_t_old_before": before,
+            "sum_t_old_after": after,
+            "cost_params": params.to_json(),
+        }
+        return Details(new_trace, usage, meta, (str(c), str(c_star), q_measures)), billed
 
     def _check_ledger(self, ledger, q, new_id, m_prev, measures, c, c_star, accepted) -> None:
         """Paranoid mode: the phase ledger must equal the full cost() sums,
@@ -560,33 +530,25 @@ class Engine:
         i = len(self.entries) + 1
         self.task_origin.setdefault(identity, origin)
 
-        details = acc.details
+        details: Details = acc.details
         duplicate = any(item.task.identity() == identity for item in self.repertoire)
 
         self.solver = acc.solver.frozen_copy() if cfg.prefix_mode else acc.solver
 
-        per_task_usage: dict = {}
         if not duplicate:
-            item = RepertoireItem(len(self.repertoire) + 1, task, details.trace)
-            self.repertoire.append(item)
-            per_task_usage[item.index] = (details.components, item.entry_key)
-        for j, comps in details.usage_updates.items():
-            per_task_usage[j] = (comps, self.repertoire[j - 1].entry_key)
-        update_usage(self.usage, per_task_usage)
+            self.repertoire.append(RepertoireItem(len(self.repertoire) + 1, task, details.trace))
+        rows = {j: (comps, self.repertoire[j - 1].entry_key) for j, comps in details.usage.items()}
+        update_usage(self.usage, rows)
 
         meta_info = {
+            **details.meta,
             "kind": task.kind,
-            "wow": details.wow,
             "entry_key": task.entry_key,
             "search_steps": stats.steps_total,
-            "validation_steps": details.billed,
-            "revalidated": len(details.usage_updates),
             "candidates": stats.candidates_run,
             "t_lim": stats.t_lim,
             "solver_slots": self.solver.component_count,
             "solver_bits": self.solver.size_bits,
-            "steps": details.steps,
-            "forgotten": 0,
             "duplicate": duplicate,
         }
         if acc.proposal.appended:
@@ -594,14 +556,8 @@ class Engine:
         if identity in self.external_rewards:
             meta_info["reward"] = self.external_rewards[identity]
         c = c_star = None
-        if isinstance(details, V2Details):
-            self.cost_measures = details.measures
-            meta_info["forgotten"] = len(details.forgotten)
-            meta_info["solved_count"] = details.solved_count
-            meta_info["sum_t_old_before"] = details.sum_t_old_before
-            meta_info["sum_t_old_after"] = details.sum_t_old_after
-            meta_info["cost_params"] = self._params().to_json()
-            c, c_star = str(details.c), str(details.c_star)
+        if details.ledger is not None:
+            c, c_star, self.cost_measures = details.ledger
 
         entry = ArchiveEntry(
             i=i,

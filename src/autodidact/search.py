@@ -189,7 +189,7 @@ class Acceptance:
     meta: MetaProgram
     proposal: Proposal
     solver: SolverProgram
-    details: object  # judge-specific payload (validation report or cost report)
+    details: object  # the judge's record for the commit (validate.Details)
 
 
 @dataclass

@@ -11,7 +11,7 @@ re-tests everything and must always agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import costs
@@ -310,15 +310,37 @@ class Chain:
 
 
 @dataclass
+class Details:
+    """What an accepted judge call hands to the commit, from live runs of the winner.
+
+    Both judges build one, and the commit reads only these four fields.
+    ``usage`` maps a repertoire index to the components its run under the
+    winner used, for every usage row the acceptance changes: each stored
+    task run again, and the new task's row, at ``len(repertoire) + 1`` when
+    the task is new.  ``meta`` holds the judge's fields of the entry's
+    meta: ``wow``, ``steps``, ``validation_steps``, ``revalidated`` (distinct
+    stored tasks run again) and ``forgotten`` in both variants; variant II
+    adds ``solved_count``, ``sum_t_old_before``, ``sum_t_old_after`` and
+    ``cost_params``.  ``ledger`` is variant II's (str(c), str(c*), the
+    measures under the winner by task identity), else None.
+    """
+
+    trace: Optional[Trace]  # the new task's fresh trace, or None
+    usage: dict
+    meta: dict
+    ledger: Optional[tuple] = None
+
+
+@dataclass
 class ValidationReport:
+    """Variant I's verdict; ``details`` is set on acceptance only."""
+
     novel: bool = False
     solves_new: bool = False
     preserved: bool = False
     revalidated_tasks: tuple = ()
     steps_spent: int = 0
-    new_outcome: Optional[SolveReport] = None
-    new_trace: Optional[Trace] = None
-    revalidation_reports: dict = field(default_factory=dict)
+    details: Optional[Details] = None
 
     @property
     def accepted(self) -> bool:
@@ -371,8 +393,9 @@ def demonstrate(
     One exception: while the cache lacks the task, a novelty run that
     faults bills its whole grant, and the first run to conclude writes that
     bill to the cache; so the floor stops where the novelty stage concludes.
-    Only an accepted report carries the new task's SolveReport, its trace
-    and the revalidation reports, from live runs of the winner.
+    Only an accepted report carries Details, from live runs of the winner:
+    the new task's trace, every usage row the acceptance changes, and the
+    entry's judge fields.
     """
     if novelty_cache is None:
         novelty_cache = {}
@@ -421,9 +444,17 @@ def demonstrate(
 
     if report.accepted:
         q = edit.applied()[0]
-        report.new_outcome, report.new_trace = solves(q, task)
-        for j in done:
-            report.revalidation_reports[j] = preservation_run(q, repertoire[j - 1])[0]
+        new, trace = solves(q, task)
+        rows = {j: preservation_run(q, repertoire[j - 1])[0].components_used for j in done}
+        rows[len(repertoire) + 1] = new.components_used
+        meta = {
+            "wow": task.entry_key in usage.by_entry,
+            "steps": new.steps,
+            "validation_steps": report.steps_spent,
+            "revalidated": len(done),
+            "forgotten": 0,
+        }
+        report.details = Details(trace, rows, meta)
         if paranoid and not full_revalidation(q, repertoire):
             raise AssertionError(
                 "incremental revalidation accepted a candidate the full oracle rejects"

@@ -336,6 +336,17 @@ def test_a_solver_size_that_is_not_its_snapshots_fails_the_audit(
     assert [(f["phase"], f["check"]) for f in failures] == [(4, "snapshot")], failures
 
 
+def test_a_resume_checks_the_last_snapshots_size(tmp_path, capsys, four_entry_archives):
+    # Appending after a wrong solver_slots would write an entry every later
+    # load rejects; the resume names the tampered entry instead.
+    lines = list(four_entry_archives["I"])
+    data = json.loads(lines[-1])
+    data["meta"]["solver_slots"] += 1
+    lines[-1] = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    error = _assert_corrupt(tmp_path, capsys, "run", "I", lines, 4)
+    assert "solver_slots and solver_bits are not the snapshot's" in error
+
+
 @pytest.mark.parametrize("entry", [2, 3, 4])
 def test_a_ledger_in_a_variant_one_archive_exits_three(
     tmp_path, capsys, four_entry_archives, entry
@@ -615,6 +626,34 @@ def test_ceiling_with_zero_acceptances_exits_four(tmp_path):
     assert load_archive(tmp_path / "a.jsonl") == []
 
 
+def test_a_resumed_run_that_stalls_exits_four(tmp_path, capsys):
+    # Exit 4 counts this run's acceptances, not the resumed entries.
+    cfg, _res = small_run(tmp_path, max_tasks=3)
+    before = open(cfg.archive_path).read()
+    code = run_cli(
+        [
+            "run",
+            "--resume",
+            "--domain",
+            "gridworld",
+            "--seed",
+            "11",
+            "--max-tasks",
+            "4",
+            "--step-ceiling",
+            "4",
+            "--archive",
+            cfg.archive_path,
+            "--metrics",
+            cfg.metrics_path,
+        ]
+    )
+    assert code == 4
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert {"event": "ceiling", "i": 4} in events
+    assert open(cfg.archive_path).read() == before
+
+
 def test_resume_after_crash_truncation_matches_clean_run(tmp_path):
     clean_cfg, _res = small_run(tmp_path, name="clean", max_tasks=3)
     crash_cfg, _res = small_run(tmp_path, name="crash", max_tasks=3)
@@ -820,8 +859,9 @@ def test_variant2_forgetting_is_visible_in_the_judge(tmp_path):
     proposal = Proposal(new_task, edits, len(const_nibble(9)), start)
     details = eng._judge_v2(q, changed, proposal, Meter(10**9), fresh_caches())
     assert details is not None  # r_new makes the trade profitable
-    assert details.forgotten == [old_task.identity()]
-    assert details.sum_t_old_after > details.sum_t_old_before  # old work got worse
+    assert details.meta["forgotten"] == 1
+    assert not details.ledger[2][old_task.identity()].solved  # the lost task
+    assert details.meta["sum_t_old_after"] > details.meta["sum_t_old_before"]  # old work got worse
 
 
 def test_variant2_paranoid_run(tmp_path):

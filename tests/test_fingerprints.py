@@ -41,9 +41,10 @@ def test_first_phases_match_the_benchmark_fingerprints(tmp_path, workload, phase
 # Scenarios the benchmark does not grow, with the sha256 prefixes of their
 # whole archive files.  Prefix mode freezes every entry key, and the adapted
 # prior splits StaticRecord groups by prior: the two places where bulk and
-# table verdicts must step aside or split.  The last two give variant II a
-# non-integral alpha and epsilon, so the ledger's integer verdict must scale
-# by their denominators to accept where the Fraction ledger does.
+# table verdicts must step aside or split.  The two fractional ones give
+# variant II a non-integral alpha and epsilon, so the ledger's integer
+# verdict must scale by their denominators to accept where the Fraction
+# ledger does.
 ARCHIVE_DIGESTS = [
     (dict(variant="I", domain="gridworld", prefix_mode=True, max_tasks=10), "cb6dafe5988962f1"),
     (dict(variant="II", domain="gridworld", max_tasks=4), "55dd458f3692bbbc"),
@@ -58,6 +59,9 @@ ARCHIVE_DIGESTS = [
         dict(variant="II", domain="mixed", max_tasks=5, alpha=Fraction(1, 3), epsilon=Fraction(5, 3)),
         "533188f8a0d401f0",
     ),
+    # The full variant II demo (variant2_demo_config): its entry 14 re-proposes
+    # a stored task that is also in the edit's revalidation set.
+    (dict(variant="II", domain="pattern", max_tasks=14, alpha=Fraction(8)), "5c405fe856753b13"),
 ]
 
 # What replaying two of those archives gives: the AuditReport counters
@@ -95,6 +99,7 @@ SCENARIO_IDS = [
     "v1-pattern-prefix-8",
     "v2-pattern-fractional-6",
     "v2-mixed-fractional-5",
+    "v2-demo-14",
 ]
 
 
