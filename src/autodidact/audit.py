@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .archive import Replay, load_archive
-from .costs import cost, measure_task
-from .tasks import DecisionTask, solves
+from .costs import cost, measure_task, measure_whole
+from .tasks import DecisionTask, record_run, solves
 from .validate import RepertoireItem, preservation_run
 from .vm import EMPTY_SOLVER
 
@@ -84,8 +84,7 @@ def audit_archive(archive_path) -> AuditReport:
 
 
 def _audit_strict_entry(report, i, prev_solver, solver, task, trace, repertoire):
-    prev_report, _ = solves(prev_solver, task)
-    if prev_report.success:
+    if record_run(prev_solver, task)[2]:
         report.failures.append(
             AuditFailure(i, "novelty", "previous solver already solves the new task")
         )
@@ -137,7 +136,7 @@ def _audit_cost_entry(
         for ident, (t, tr) in sorted(task_set.items()):
             if ident == identity and live_new:
                 # The solve that froze this entry ran live.
-                measures[ident] = measure_task(which_solver, t, params)[0]
+                measures[ident] = measure_whole(which_solver, t, params)
                 continue
             hit = earlier.get(ident)
             if hit is not None and hit[0] == tr and hit[1] == params:

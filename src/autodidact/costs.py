@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .tasks import DecisionTask, PatternTask, Task, replay_check, solves
+from .tasks import DecisionTask, PatternTask, Task, record_run, replay_check, report_within, solves
 from .vm import SolverProgram
 
 
@@ -73,6 +73,11 @@ class TaskMeasure:
     steps: int
     components: int
 
+    @classmethod
+    def of_run(cls, run: tuple, t_max: int) -> "TaskMeasure":
+        """The measure of a run at the whole t_max, read off its run record."""
+        return cls(*report_within(run, None, t_max), run[3])
+
     def t_prime(self, params: CostParams) -> int:
         return self.steps if self.solved else params.t_max
 
@@ -97,6 +102,13 @@ def measure_task(
         return TaskMeasure(rep.success, rep.steps, len(rep.components_used)), None, rep
     rep, new_trace = solves(solver, probe, budget)
     return TaskMeasure(rep.success, rep.steps, len(rep.components_used)), new_trace, rep
+
+
+def measure_whole(solver: SolverProgram, task: Task, params: CostParams, trace=None) -> TaskMeasure:
+    """measure_task's measure without a budget, from one tasks.record_run:
+    no report, trace or state digest is built."""
+    run = record_run(solver, task_with_cost_bounds(task, params), trace)
+    return TaskMeasure.of_run(run, params.t_max)
 
 
 def task_with_cost_bounds(task: Task, params: CostParams) -> Task:

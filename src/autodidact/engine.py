@@ -36,6 +36,7 @@ from .costs import (
     contribution,
     cost,
     measure_task,
+    measure_whole,
     saves,
     task_with_cost_bounds,
 )
@@ -50,7 +51,7 @@ from .search import (
     oops_search,
     stochastic_search,
 )
-from .tasks import Task, least_grant, report_within, solves
+from .tasks import Task, least_grant, record_run, report_within, solves
 from .validate import (
     CUT,
     BudgetExhausted,
@@ -222,11 +223,11 @@ class Engine:
         return None
 
     def _already_solvable(self, task: Task) -> bool:
+        """Whether the solver solves the task at its whole bound (t_max in
+        variant II), by a run that computes no state digest."""
         if self.config.variant == "II":
-            measure, _tr, _rep = measure_task(self.solver, task, self._params())
-            return measure.solved
-        report, _ = solves(self.solver, task)
-        return report.success
+            return measure_whole(self.solver, task, self._params()).solved
+        return record_run(self.solver, task)[2]
 
     def _search_phase(self, phase: int, external: Optional[ExternalTask]):
         cfg = self.config
@@ -411,7 +412,8 @@ class Engine:
 
         def q_stage(key, probe, trace):
             live = lambda b: measure_task(edit.applied()[0], probe, params, trace, b)[2]  # noqa: E731
-            return live, table_run(edit.runs, key, live)
+            record = lambda: record_run(edit.applied()[0], probe, trace)  # noqa: E731
+            return live, table_run(edit.runs, key, record)
 
         # The stages, each run at the whole t_max: the previous solver on a
         # new task (c* is its ledger with the task in it), q on every stored
@@ -424,10 +426,10 @@ class Engine:
         stages = []
         if known is None:
             live = lambda b: measure_task(self.solver, probe, params, None, b)[2]  # noqa: E731
-            run = table_run(caches["prev"], new_id, live)
+            run = table_run(caches["prev"], new_id, lambda: record_run(self.solver, probe))
             stages.append((live, run))
             if new_id not in ledger.contrib:
-                full = TaskMeasure(*report_within(run, None, params.t_max), run[3])
+                full = TaskMeasure.of_run(run, params.t_max)
                 ledger.contrib[new_id] = contribution(full, new_id, ledger.origins, params)
         else:
             m_prev = self.cost_measures[new_id]

@@ -109,11 +109,16 @@ def env_step(env: EnvState, action: int):
 
 
 class LiveEnv:
-    """Mutable runner view over EnvState used by the VM; records the trace."""
+    """Mutable runner view over EnvState used by the VM; records the trace.
 
-    def __init__(self, world: GridWorld, goal: tuple):
+    With ``digests`` false every step's state digest is recorded as "": for
+    a run whose trace only the goal check reads, which never reads them.
+    """
+
+    def __init__(self, world: GridWorld, goal: tuple, digests: bool = True):
         self.state = EnvState(world, world.start, goal)
         self.trace_steps: list[tuple] = []
+        self.digests = digests
 
     def sense(self) -> int:
         return self.state.world.observation(self.state.agent)
@@ -121,7 +126,7 @@ class LiveEnv:
     def act(self, action: int, solver_digest) -> int:
         """Take the action; ``solver_digest()`` gives the state digest to record."""
         obs, reward, self.state = env_step(self.state, action)
-        self.trace_steps.append((obs, reward, solver_digest(), action))
+        self.trace_steps.append((obs, reward, solver_digest() if self.digests else "", action))
         return reward
 
 

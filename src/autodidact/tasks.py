@@ -9,6 +9,13 @@ A task's identity is the digest of its canonical serialization, bounds and
 environment included, so tightening a bound or touching a wall makes a
 different task.  Identifiers are tagged with a leading domain bit so pattern
 and decision identifiers never collide in the solver's entry table.
+
+A run succeeds by one rule: the solver is under the size bound, halts
+cleanly, and passes its domain's check.  A live run (solves, replay_check)
+returns a SolveReport, and a live decision run also its Trace, with a
+solver-state digest at every ACT.  record_run returns only the four-int
+record a run table keeps, from the same run and the same rule, and builds
+nothing else.
 """
 
 from __future__ import annotations
@@ -220,32 +227,54 @@ def _clean_halt(outcome: RunOutcome) -> bool:
     return outcome.halted and outcome.halt_reason == HALT_EXPLICIT
 
 
+def _outcome(solver: SolverProgram, task: Task, env, granted: int, check) -> tuple:
+    """One run of the solver on the task under ``granted`` steps, and whether
+    it succeeds: the solver is under the size bound, halts cleanly and passes
+    ``check(outcome)``, the domain check, which runs last.  Live reports and
+    run-table records both succeed by this rule."""
+    outcome = run_solver(solver, task.identifier, env, granted, task.entry_key)
+    return outcome, solver.component_count < task.n and _clean_halt(outcome) and check(outcome)
+
+
 def _run(solver: SolverProgram, task: Task, env, budget: Optional[int], check) -> SolveReport:
     """One bounded run of the solver on the task, in ``env``.
 
     The run is granted min(t, budget) steps (t without a budget): a caller
     whose own step meter is nearly empty caps it below the task bound, and a
     grant below 1 runs nothing and is cut.  A run is conclusive when it
-    halted, faulted or had the whole bound.  It succeeds when the solver is
-    under the size bound, halts cleanly and passes ``check(outcome)``, the
-    domain check, which runs last.
+    halted, faulted or had the whole bound.
     """
     granted = task.t if budget is None else min(task.t, budget)
     if granted < 1:
         return SolveReport(False, 0, frozenset(), None, conclusive=False)
-    outcome = run_solver(solver, task.identifier, env, granted, task.entry_key)
-    ok = solver.component_count < task.n and _clean_halt(outcome) and check(outcome)
+    outcome, ok = _outcome(solver, task, env, granted, check)
     conclusive = outcome.halted or outcome.fault or granted == task.t
     return SolveReport(ok, outcome.steps_used, outcome.components_used, outcome, conclusive)
+
+
+# The domain checks, each made for one run's environment.
+
+
+def _output_check(task: PatternTask):
+    if task.i1 >= PATTERN_COUNT:
+        raise MissingPattern(task.i1)
+    o = task.o
+    return lambda outcome: outcome.out_length == o.length and outcome.out_value == o.value
+
+
+def _goal_check(task: DecisionTask, env: LiveEnv):
+    return lambda _outcome: _goal_reached(task.goal, env.trace_steps, task.world)[0]
+
+
+def _replay_check(task: DecisionTask, env: ReplayEnv, recorded: Trace):
+    return lambda _outcome: env.exact and evaluate_goal(task.goal, recorded, task.world)
 
 
 def solves_pattern(
     solver: SolverProgram, task: PatternTask, budget: Optional[int] = None
 ) -> SolveReport:
     """Success iff the solver is under the size bound and computes O within t steps."""
-    if task.i1 >= PATTERN_COUNT:
-        raise MissingPattern(task.i1)
-    return _run(solver, task, None, budget, lambda outcome: outcome.output == task.o)
+    return _run(solver, task, None, budget, _output_check(task))
 
 
 def solve_decision(
@@ -253,11 +282,7 @@ def solve_decision(
 ) -> tuple[SolveReport, Trace]:
     """Live run in the task's world; returns the recorded trace alongside."""
     env = LiveEnv(task.world, task.goal.target_cell)
-
-    def reached(_outcome):
-        return evaluate_goal(task.goal, Trace(tuple(env.trace_steps)), task.world)
-
-    return _run(solver, task, env, budget, reached), Trace(tuple(env.trace_steps))
+    return _run(solver, task, env, budget, _goal_check(task, env)), Trace(tuple(env.trace_steps))
 
 
 def evaluate_goal(goal: GoalSpec, trace: Trace, world: GridWorld) -> bool:
@@ -267,15 +292,20 @@ def evaluate_goal(goal: GoalSpec, trace: Trace, world: GridWorld) -> bool:
 
 
 def evaluate_goal_ex(goal: GoalSpec, trace: Trace, world: GridWorld) -> tuple[bool, str]:
-    if len(trace.steps) > PREDICATE_BUDGET:
+    return _goal_reached(goal, trace.steps, world)
+
+
+def _goal_reached(goal: GoalSpec, steps, world: GridWorld) -> tuple[bool, str]:
+    """evaluate_goal_ex over a trace's steps, for a run that builds no Trace."""
+    if len(steps) > PREDICATE_BUDGET:
         return False, "predicate_divergence"
-    if not trace.steps:
+    if not steps:
         return False, "empty_trace"
     target_index = world.cell_index(goal.target_cell)
-    for (_x, r, _u, _y) in trace.steps:
+    for (_x, r, _u, _y) in steps:
         if r < goal.min_reward:
             return False, "reward_floor"
-    final_obs = trace.steps[-1][0]
+    final_obs = steps[-1][0]
     if (final_obs >> 4) != target_index:
         return False, "wrong_final_cell"
     return True, "ok"
@@ -293,11 +323,7 @@ def replay_check(
     equals live re-execution success of the solver that recorded the trace.
     """
     env = ReplayEnv(recorded.steps, task.initial_obs())
-
-    def replayed(_outcome):
-        return env.exact and evaluate_goal(task.goal, recorded, task.world)
-
-    return _run(solver, task, env, budget, replayed)
+    return _run(solver, task, env, budget, _replay_check(task, env, recorded))
 
 
 def solves(
@@ -321,11 +347,35 @@ def run_record(report: SolveReport) -> tuple:
     """What the prefix rule needs of one run at the task's whole bound.
 
     A small tuple (how the run ended, steps executed, success, number of
-    components used): per-phase run tables hold thousands of them.
+    components used): per-phase run tables hold thousands of them.  This
+    reads a live report's; record_run makes the same tuple without one.
     """
-    outcome = report.outcome
+    return _record(report.outcome, report.success)
+
+
+def _record(outcome: RunOutcome, success: bool) -> tuple:
     kind = HALTED if outcome.halted else FAULTED if outcome.fault else TIMED_OUT
-    return kind, outcome.executed, report.success, len(outcome.components_used)
+    return kind, outcome.executed, success, outcome.component_count
+
+
+def record_run(solver: SolverProgram, task: Task, trace: Optional[Trace] = None) -> tuple:
+    """The run_record of one run at the task's whole bound, off the interpreter's result.
+
+    A decision task with a stored trace is replayed against it, as
+    replay_check does; any other task runs live, as solves does, in a world
+    that records no state digest.  The run and its success rule are the
+    live report's, but nothing is built that only a report keeps: no
+    SolveReport, output bits, component set, Trace or digest.
+    """
+    if isinstance(task, PatternTask):
+        env, check = None, _output_check(task)
+    elif trace is not None:
+        env = ReplayEnv(trace.steps, task.initial_obs())
+        check = _replay_check(task, env, trace)
+    else:
+        env = LiveEnv(task.world, task.goal.target_cell, digests=False)
+        check = _goal_check(task, env)
+    return _record(*_outcome(solver, task, env, task.t, check))
 
 
 def report_within(run: tuple, budget: Optional[int], bound: int) -> tuple[Optional[bool], int]:

@@ -7,6 +7,12 @@ re-checking the union of the lists it touched; everything else is provably
 unaffected because runs are deterministic and slot-local.  A dedicated
 full-revalidation oracle (also used by paranoid mode and the audit tool)
 re-tests everything and must always agree.
+
+The judge answers every stage from run tables: one record per run at the
+task's whole bound, made by tasks.record_run straight from the
+interpreter's result.  Only what needs more than the record runs live: the
+winner's runs (its Details), paranoid mode's check of every table answer,
+and rebuild_usage.
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from .tasks import (
     SolveReport,
     Trace,
     least_grant,
+    record_run,
     replay_check,
     report_within,
-    run_record,
     solves,
 )
 from .vm import Changed, SolverProgram
@@ -216,11 +222,13 @@ class EditRecord:
         return self.todo
 
 
-def table_run(runs: dict, key, live) -> tuple:
-    """runs[key], made on first use from live(None), a run at the whole bound."""
+def table_run(runs: dict, key, record) -> tuple:
+    """runs[key], made on first use by record(), the tasks.record_run of the
+    stage's run at the whole bound: a table keeps only that record, so the
+    run builds nothing that only a live report keeps."""
     run = runs.get(key)
     if run is None:
-        run = runs[key] = run_record(live(None))
+        run = runs[key] = record()
     return run
 
 
@@ -412,7 +420,7 @@ def demonstrate(
     if hit is None:
         chain = Chain(budget, paranoid=paranoid, spent=spent)
         live = lambda b: solves(s_prev, task, b)[0]  # noqa: E731
-        run = table_run(prev_runs, identity, live)
+        run = table_run(prev_runs, identity, lambda: record_run(s_prev, task))
         prev_solves, billed = chain.stage(run, live, task.t)
         if not chain.cut:
             hit = novelty_cache[identity] = (prev_solves, billed)
@@ -428,7 +436,8 @@ def demonstrate(
     todo, done = (), []
     if report.novel:
         live = lambda b: solves(edit.applied()[0], task, b)[0]  # noqa: E731
-        report.solves_new = chain.stage(table_run(edit.runs, identity, live), live, task.t)[0]
+        record = lambda: record_run(edit.applied()[0], task)  # noqa: E731
+        report.solves_new = chain.stage(table_run(edit.runs, identity, record), live, task.t)[0]
     if report.solves_new:
         todo = edit.revalidation(usage)
         report.preserved = True
@@ -436,7 +445,8 @@ def demonstrate(
             item = repertoire[j - 1]  # an item's index is its 1-based position
             done.append(j)
             live = lambda b, item=item: preservation_run(edit.applied()[0], item, b)[0]  # noqa: E731
-            if not chain.stage(table_run(edit.runs, j, live), live, item.task.t)[0]:
+            record = lambda item=item: record_run(edit.applied()[0], item.task, item.trace)  # noqa: E731
+            if not chain.stage(table_run(edit.runs, j, record), live, item.task.t)[0]:
                 report.preserved = False
                 break
     report.steps_spent = chain.conclude(cap)

@@ -12,6 +12,12 @@ Adversarial programs are expected: stack faults, bad jumps, exhausted input
 and missing environments are not Python errors, they end the run with
 halted=False and a diagnostic.  A faulted or timed-out run is billed its full
 step budget, so ``halted is False`` always means the budget is gone.
+
+A RunOutcome keeps the interpreter's raw result and builds its output bits
+and component set only when they are read, so a run-table record
+(tasks.record_run), which reads neither, pays for neither.  An edit script
+that only appends and sets entries, the kind the search proposes, is applied
+at a cost in proportion to the edit, not to the solver.
 """
 
 from __future__ import annotations
@@ -83,6 +89,7 @@ class SolverProgram:
         "frozen_prefix_len",
         "frozen_entry_keys",
         "_code",
+        "_rows_fit",
     )
 
     def __init__(
@@ -97,16 +104,19 @@ class SolverProgram:
         object.__setattr__(self, "frozen_prefix_len", frozen_prefix_len)
         object.__setattr__(self, "frozen_entry_keys", frozenset(frozen_entry_keys))
         object.__setattr__(self, "_code", None)
+        object.__setattr__(self, "_rows_fit", None)
 
     @classmethod
     def _owning(cls, instructions: tuple, entries: dict, frozen_prefix_len, frozen_entry_keys):
-        """__init__ without its defensive copies, for callers that own the parts."""
+        """__init__ without its defensive copies, for apply_modification, whose
+        result has every entry row within its instructions."""
         program = object.__new__(cls)
         object.__setattr__(program, "instructions", instructions)
         object.__setattr__(program, "entries", entries)
         object.__setattr__(program, "frozen_prefix_len", frozen_prefix_len)
         object.__setattr__(program, "frozen_entry_keys", frozen_entry_keys)
         object.__setattr__(program, "_code", None)
+        object.__setattr__(program, "_rows_fit", True)
         return program
 
     def __setattr__(self, name, val):
@@ -130,6 +140,15 @@ class SolverProgram:
         code = self._code
         bits = code.length if code is not None else program_bits(self.instructions)
         return bits + ENTRY_BITS * len(self.entries)
+
+    def rows_fit(self) -> bool:
+        """Whether every entry row points at a slot from 0 to the program's end."""
+        fit = self._rows_fit
+        if fit is None:
+            end = len(self.instructions)
+            fit = all(0 <= slot <= end for slot in self.entries.values())
+            object.__setattr__(self, "_rows_fit", fit)
+        return fit
 
     def entry_for(self, input_bits: BitString) -> int:
         return self.entries.get(input_bits.to_hex(), 0)
@@ -283,49 +302,75 @@ def apply_modification(prev: SolverProgram, edits) -> tuple[SolverProgram, Chang
 
     Returns the new program together with the exact set of changed component
     indices (1-based) and changed entry-table keys.  Frozen slots and frozen
-    entry rows reject the whole edit.
+    entry rows reject the whole edit, and so does an entry row that points
+    past the new program's end.
+
+    A script of Appends and SetEntries costs in proportion to the edit, not
+    to the solver: prev's slots are copied only on the first SetSlot or
+    Truncate, q's instructions are prev's plus the appended ones in one
+    concatenation, and only the rows the script writes are range-checked.
+    prev's other rows fit q when they fit prev, because such a script never
+    shortens it; a script that truncates, or a prev with a row out of range,
+    has every row checked.
     """
-    slots = list(prev.instructions)
+    old = prev.instructions
+    length = len(old)
+    slots = None  # q's slots as a list, once a SetSlot or Truncate needs one
+    tail = []  # slots appended while slots is None
     entries = dict(prev.entries)
     changed_slots: set[int] = set()
     changed_keys: set[str] = set()
+    every_row = False  # set by a truncation
 
     for op in edits:
-        if isinstance(op, SetSlot):
-            if not 0 <= op.index < len(slots):
-                raise InvalidResult(f"slot {op.index} out of range")
-            if op.index < prev.frozen_prefix_len:
-                raise FrozenViolation(f"slot {op.index} is frozen")
+        kind = type(op)
+        if kind is Append:
+            (tail if slots is None else slots).append(_canonical(op.instruction))
+            length += 1
+            changed_slots.add(length)
+        elif kind is SetEntry:
+            key, slot = op
+            if entries.get(key) != slot:
+                if key in prev.frozen_entry_keys:
+                    raise FrozenViolation(f"entry for {key} is frozen")
+                entries[key] = slot
+                changed_keys.add(key)
+        elif kind is SetSlot:
+            index = op.index
+            if not 0 <= index < length:
+                raise InvalidResult(f"slot {index} out of range")
+            if index < prev.frozen_prefix_len:
+                raise FrozenViolation(f"slot {index} is frozen")
+            if slots is None:
+                slots = [*old, *tail]
             new = _canonical(op.instruction)
-            if slots[op.index] != new:
-                slots[op.index] = new
-                changed_slots.add(op.index + 1)
-        elif isinstance(op, Append):
-            slots.append(_canonical(op.instruction))
-            changed_slots.add(len(slots))
-        elif isinstance(op, Truncate):
-            if not 0 <= op.new_len <= len(slots):
-                raise InvalidResult(f"cannot truncate to {op.new_len}")
-            if op.new_len < prev.frozen_prefix_len:
+            if slots[index] != new:
+                slots[index] = new
+                changed_slots.add(index + 1)
+        elif kind is Truncate:
+            new_len = op.new_len
+            if not 0 <= new_len <= length:
+                raise InvalidResult(f"cannot truncate to {new_len}")
+            if new_len < prev.frozen_prefix_len:
                 raise FrozenViolation("truncation into the frozen prefix")
-            for k in range(op.new_len, len(slots)):
-                changed_slots.add(k + 1)
-            del slots[op.new_len :]
-        elif isinstance(op, SetEntry):
-            if op.key in prev.frozen_entry_keys and entries.get(op.key) != op.slot:
-                raise FrozenViolation(f"entry for {op.key} is frozen")
-            if entries.get(op.key) != op.slot:
-                entries[op.key] = op.slot
-                changed_keys.add(op.key)
+            if slots is None:
+                slots = [*old, *tail]
+            changed_slots.update(range(new_len + 1, length + 1))
+            del slots[new_len:]
+            length = new_len
+            every_row = True
         else:
             raise InvalidResult(f"unknown edit op {op!r}")
 
-    for key, slot in entries.items():
-        if not 0 <= slot <= len(slots):
-            raise InvalidResult(f"entry {key} points at slot {slot}, beyond program end")
+    for key in entries if every_row or not prev.rows_fit() else changed_keys:
+        if not 0 <= entries[key] <= length:
+            # Name the first row out of range in table order, as a full check does.
+            bad = next(k for k, slot in entries.items() if not 0 <= slot <= length)
+            raise InvalidResult(f"entry {bad} points at slot {entries[bad]}, beyond program end")
 
+    instructions = old + tuple(tail) if slots is None else tuple(slots)
     new_program = SolverProgram._owning(
-        tuple(slots), entries, prev.frozen_prefix_len, prev.frozen_entry_keys
+        instructions, entries, prev.frozen_prefix_len, prev.frozen_entry_keys
     )
     return new_program, Changed(frozenset(changed_slots), frozenset(changed_keys))
 
@@ -372,12 +417,38 @@ def size_change(prev: SolverProgram, edits) -> int:
 
 
 class RunOutcome(NamedTuple):
-    output: BitString
+    """One run as the interpreter leaves it.
+
+    ``output`` and ``components_used`` are built on access from the raw
+    output bits and the per-slot flags, so a caller that needs neither, a
+    run-table record, pays for neither.
+    """
+
+    out_value: int  # the output bits, first bit most significant
+    out_length: int
     steps_used: int  # billed steps; equals the budget when halted is False
     executed: int  # instructions actually executed
-    components_used: frozenset  # 1-based slot indices
+    used: bytearray  # used[k] is 1 when slot k (0-based) executed
     halted: bool
     halt_reason: str  # "halt", "end", "budget", or a fault code
+
+    @property
+    def output(self) -> BitString:
+        return BitString(self.out_value, self.out_length)
+
+    @property
+    def components_used(self) -> frozenset:
+        """The 1-based slots the run executed."""
+        # Runs touch a few neighbouring slots of a long solver: read the flags
+        # only from the first slot used to the last (none: an empty window).
+        used = self.used
+        first = used.find(1)
+        end = used.rfind(1) + 1
+        return frozenset(compress(range(first + 1, end + 1), used[first:end]))
+
+    @property
+    def component_count(self) -> int:
+        return self.used.count(1)
 
     @property
     def fault(self) -> bool:
@@ -553,17 +624,8 @@ def run_solver(
 
         pc = next_pc
 
-    # Runs touch a few neighbouring slots of a long solver: read the flags
-    # only from the first slot used to the last (none: an empty window).
-    first = used.find(1)
-    end = used.rfind(1) + 1
     return RunOutcome(
-        BitString(out_val, out_len),
-        steps if halted else step_budget,
-        steps,
-        frozenset(compress(range(first + 1, end + 1), used[first:end])),
-        halted,
-        reason,
+        out_val, out_len, steps if halted else step_budget, steps, used, halted, reason
     )
 
 

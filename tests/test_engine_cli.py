@@ -398,6 +398,34 @@ def test_small_run_and_audit_cli(tmp_path):
     assert run_cli(["audit", cfg.archive_path]) == 0
 
 
+@pytest.mark.parametrize("variant", ["I", "II"])
+def test_an_audit_and_the_already_solvable_check_compute_no_state_digest(
+    tmp_path, monkeypatch, variant
+):
+    # The audit's novelty check, variant II's live measure of a new task and
+    # Engine._already_solvable run the previous solver live only for its
+    # verdict, so none computes a solver-state digest.  Every decision
+    # entry's archived trace keeps its digests.
+    from autodidact import vm
+    from autodidact.audit import audit_archive
+    from autodidact.tasks import DecisionTask, task_from_json
+    from autodidact.vm import SolverProgram
+
+    cfg, res = small_run(tmp_path, variant=variant, domain="mixed", max_tasks=4)
+    entries = load_archive(cfg.archive_path)
+    traced = [e for e in entries if e.task["kind"] == "decision"]
+    assert len(traced) >= 2 and all(len(u) == 12 for e in traced for _x, _r, u, _y in e.trace)
+    computed = []
+    monkeypatch.setattr(vm, "_quick_state_digest", lambda *state: computed.append(state) or "")
+    report = audit_archive(cfg.archive_path)
+    assert report.ok and report.novelty_confirmed + report.cost_rows_checked == 4
+    engine = Engine(cfg)
+    engine.solver = SolverProgram.from_json(entries[-1].solver)
+    solved = [engine._already_solvable(task_from_json(e.task)) for e in traced]
+    assert all(solved) and isinstance(task_from_json(traced[0].task), DecisionTask)
+    assert computed == []
+
+
 def test_flipped_bit_in_frozen_solver_fails_audit(tmp_path):
     cfg, _res = small_run(tmp_path)
     lines = open(cfg.archive_path).read().splitlines()

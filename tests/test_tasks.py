@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from autodidact import isa as I
 from autodidact.bits import BitString, nibble
 from autodidact.grid import (
     ACT_E,
@@ -16,6 +19,9 @@ from autodidact.grid import (
 from autodidact.isa import SOLVER_ISA
 from autodidact.patterns import MissingPattern, PATTERN_COUNT
 from autodidact.tasks import (
+    FAULTED,
+    HALTED,
+    TIMED_OUT,
     BelowThreshold,
     DecisionTask,
     GoalSpec,
@@ -24,12 +30,16 @@ from autodidact.tasks import (
     evaluate_goal,
     evaluate_goal_ex,
     make_efficiency_task,
+    record_run,
     replay_check,
+    report_within,
+    run_record,
     solve_decision,
+    solves,
     solves_pattern,
     task_from_json,
 )
-from autodidact.templates import copy_query_loop, grid_walk
+from autodidact.templates import const_nibble, copy_query_loop, grid_walk, negate_query
 from autodidact.vm import SolverProgram
 
 
@@ -265,3 +275,151 @@ def test_component_saving_counts_as_wow():
     base = copy_task(n=64)
     smaller = make_efficiency_task(base, size_saving=1, eps_wow=10)
     assert smaller.n == 63 and smaller.t == base.t
+
+
+# -- run-table records against live reports ----------------------------------
+
+_CODES = SOLVER_ISA.codes()
+_INSTRUCTION = st.sampled_from(_CODES).flatmap(
+    lambda c: st.tuples(
+        st.just(c), st.tuples(*[st.integers(0, 15)] * SOLVER_ISA.by_code[c].nibbles)
+    )
+)
+
+
+def _live_report(solver, task, trace, budget):
+    """The live run a run table stands for: a replay against a stored trace,
+    else solves."""
+    if trace is not None and isinstance(task, DecisionTask):
+        return replay_check(solver, task, trace, budget)
+    return solves(solver, task, budget)[0]
+
+
+def _raised(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the record and the live report must raise alike
+        return type(exc), str(exc)
+
+
+def _check_record(solver, task, trace, budgets):
+    """record_run equals run_record of the live report at the whole bound,
+    computes no state digest, raises as the live report raises, and answers
+    every budget as a live run under it does (the prefix rule)."""
+    from unittest import mock
+
+    from autodidact import vm
+
+    def no_digest(*_state):
+        raise AssertionError("a run-table record computed a state digest")
+
+    want = _raised(lambda: run_record(_live_report(solver, task, trace, None)))
+    with mock.patch.object(vm, "_quick_state_digest", no_digest):
+        got = _raised(lambda: record_run(solver, task, trace))
+    assert got == want
+    if isinstance(got[0], type):
+        return got
+    for budget in budgets:
+        rep = _live_report(solver, task, trace, budget)
+        assert report_within(got, budget, task.t) == (
+            rep.success if rep.conclusive else None,
+            rep.steps,
+        )
+    return got
+
+
+@st.composite
+def _record_cases(draw):
+    """(solver, task, stored trace or None, budgets) for a pattern task, a
+    live decision task or a replayed one.  The solver is a template that
+    solves the task, random code, or both; its start may be routed, its
+    code may end in a backward jump (long runs, timeouts), and n is drawn
+    near the solver's size, so the size bound decides some runs."""
+    domain = draw(st.sampled_from(["pattern", "live", "replay"]))
+    if domain == "pattern":
+        i2 = nibble(draw(st.integers(0, 15)))
+        o = BitString(draw(st.integers(0, 15)), 4)
+        template = draw(
+            st.sampled_from([const_nibble(o.value), copy_query_loop(), negate_query()])
+        )
+    else:
+        world = WORLDS[draw(st.integers(0, len(WORLDS) - 1))]
+        goal = world.goals[draw(st.integers(0, GOALS_PER_WORLD - 1))]
+        template = grid_walk(world, goal)
+    head = tuple(draw(st.lists(_INSTRUCTION, max_size=4)))
+    body = template if draw(st.booleans()) else tuple(draw(st.lists(_INSTRUCTION, max_size=12)))
+    code = head + body
+    if draw(st.integers(0, 5)) == 0:
+        code += ((I.OP_JMP, ((-1 - draw(st.integers(0, min(7, len(code))))) & 0xF,)),)
+    m = len(code)
+    n = draw(st.sampled_from([max(1, m - 1), max(1, m), m + 1, 1024]))
+    t = draw(st.integers(1, 150))
+    if domain == "pattern":
+        task = PatternTask(draw(st.integers(0, PATTERN_COUNT - 1)), i2, o, t, n)
+    else:
+        ident = BitString(draw(st.integers(0, 255)), 8)
+        task = DecisionTask(ident, GoalSpec(goal, draw(st.sampled_from([-1, 0]))), t, n, world)
+    entries = {task.entry_key: len(head)} if draw(st.booleans()) else {}
+    solver = SolverProgram(code, entries)
+    trace = None
+    if domain == "replay":
+        source = draw(st.sampled_from(["own", "template", "random"]))
+        if source == "random":
+            steps = draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 255), st.sampled_from([-1, 0, 1]), st.just(""),
+                        st.integers(0, 4),
+                    ),
+                    max_size=6,
+                )
+            )
+            trace = Trace(tuple(steps))
+        else:
+            recorder = solver if source == "own" else SolverProgram(template)
+            trace = solve_decision(recorder, DecisionTask(ident, task.goal, 200, 1024, world))[1]
+    budgets = draw(st.lists(st.integers(0, t + 5), max_size=4))
+    return solver, task, trace, budgets
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_record_cases())
+def test_a_run_table_record_is_the_live_reports(case):
+    _check_record(*case)
+
+
+def test_run_table_records_cover_every_way_a_run_ends():
+    # Fixed cases for what random generation may miss: a fault, a timeout,
+    # a solver that solves the task but sits at its size bound n, a missing
+    # pattern, and successes in all three domains.
+    world = WORLDS[0]
+    walk = SolverProgram(grid_walk(world, world.goals[0]))
+    grid = DecisionTask(nibble(1) + nibble(0), GoalSpec(world.goals[0]), 40, 1024, world)
+    trace = solve_decision(walk, grid)[1]
+    copy = SolverProgram(copy_query_loop())
+    copy_t = copy_task(t=64)
+    missing = copy_task()
+    object.__setattr__(missing, "i1", PATTERN_COUNT)
+    cases = {
+        "success": (copy, copy_t, None),
+        "live": (walk, grid, None),
+        "replay": (walk, grid, trace),
+        "fault": (SolverProgram(SOLVER_ISA.assemble("POP\nHALT")), copy_t, None),
+        "timeout": (SolverProgram(SOLVER_ISA.assemble("PUSH 1\nJMP -2")), copy_t, None),
+        "size bound": (copy, copy_task(t=64, n=copy.component_count), None),
+        "replay diverges": (SolverProgram(SOLVER_ISA.assemble("PUSH 9\nACT\nHALT")), grid, trace),
+        "missing pattern": (copy, missing, None),
+    }
+    got = {name: _check_record(*case, range(0, 70, 7)) for name, case in cases.items()}
+    assert got["success"][0] == HALTED and got["success"][2]
+    assert got["live"][2] and got["replay"][2]
+    assert got["fault"][0] == FAULTED and got["timeout"][0] == TIMED_OUT
+    assert got["size bound"][0] == HALTED and not got["size bound"][2]
+    assert got["replay diverges"][0] == HALTED and not got["replay diverges"][2]
+    assert got["missing pattern"][0] is MissingPattern

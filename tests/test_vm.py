@@ -10,7 +10,6 @@ from autodidact.vm import (
     EMPTY_SOLVER,
     FrozenViolation,
     InvalidResult,
-    RunOutcome,
     SetEntry,
     SetSlot,
     SolverProgram,
@@ -325,49 +324,6 @@ def test_vm_fuzz_invariants():
         assert run_solver(prog, inp, env2, budget) == out
 
 
-def _reference_apply(prev, edits):
-    """apply_modification as first written: copy, check every row, copy again."""
-    from autodidact.vm import Changed, _check_instruction
-
-    slots = list(prev.instructions)
-    entries = dict(prev.entries)
-    changed_slots, changed_keys = set(), set()
-    for op in edits:
-        if isinstance(op, SetSlot):
-            if not 0 <= op.index < len(slots):
-                raise InvalidResult(f"slot {op.index} out of range")
-            if op.index < prev.frozen_prefix_len:
-                raise FrozenViolation(f"slot {op.index} is frozen")
-            new = _check_instruction(op.instruction)
-            if slots[op.index] != new:
-                slots[op.index] = new
-                changed_slots.add(op.index + 1)
-        elif isinstance(op, Append):
-            slots.append(_check_instruction(op.instruction))
-            changed_slots.add(len(slots))
-        elif isinstance(op, Truncate):
-            if not 0 <= op.new_len <= len(slots):
-                raise InvalidResult(f"cannot truncate to {op.new_len}")
-            if op.new_len < prev.frozen_prefix_len:
-                raise FrozenViolation("truncation into the frozen prefix")
-            for k in range(op.new_len, len(slots)):
-                changed_slots.add(k + 1)
-            del slots[op.new_len :]
-        elif isinstance(op, SetEntry):
-            if op.key in prev.frozen_entry_keys and entries.get(op.key) != op.slot:
-                raise FrozenViolation(f"entry for {op.key} is frozen")
-            if entries.get(op.key) != op.slot:
-                entries[op.key] = op.slot
-                changed_keys.add(op.key)
-        else:
-            raise InvalidResult(f"unknown edit op {op!r}")
-    for key, slot in entries.items():
-        if not 0 <= slot <= len(slots):
-            raise InvalidResult(f"entry {key} points at slot {slot}, beyond program end")
-    program = SolverProgram(tuple(slots), entries, prev.frozen_prefix_len, prev.frozen_entry_keys)
-    return program, Changed(frozenset(changed_slots), frozenset(changed_keys))
-
-
 def _outcome(fn, prev, edits):
     try:
         program, changed = fn(prev, edits)
@@ -383,12 +339,12 @@ def _outcome(fn, prev, edits):
 
 
 def test_apply_modification_matches_the_reference_over_random_scripts():
-    # Same program, Changed, exception type and message as the reference on
-    # scripts full of bad input: bad nibbles, bool immediates, unknown or
-    # malformed instructions, frozen slots and rows, truncations, rows past
-    # the end (in the script and already in prev), unknown edit ops.  The
-    # size change worked out from the script matches the size recomputed in
-    # full.
+    # Same program, Changed, exception type and message as the frozen
+    # reference (tests/reference_edits.py) on scripts full of bad input: bad
+    # nibbles, bool immediates, unknown or malformed instructions, frozen
+    # slots and rows, out-of-range slots and truncations, rows past the end
+    # (in the script and already in prev), unknown edit ops.  The size
+    # change worked out from the script matches the size recomputed in full.
     rng = random.Random(20261018)
     codes = SOLVER_ISA.codes()
     keys = [BitString(v, 3).to_hex() for v in range(5)]
@@ -408,6 +364,7 @@ def test_apply_modification_matches_the_reference_over_random_scripts():
              (9, (1.5,)), None, "x", (2,), (2, (1,), 0)]
         )
 
+    seen = {True: set(), False: set()}  # the first word of each outcome, by kind of script
     for trial in range(3000):
         m = rng.randrange(0, 8)
         instrs = tuple((c, tuple(rng.randrange(16) for _ in range(SOLVER_ISA.by_code[c].nibbles)))
@@ -415,12 +372,19 @@ def test_apply_modification_matches_the_reference_over_random_scripts():
         entries = {k: rng.randrange(m + 1) for k in rng.sample(keys, rng.randrange(3))}
         if rng.random() < 0.1:
             entries[rng.choice(keys)] = m + rng.randrange(1, 3)  # a row already past the end
+        if rng.random() < 0.05:
+            entries[rng.choice(keys)] = -1
         frozen = rng.randrange(m + 1) if rng.random() < 0.3 else 0
         frozen_keys = frozenset(k for k in entries if rng.random() < 0.3)
         prev = SolverProgram(instrs, entries, frozen, frozen_keys)
+        # Half the scripts only append and set entries: the edits that
+        # check only the rows they write.
+        appends_only = rng.random() < 0.5
         edits = []
         for _ in range(rng.randrange(0, 6)):
             kind = rng.random()
+            if appends_only:
+                kind = 0.0 if kind < 0.6 else 0.8
             n = m + len(edits)
             if kind < 0.35:
                 edits.append(Append(instr()))
@@ -432,11 +396,28 @@ def test_apply_modification_matches_the_reference_over_random_scripts():
                 edits.append(SetEntry(rng.choice(keys), rng.randrange(-1, n + 3)))
             else:
                 edits.append(("SetSlot", 0))
-        outcome = _outcome(apply_modification, prev, edits)
-        assert outcome == _outcome(_reference_apply, prev, edits), (prev.to_json(), edits)
-        if not isinstance(outcome[0], type):
-            q, _changed = apply_modification(prev, edits)
-            assert prev.size_bits + size_change(prev, edits) == q.size_bits
+        outcome = _check_edit(prev, edits)
+        seen[appends_only].add(outcome[1].split()[0] if isinstance(outcome[0], type) else "ok")
+    # Both kinds of script reach every check that can reject them.
+    assert seen[True] == {"ok", "entry", "bad"}
+    assert seen[False] == {"ok", "entry", "bad", "slot", "cannot", "truncation", "unknown"}
+
+
+def _check_edit(prev, edits):
+    """apply_modification against its frozen reference (tests/reference_edits.py)."""
+    import reference_edits
+
+    outcome = _outcome(apply_modification, prev, edits)
+    assert outcome == _outcome(reference_edits.apply_modification, prev, edits), (
+        prev.to_json(), edits
+    )
+    if not isinstance(outcome[0], type):
+        q, _changed = apply_modification(prev, edits)
+        assert prev.size_bits + size_change(prev, edits) == q.size_bits
+        # Every row of q fits it, which is what lets q's own edits check
+        # only the rows they write.
+        assert q.rows_fit() and SolverProgram(q.instructions, q.entries).rows_fit()
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +425,15 @@ def test_apply_modification_matches_the_reference_over_random_scripts():
 # ---------------------------------------------------------------------------
 
 
+# Every observable of a run, by name: RunOutcome builds output and
+# components_used on access from its raw fields.
+OBSERVABLES = (
+    "output", "steps_used", "executed", "components_used", "halted", "halt_reason", "fault"
+)
+
+
 def _outcome_fields(outcome):
-    return tuple(getattr(outcome, f) for f in (*RunOutcome._fields, "fault"))
+    return tuple(getattr(outcome, f) for f in OBSERVABLES)
 
 
 def _random_instructions(rng, n):
@@ -493,13 +481,16 @@ def _differential_cases(rng, trials):
 
 
 def test_run_solver_equals_the_reference_interpreter():
-    # Every RunOutcome field and every live trace step, digests included,
+    # Every observable of a run and every live trace step, digests included,
     # equal the pre-rewrite interpreter's, with no environment, a live
     # gridworld and a replayed trace, over random and template-built programs.
+    import dataclasses
+
     import reference_vm as ref
     from autodidact.grid import WORLDS, LiveEnv, ReplayEnv
     from autodidact.tasks import DecisionTask
 
+    assert {f.name for f in dataclasses.fields(ref.RunOutcome)} | {"fault"} == set(OBSERVABLES)
     rng = random.Random(20261019)
     reasons, acts = set(), 0
     for prog, inp, key, budget, item in _differential_cases(rng, 900):
