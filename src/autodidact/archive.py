@@ -69,6 +69,15 @@ class AlreadySolvable(ValueError):
 
 ORIGINS = ("self", "external")
 
+# (meta field, its least value) of the integer fields an entry's meta may hold.
+_COUNTS = (
+    ("search_steps", 0),
+    ("steps", 0),
+    ("validation_steps", 0),
+    ("candidates", 1),
+    ("t_lim", 1),
+)
+
 
 @dataclass
 class ArchiveEntry:
@@ -107,9 +116,13 @@ class ArchiveEntry:
         meta = data.get("meta", {})
         if not isinstance(meta, dict):
             raise TypeError(f"meta is a {type(meta).__name__}, not an object")
-        steps = meta.get("search_steps", 0)
-        if type(steps) is not int:
-            raise TypeError(f"meta.search_steps {steps!r} is no integer")
+        # The search record and the judge's bills: counts of steps are
+        # never negative, and a phase ran at least one candidate at a t_lim
+        # of at least 1 (a power of two, or the stochastic searcher's budget).
+        for name, least in _COUNTS:
+            value = meta.get(name, least)
+            if type(value) is not int or value < least:
+                raise TypeError(f"meta.{name} {value!r} is no integer >= {least}")
         span = meta.get("appended", [0, 0])
         if not (
             type(span) is list and len(span) == 2 and all(type(n) is int and n >= 0 for n in span)

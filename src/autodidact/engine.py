@@ -58,6 +58,7 @@ from .validate import (
     Chain,
     Details,
     RepertoireItem,
+    SegmentTable,
     UsageIndex,
     demonstrate,
     rebuild_usage,
@@ -110,6 +111,7 @@ class Engine:
         self.task_origin: dict[str, str] = {}
         self.cost_measures: dict[str, TaskMeasure] = {}
         self.skipped_external: list[str] = []
+        self.segment_table = SegmentTable()
         # A malformed queue fails here, before resume may repair the archive.
         self.queue = load_external_queue(config.external_tasks_path)
         if config.resume:
@@ -376,6 +378,7 @@ class Engine:
             prev_runs=caches["prev"],
             edit=edit,
             spent=meter.spent,
+            segment_table=self.segment_table,
         )
         return report.details, report.steps_spent
 
@@ -412,7 +415,7 @@ class Engine:
 
         def q_stage(key, probe, trace):
             live = lambda b: measure_task(edit.applied()[0], probe, params, trace, b)[2]  # noqa: E731
-            record = lambda: record_run(edit.applied()[0], probe, trace)  # noqa: E731
+            record = lambda: edit.q_record(probe, trace, key, self.segment_table)  # noqa: E731
             return live, table_run(edit.runs, key, record)
 
         # The stages, each run at the whole t_max: the previous solver on a

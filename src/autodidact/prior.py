@@ -36,19 +36,8 @@ class Prior:
 
     # -- queries -------------------------------------------------------
 
-    def length_prior(self, length_bits: int) -> Fraction:
-        """The bare description-length prior 2**-L."""
-        return Fraction(1, 1 << length_bits)
-
     def opcode_prob(self, code: int) -> Fraction:
         return self._dist[code]
-
-    def raw_weight(self, opcodes) -> int:
-        """Unnormalized weight product (1 for the empty program)."""
-        w = 1
-        for c in opcodes:
-            w *= self.weights[c]
-        return w
 
     def program_prior(self, token_codes, nibble_count: int) -> Fraction:
         """P(p) for a program decoded into the given opcode sequence.

@@ -61,16 +61,38 @@ a run.  The index is the record's, worked out once per running group
 at that index is looked at per entry, because s is in the entry's bits and
 not in its record: records are not split by s.
 
-The judge runs nothing twice in a phase.  Each edit script is applied to
-the phase's solver once (EditRecord, in the ``edits`` table), and each
-stage of the judge, the previous solver on a proposed task, the modified
-solver on it and on every stored task the edit may touch, runs once at its
-task's whole bound.  Every grant is then answered from that run by the
+The judge runs nothing twice in a phase.  Each edit script gets one
+record per phase (EditRecord, in the ``edits`` table), and each stage of
+the judge, the previous solver on a proposed task, the modified solver on
+it and on every stored task the edit may touch, runs once at its task's
+whole bound, or once per run where it runs an appended segment alone
+(Segment runs).  Every grant is then answered from that run by the
 prefix rule (tasks.report_within): a run granted fewer steps is a prefix of
 the whole one, because runs are deterministic, so the answer is what a live
 run under the grant returns, verdict, bill and cut alike.  The tables hold
 nothing but such runs, the edit's outcome, and the verdict tables the judge
 kept before (pair and novelty caches), so they change no verdict.
+
+Segment runs.  Nearly every script the search proposes appends a segment
+and routes the proposed task's key at its first slot, |s|
+(vm.appended_segment).  apply_modification accepts such a script unless the
+key is frozen and its row moves, and its changed set is the appended slots
+plus the key if its row moves, so both are worked out from the script, and
+q is built only for a stage that needs it (validate.SegmentEdit).  A run of
+q on a task with that key starts at slot |s|.  Jumps are relative, the run
+halts when pc reaches the end of q, the used flags count slots, and the
+environment is the task's: none of these depends on |s|.  So as long as the
+run never jumps below |s|, it is the run of the segment alone, a solver
+routed at slot 0, shifted by |s|, in steps, output, faults and component
+count; only the size bound differs, and q succeeds iff the segment alone
+does and |q| < n.  The segment alone meets a jump below its start as a bad
+jump, and that is the only way the two runs part, so a segment run that
+ends in a bad jump is not used: q runs instead, whether it goes on into s
+or times out right after the jump.  The segment's run depends only on its
+code, the task and the stored trace it replays, so the engine's
+SegmentTable keeps it for the whole run, and every phase reads the same
+record.  No verdict or bill changes, and paranoid mode still checks every
+answer against a live run of the built q.
 
 Judge floors.  So every judge cut knows its floor (BudgetExhausted.floor):
 the least budget under which the whole chain of stages concludes, each
@@ -180,8 +202,14 @@ from .meta import (
     undo_storage,
 )
 from .prior import Prior
-from .validate import BudgetExhausted, EditRecord
-from .vm import FrozenViolation, InvalidResult, SolverProgram, apply_modification
+from .validate import BudgetExhausted, EditRecord, SegmentEdit
+from .vm import (
+    FrozenViolation,
+    InvalidResult,
+    SolverProgram,
+    appended_segment,
+    apply_modification,
+)
 
 
 @dataclass
@@ -372,12 +400,16 @@ def fresh_caches() -> dict:
     """Per-phase tables shared by all candidates of one phase.
 
     ``edits`` maps an edit script (a tuple of edits) to its EditRecord: the
-    modified solver or the edit's fault, the revalidation set, the pair
-    cache (task identity -> the judge's conclusive verdict and bill, or a
-    cut's floor once it is final for the phase) and one run of the modified
-    solver per task at the task's whole bound.  So each script is applied
-    once per phase, each (script, task) run once, and a pair is judged again
-    only with at least its floor left.
+    edit's fault or, built when a stage first needs it, the modified
+    solver; the revalidation set, the pair cache (task identity -> the
+    judge's conclusive verdict and bill, or a cut's floor once it is final
+    for the phase) and one run of the modified solver per task at the
+    task's whole bound.  So each script is applied at most once per phase
+    while its record holds q, each (script, task) run once, and a pair is
+    judged again only with at least its floor left.  A run that starts at a
+    segment the script appends and stays in it is read off the engine's
+    SegmentTable, which outlives the phase (see Segment runs); ``codes``
+    keeps one copy of each segment the phase's records hold.
     ``prev`` maps a task identity to the previous solver's run at the
     task's whole bound (t_max in variant II), for both judges, and
     ``novelty`` to variant I's first conclusive novelty verdict and step
@@ -398,13 +430,16 @@ def fresh_caches() -> dict:
     different amount and can even be cut where the hit is rejected.
     Archives record these bills, so making hits exact changes archive bytes.
     """
-    return {"edits": {}, "prev": {}, "novelty": {}, "held": {}, "ledger": None}
+    return {"edits": {}, "codes": {}, "prev": {}, "novelty": {}, "held": {}, "ledger": None}
 
 
 def edit_record(caches: dict, edits, solver: SolverProgram) -> EditRecord:
-    """The phase's record of an edit script, applied to solver on first use.
+    """The phase's record of an edit script for solver, made on first use.
 
-    Every application, a released record's included, goes through this
+    A script that appends a segment and routes a key at it gets its fault
+    from the script alone (vm.appended_segment), and its q is built when a
+    stage first needs it; any other script is applied now.  Every
+    application, a lazy or released record's included, goes through this
     module's apply_modification.
     """
     table = caches["edits"]
@@ -412,8 +447,14 @@ def edit_record(caches: dict, edits, solver: SolverProgram) -> EditRecord:
     record = table.get(script)
     if record is None:
         try:
-            q, changed = apply_modification(solver, script)
-            record = EditRecord(q, changed, None, script, solver, apply_modification)
+            code = appended_segment(solver, script)
+            if code is None:
+                q, changed = apply_modification(solver, script)
+                record = EditRecord(q, changed, None, script, solver, apply_modification)
+            else:
+                # A phase routes many keys at a few segments: one copy of each.
+                code = caches["codes"].setdefault(code, code)
+                record = SegmentEdit(code, script, solver, apply_modification)
         except (FrozenViolation, InvalidResult) as exc:
             record = EditRecord(fault=f"bad_edit: {exc}")
         table[script] = record

@@ -15,7 +15,7 @@ cleanly, and passes its domain's check.  A live run (solves, replay_check)
 returns a SolveReport, and a live decision run also its Trace, with a
 solver-state digest at every ACT.  record_run returns only the four-int
 record a run table keeps, from the same run and the same rule, and builds
-nothing else.
+nothing else; segment_record makes it for appended code run on its own.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional, Union
 from .bits import BitString
 from .grid import GridWorld, LiveEnv, ReplayEnv
 from .patterns import PATTERN_COUNT, MissingPattern, get_pattern
-from .vm import HALT_EXPLICIT, RunOutcome, SolverProgram, run_solver
+from .vm import BAD_JUMP, HALT_EXPLICIT, RunOutcome, SolverProgram, run_solver
 
 PREDICATE_BUDGET = 4096  # elementary checks evaluate_goal may spend on one trace
 
@@ -367,6 +367,11 @@ def record_run(solver: SolverProgram, task: Task, trace: Optional[Trace] = None)
     live report's, but nothing is built that only a report keeps: no
     SolveReport, output bits, component set, Trace or digest.
     """
+    return _record(*_recorded(solver, task, trace))
+
+
+def _recorded(solver: SolverProgram, task: Task, trace: Optional[Trace]) -> tuple:
+    """The (outcome, success) of the run record_run records."""
     if isinstance(task, PatternTask):
         env, check = None, _output_check(task)
     elif trace is not None:
@@ -375,7 +380,23 @@ def record_run(solver: SolverProgram, task: Task, trace: Optional[Trace] = None)
     else:
         env = LiveEnv(task.world, task.goal.target_cell, digests=False)
         check = _goal_check(task, env)
-    return _record(*_outcome(solver, task, env, task.t, check))
+    return _outcome(solver, task, env, task.t, check)
+
+
+def segment_record(code: tuple, task: Task, trace: Optional[Trace] = None) -> Optional[tuple]:
+    """record_run of ``code`` alone, a solver routed at slot 0; None when the
+    run ends in a bad jump.
+
+    For q, a solver s with ``code`` appended and the task's key routed at
+    its first slot, this is q's record but for the size bound: (kind,
+    executed, success and len(q) < task.n, count).  Jumps are relative and
+    the run halts at the end of the code in both, the environment is the
+    task's, and the used flags count the same slots, shifted by len(s).  A
+    bad jump is left out: where the code alone jumps below its start, q runs
+    on into s, or times out when that jump took the bound's last step.
+    """
+    outcome, success = _recorded(SolverProgram(code), task, trace)
+    return None if outcome.halt_reason == BAD_JUMP else _record(outcome, success)
 
 
 def report_within(run: tuple, budget: Optional[int], bound: int) -> tuple[Optional[bool], int]:

@@ -12,7 +12,10 @@ The judge answers every stage from run tables: one record per run at the
 task's whole bound, made by tasks.record_run straight from the
 interpreter's result.  Only what needs more than the record runs live: the
 winner's runs (its Details), paranoid mode's check of every table answer,
-and rebuild_usage.
+and rebuild_usage.  A run of a modified solver that starts at a segment its
+edit appended, and stays in it, is the segment's own run: the run's
+SegmentTable keeps it across phases, and the edit's modified solver is
+built only for a run that needs it (SegmentEdit).
 """
 
 from __future__ import annotations
@@ -30,9 +33,10 @@ from .tasks import (
     record_run,
     replay_check,
     report_within,
+    segment_record,
     solves,
 )
-from .vm import Changed, SolverProgram
+from .vm import Changed, SolverProgram, segment_changed
 
 
 class BudgetExhausted(Exception):
@@ -172,11 +176,13 @@ class EditRecord:
     """One edit script applied to the phase's solver, and what judging it ran.
 
     Built once per script and phase, on the first candidate that proposes
-    it.  ``q`` and ``changed`` are apply_modification's result, or ``fault``
-    holds the rejection reason for the error it raised.  ``todo`` is the sorted
-    revalidation set, filled on first use, and ``size`` is L(q) - L(s),
-    filled from the script (vm.size_change) by the first judge call on the
-    edit that concludes.
+    it.  ``fault`` holds the rejection reason of an edit apply_modification
+    would refuse, and ``q`` and ``changed`` are its result.  The script is
+    applied when its record is made, to find its fault, except in a
+    SegmentEdit, which builds q only when a stage needs it.
+    ``todo`` is the sorted revalidation set, filled on first use, and
+    ``size`` is L(q) - L(s), filled from the script (vm.size_change) by the
+    first judge call on the edit that concludes.
     ``pairs`` maps a task identity to the judge's conclusive verdict and
     bill (the pair cache), or to (CUT, floor) once a judge cut of that pair
     had a floor that is final for the phase: the least budget, counted from
@@ -186,8 +192,8 @@ class EditRecord:
 
     The tables outlive q: a record made with ``apply`` may release q and
     changed, and applied() rebuilds them from ``script`` and ``base``, the
-    phase's solver, on the rare table miss after that.  A phase keeps
-    thousands of records, and q is a whole solver.
+    phase's solver, when a stage needs them again.  A phase keeps thousands
+    of records, and each q would be a copy of the phase's solver.
     """
 
     __slots__ = (
@@ -207,7 +213,7 @@ class EditRecord:
         self.runs: dict = {}
 
     def applied(self) -> tuple:
-        """(q, changed), applying the script again if they were released."""
+        """(q, changed), applying the script if they are not built."""
         if self.q is None:
             self.q, self.changed = self.apply(self.base, self.script)
         return self.q, self.changed
@@ -216,10 +222,97 @@ class EditRecord:
         if self.apply is not None:
             self.q = self.changed = None
 
+    def changes(self) -> Changed:
+        """changed, applying the script if it is not built."""
+        return self.applied()[1]
+
     def revalidation(self, usage: UsageIndex) -> tuple:
         if self.todo is None:
-            self.todo = tuple(sorted(revalidate_set(usage, self.applied()[1])))
+            self.todo = tuple(sorted(revalidate_set(usage, self.changes())))
         return self.todo
+
+    def q_record(self, task, trace=None, index: int = 0, table: Optional["SegmentTable"] = None):
+        """record_run(q, task, trace): q's run on the task at its whole bound.
+
+        ``index`` is the repertoire index of a stored task whose ``trace``
+        is replayed, and ``table`` the run's SegmentTable; only a
+        SegmentEdit reads them.
+        """
+        return record_run(self.applied()[0], task, trace)
+
+
+class SegmentEdit(EditRecord):
+    """The EditRecord of a script that appends a segment and routes a key at it.
+
+    ``code`` is the segment, vm.appended_segment's reading of the script:
+    its fault and changed set come from the script alone, and q_record reads
+    a run that starts at the segment, on a task whose key is the routed one,
+    off the run's SegmentTable when it stays in the segment.  So q is built
+    only for a run that leaves the segment, a revalidation that starts in
+    s, the winner's Details or paranoid mode's live check.
+    """
+
+    __slots__ = ("code",)
+
+    def __init__(self, code: tuple, script: tuple, base: SolverProgram, apply):
+        super().__init__(None, None, None, script, base, apply)
+        self.code = code
+
+    def changes(self) -> Changed:
+        return segment_changed(self.base, self.script)
+
+    def q_record(self, task, trace=None, index: int = 0, table: Optional["SegmentTable"] = None):
+        if table is not None and self.script[-1].key == task.entry_key:
+            run = table.record(self.code, task, trace, index)
+            if run is not None:
+                kind, executed, success, count = run
+                size = len(self.base.instructions) + len(self.code)
+                return kind, executed, success and size < task.n, count
+        return record_run(self.applied()[0], task, trace)
+
+
+# What the segment table holds for a segment whose run jumps out of it.
+LEAVES = ()
+
+
+class SegmentTable:
+    """Runs of appended segments on their own, for the whole run.
+
+    Phases restart at t_lim = 1 and judge the same (segment, task) pairs
+    again, and a segment's run does not depend on the solver it is appended
+    to (tasks.segment_record).  So the table keeps tasks.segment_record of
+    (code, task, stored trace) for every segment a q stage ran, by the
+    code, the repertoire index whose stored trace is replayed (0 for a live
+    run) and the task's identity, which covers its bounds; LEAVES for a run
+    that jumps out of its segment.  The index names one trace for the whole
+    run, because a stored task keeps its trace.  It is nested by code and
+    index, and equal records are shared, so that it keeps one copy of each
+    code and each distinct record: a run judges many tasks on each of a
+    few distinct segments, and few distinct records come out.
+    """
+
+    __slots__ = ("by_code", "shared")
+
+    def __init__(self):
+        self.by_code: dict = {}  # code -> index -> task identity -> record
+        self.shared: dict = {}  # record -> itself
+
+    def record(self, code: tuple, task, trace=None, index: int = 0) -> Optional[tuple]:
+        """segment_record(code, task, trace), or None for a run that leaves
+        the segment; ``index`` is the stored task's when trace is its trace."""
+        by_index = self.by_code.get(code)
+        if by_index is None:
+            by_index = self.by_code[code] = {}
+        replayed = index if trace is not None else 0
+        by_task = by_index.get(replayed)
+        if by_task is None:
+            by_task = by_index[replayed] = {}
+        identity = task.identity()
+        run = by_task.get(identity)
+        if run is None:
+            run = segment_record(code, task, trace) or LEAVES
+            run = by_task[identity] = self.shared.setdefault(run, run)
+        return None if run is LEAVES else run
 
 
 def table_run(runs: dict, key, record) -> tuple:
@@ -377,6 +470,7 @@ def demonstrate(
     prev_runs: Optional[dict] = None,
     edit: Optional[EditRecord] = None,
     spent: int = 0,
+    segment_table: Optional[SegmentTable] = None,
 ) -> ValidationReport:
     """Run the full acceptance obligation for candidate q against task.
 
@@ -389,9 +483,10 @@ def demonstrate(
     Every stage is answered by the prefix rule (tasks.report_within) from
     one run at the task's whole bound: ``prev_runs`` maps a task identity
     to the previous solver's run, and ``edit.runs`` holds q's (q and changed
-    then come from ``edit``).  ``novelty_cache`` maps a task identity to the
-    first conclusive novelty verdict and its bill.  Without them the tables
-    last for this call only.
+    then come from ``edit``), each read off ``segment_table`` where it can
+    be (EditRecord.q_record).  ``novelty_cache`` maps a task identity to
+    the first conclusive novelty verdict and its bill.  Without them the
+    tables last for this call only.
 
     The stages run as one Chain, so a cut carries its floor, the least
     budget under which the whole chain concludes, counted from ``spent``,
@@ -436,7 +531,7 @@ def demonstrate(
     todo, done = (), []
     if report.novel:
         live = lambda b: solves(edit.applied()[0], task, b)[0]  # noqa: E731
-        record = lambda: record_run(edit.applied()[0], task)  # noqa: E731
+        record = lambda: edit.q_record(task, table=segment_table)  # noqa: E731
         report.solves_new = chain.stage(table_run(edit.runs, identity, record), live, task.t)[0]
     if report.solves_new:
         todo = edit.revalidation(usage)
@@ -445,8 +540,10 @@ def demonstrate(
             item = repertoire[j - 1]  # an item's index is its 1-based position
             done.append(j)
             live = lambda b, item=item: preservation_run(edit.applied()[0], item, b)[0]  # noqa: E731
-            record = lambda item=item: record_run(edit.applied()[0], item.task, item.trace)  # noqa: E731
-            if not chain.stage(table_run(edit.runs, j, record), live, item.task.t)[0]:
+            run = table_run(
+                edit.runs, j, lambda: edit.q_record(item.task, item.trace, j, segment_table)
+            )
+            if not chain.stage(run, live, item.task.t)[0]:
                 report.preserved = False
                 break
     report.steps_spent = chain.conclude(cap)

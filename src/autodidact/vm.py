@@ -17,7 +17,13 @@ A RunOutcome keeps the interpreter's raw result and builds its output bits
 and component set only when they are read, so a run-table record
 (tasks.record_run), which reads neither, pays for neither.  An edit script
 that only appends and sets entries, the kind the search proposes, is applied
-at a cost in proportion to the edit, not to the solver.
+at a cost in proportion to the edit, not to the solver.  The commonest such
+script appends a segment and routes one key at it; appended_segment and
+segment_changed work out its fault, code and changed set from the script
+alone, so the judge builds q only for a run that needs it.  Relative jumps,
+the end-of-program halt and the used flags do not depend on where code
+starts, so a run of q that starts at the segment and never jumps below it is
+the segment's run as a solver of its own (tasks.segment_record).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, product
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .bits import BitString
@@ -59,13 +66,14 @@ ENTRY_BITS = 16  # accounting size of one entry-table row in L(s)
 HALT_EXPLICIT = "halt"
 HALT_END = "end"
 DIAG_BUDGET = "budget"
+BAD_JUMP = "bad_jump"  # a jump past either end of the program
 
 _CONCLUSIVE_FAULTS = frozenset(
     {
         "stack_underflow",
         "stack_overflow",
         "mem_fault",
-        "bad_jump",
+        BAD_JUMP,
         "input_exhausted",
         "no_env",
     }
@@ -375,6 +383,50 @@ def apply_modification(prev: SolverProgram, edits) -> tuple[SolverProgram, Chang
     return new_program, Changed(frozenset(changed_slots), frozenset(changed_keys))
 
 
+_APPEND = frozenset((Append,))
+_INSTRUCTION = itemgetter(0)  # an Append's instruction
+
+
+def appended_segment(prev: SolverProgram, edits: tuple) -> Optional[tuple]:
+    """The code a script of Appends followed by SetEntry(key, len(prev))
+    appends, worked out without building q, in O(edit).
+
+    q is prev with the code appended and key routed at its first slot.  The
+    code holds the shared instruction tuples of _CANONICAL, as q does.  Only
+    for a script of canonical instructions on a prev whose rows all fit:
+    apply_modification accepts such a script unless the key is frozen and
+    the script moves its row, and then this raises the same FrozenViolation.
+    Any other script gives None.
+    """
+    start = len(prev.instructions)
+    if not edits or type(edits[-1]) is not SetEntry or edits[-1].slot != start:
+        return None
+    appends = edits[:-1]
+    if not _APPEND.issuperset(map(type, appends)):
+        return None
+    try:
+        code = tuple(map(_CANONICAL.get, map(_INSTRUCTION, appends)))
+    except TypeError:  # unhashable parts
+        return None
+    if None in code or not prev.rows_fit():
+        return None
+    key = edits[-1].key
+    if prev.entries.get(key) != start and key in prev.frozen_entry_keys:
+        raise FrozenViolation(f"entry for {key} is frozen")
+    return code
+
+
+def segment_changed(prev: SolverProgram, edits) -> Changed:
+    """apply_modification's Changed for a script appended_segment accepts:
+    the appended slots, and the key when its row moves."""
+    start = len(prev.instructions)
+    key = edits[-1].key
+    return Changed(
+        frozenset(range(start + 1, start + len(edits))),
+        frozenset() if prev.entries.get(key) == start else frozenset((key,)),
+    )
+
+
 def size_change(prev: SolverProgram, edits) -> int:
     """L(q) - L(prev) for q = apply_modification(prev, edits)[0], without building q.
 
@@ -529,7 +581,7 @@ def run_solver(
                 offset = args[0]  # a signed nibble, -8..7
                 next_pc += offset - 16 if offset >= 8 else offset
                 if not 0 <= next_pc <= m:
-                    reason = "bad_jump"
+                    reason = BAD_JUMP
                     break
         elif code == OP_PUSH:
             if len(stack) >= STACK_DEPTH:
@@ -540,7 +592,7 @@ def run_solver(
             offset = args[0]
             next_pc += offset - 16 if offset >= 8 else offset
             if not 0 <= next_pc <= m:
-                reason = "bad_jump"
+                reason = BAD_JUMP
                 break
         elif code == OP_OUTPUT:
             if not stack:

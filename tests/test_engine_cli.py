@@ -290,6 +290,48 @@ def _assert_corrupt(tmp_path, capsys, command, variant, lines, found):
     return events[-1]["error"]
 
 
+@pytest.fixture(scope="module")
+def mixed_five(tmp_path_factory):
+    """The lines of mixed15's first five entries (variant I, mixed domain)."""
+    d = tmp_path_factory.mktemp("mixed5")
+    cfg = RunConfig(
+        variant="I",
+        domain="mixed",
+        seed=42,
+        max_tasks=5,
+        archive_path=str(d / "archive.jsonl"),
+        metrics_path=str(d / "metrics.csv"),
+    )
+    assert Engine(cfg).run().accepted == 5
+    return open(cfg.archive_path).read().splitlines(keepends=True)
+
+
+# Search records and bills no run can write: (meta field, value).
+BAD_COUNTS = {
+    "t_lim a string": ("t_lim", "x"),
+    "t_lim zero": ("t_lim", 0),
+    "candidates negative": ("candidates", -5),
+    "candidates a bool": ("candidates", True),
+    "search_steps negative": ("search_steps", -1),
+    "steps negative": ("steps", -1),
+    "validation_steps negative": ("validation_steps", -1),
+}
+
+
+@pytest.mark.parametrize("damage", BAD_COUNTS)
+@pytest.mark.parametrize("command", ["audit", "report", "run"])
+def test_a_search_record_out_of_range_exits_three_and_names_the_entry(
+    tmp_path, capsys, mixed_five, command, damage
+):
+    name, value = BAD_COUNTS[damage]
+    lines = list(mixed_five)
+    data = json.loads(lines[4])
+    data["meta"][name] = value
+    lines[4] = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    error = _assert_corrupt(tmp_path, capsys, command, "I", lines, 5)
+    assert f"meta.{name}" in error
+
+
 def _stripped(lines, entry, fields):
     """The archive lines with ``fields`` (top-level or in meta) taken out of one entry."""
     lines = list(lines)

@@ -12,22 +12,12 @@ def program_tokens(bits, isa):
     return codes, nibbles
 
 
-def test_length_prior_is_two_to_minus_length():
-    prior = Prior(META_ISA)
-    assert prior.length_prior(3) == Fraction(1, 8)
-    assert prior.length_prior(0) == 1
-
-
 def test_uniform_program_prior_matches_length_prior():
+    # Uniform mode's P(p) is the description-length prior 2**-L(p), exactly.
     prior = Prior(META_ISA)
     for bits in enumerate_programs(19, META_ISA):
         codes, nibbles = program_tokens(bits, META_ISA)
-        assert prior.program_prior(codes, nibbles) == Fraction(1, 1 << bits.length)
-
-
-def test_empty_program_has_raw_weight_one():
-    prior = Prior(META_ISA, adapted=True)
-    assert prior.raw_weight([]) == 1
+        assert prior.program_prior(codes, nibbles) == Fraction(1, 2**bits.length)
 
 
 def test_adaptation_doubles_the_opcode_weight_before_renormalization():

@@ -659,7 +659,12 @@ def test_stochastic_search_keeps_one_cache_per_phase(tmp_path, monkeypatch):
 
     def fresh():
         made.append(1)
-        return {"edits": HitCountingDict(), "prev": HitCountingDict(), "novelty": HitCountingDict()}
+        return {
+            "edits": HitCountingDict(),
+            "codes": {},
+            "prev": HitCountingDict(),
+            "novelty": HitCountingDict(),
+        }
 
     monkeypatch.setattr(search, "fresh_caches", fresh)
     monkeypatch.setattr(HitCountingDict, "hits", 0)
@@ -1289,6 +1294,39 @@ def test_a_table_answer_one_step_off_is_caught_by_paranoid_mode(tmp_path, monkey
     with pytest.raises(AssertionError, match="run table gave"):
         for proposal, budget, caches in _judge_calls(eng, proposed, rng, 200):
             _judge(eng, proposal, budget, caches)
+
+
+@pytest.mark.parametrize("variant", ["I", "II"])
+def test_a_segment_table_record_one_step_off_is_caught_by_paranoid_mode(tmp_path, variant):
+    # Paranoid mode checks every table answer against a live run of the
+    # built q, those read off the run's segment table included: a table
+    # whose records run one step longer than the segment does is caught.
+    # With the true table, the same judge calls pass.
+    from autodidact.validate import SegmentTable
+
+    class OneStepOff(SegmentTable):
+        read = 0  # records read off the table
+
+        def record(self, code, task, trace=None, index=0):
+            run = super().record(code, task, trace, index)
+            if run is not None:
+                self.read += 1
+                run = (run[0], run[1] + 1, *run[2:])
+            return run
+
+    for table in (SegmentTable(), OneStepOff()):
+        rng = random.Random(48)
+        eng, proposed = _judging_engine(tmp_path, variant, rng)
+        eng.segment_table = table
+        calls = _judge_calls(eng, proposed, rng, 200)
+        if type(table) is SegmentTable:
+            for proposal, budget, caches in calls:
+                _judge(eng, proposal, budget, caches)
+            continue
+        with pytest.raises(AssertionError, match="run table gave"):
+            for proposal, budget, caches in calls:
+                _judge(eng, proposal, budget, caches)
+        assert table.read > 0
 
 
 @pytest.mark.parametrize("variant", ["I", "II"])

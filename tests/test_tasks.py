@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -423,3 +424,115 @@ def test_run_table_records_cover_every_way_a_run_ends():
     assert got["size bound"][0] == HALTED and not got["size bound"][2]
     assert got["replay diverges"][0] == HALTED and not got["replay diverges"][2]
     assert got["missing pattern"][0] is MissingPattern
+
+
+# -- segment runs against runs of the built q --------------------------------
+
+
+def _check_segment_runs(prefixes, code, task, trace, index):
+    """For each solver s in ``prefixes``, q = s with ``code`` appended and
+    the task's key routed at it: the answer a SegmentEdit reads off one
+    segment table, shared by every s, is record_run on the built q, raised
+    errors included.  The table stores a record exactly when the code run
+    alone does not end in a bad jump, and then q is never built."""
+    from autodidact.search import edit_record, fresh_caches
+    from autodidact.tasks import _recorded
+    from autodidact.validate import LEAVES, SegmentEdit, SegmentTable
+    from autodidact.vm import BAD_JUMP, Append, SetEntry, apply_modification
+
+    table = SegmentTable()
+    for s in prefixes:
+        script = [Append(i) for i in code] + [SetEntry(task.entry_key, len(s.instructions))]
+        q, _changed = apply_modification(s, script)
+        edit = edit_record(fresh_caches(), script, s)
+        assert isinstance(edit, SegmentEdit) and edit.q is None
+        got = _raised(lambda: edit.q_record(task, trace, index, table))
+        assert got == _raised(lambda: record_run(q, task, trace))
+        if isinstance(got[0], type):
+            continue
+        stored = table.by_code[code][index if trace is not None else 0][task.identity()]
+        alone = _recorded(SolverProgram(code), task, trace)[0]
+        assert (stored is LEAVES) == (alone.halt_reason == BAD_JUMP)
+        assert (edit.q is None) == (stored is not LEAVES)
+    return got
+
+
+@st.composite
+def _segment_cases(draw):
+    """(prefix solvers, segment code, task, stored trace or None, index) for
+    a pattern task, a live decision task or a replayed one.  The segment is
+    a template that solves the task, random code, or both, and may end in a
+    backward jump that lands below its start; the prefixes are random code
+    of different lengths, whose rows may route the task's key elsewhere, and
+    n is drawn near the size of q."""
+    domain = draw(st.sampled_from(["pattern", "live", "replay"]))
+    if domain == "pattern":
+        i2 = nibble(draw(st.integers(0, 15)))
+        o = BitString(draw(st.integers(0, 15)), 4)
+        template = draw(
+            st.sampled_from([const_nibble(o.value), copy_query_loop(), negate_query()])
+        )
+    else:
+        world = WORLDS[draw(st.integers(0, len(WORLDS) - 1))]
+        goal = world.goals[draw(st.integers(0, GOALS_PER_WORLD - 1))]
+        template = grid_walk(world, goal)
+    head = tuple(draw(st.lists(_INSTRUCTION, max_size=3)))
+    body = template if draw(st.booleans()) else tuple(draw(st.lists(_INSTRUCTION, max_size=10)))
+    code = head + body
+    if draw(st.integers(0, 3)) == 0:
+        code += ((draw(st.sampled_from([I.OP_JMP, I.OP_JZ])), (draw(st.integers(8, 15)),)),)
+    t = draw(st.integers(1, 150))
+    ident = BitString(draw(st.integers(0, 255)), 8)
+    if domain == "pattern":
+        task = PatternTask(draw(st.integers(0, PATTERN_COUNT - 1)), i2, o, t, 1)
+    else:
+        task = DecisionTask(ident, GoalSpec(goal, draw(st.sampled_from([-1, 0]))), t, 1, world)
+    prefixes = []
+    for _ in range(draw(st.integers(1, 3))):
+        prefix = tuple(draw(st.lists(_INSTRUCTION, max_size=12)))
+        rows = {}
+        if draw(st.booleans()):
+            rows[task.entry_key] = draw(st.integers(0, len(prefix)))
+        prefixes.append(SolverProgram(prefix, rows))
+    size = len(prefixes[0].instructions) + len(code)
+    n = draw(st.sampled_from([max(1, size), size + 1, 1024]))
+    task = replace(task, n=n)
+    trace, index = None, 0
+    if domain == "replay":
+        recorder = SolverProgram(draw(st.sampled_from([code, template])))
+        trace = solve_decision(recorder, DecisionTask(ident, task.goal, 200, 1024, world))[1]
+        index = draw(st.integers(1, 9))
+    return prefixes, code, task, trace, index
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_segment_cases())
+def test_a_segment_table_answer_is_the_record_of_the_built_q(case):
+    _check_segment_runs(*case)
+
+
+def test_a_segment_run_that_jumps_below_its_start_is_never_stored():
+    # Appended at s = PUSH 1, OUTPUT, HALT, the segment JMP -4 jumps to
+    # slot 0 of q, which then runs s and outputs 1: alone, it jumps to -3,
+    # a bad jump.  Granted one step, q times out after that jump, where
+    # the segment alone faults.  A jump past the end is bad in both.  None
+    # of these is stored, and each answer is q's own record.
+    s = SolverProgram(SOLVER_ISA.assemble("PUSH 1\nOUTPUT\nHALT"))
+    back = SOLVER_ISA.assemble("JMP -4")
+    ahead = SOLVER_ISA.assemble("JMP 7")
+    task = PatternTask(0, nibble(0), BitString(1, 1), 10, 100)
+    assert _check_segment_runs([s], back, task, None, 0) == (HALTED, 4, True, 4)
+    timeout = replace(task, t=1)
+    assert _check_segment_runs([s], back, timeout, None, 0) == (TIMED_OUT, 1, False, 1)
+    assert _check_segment_runs([s], ahead, task, None, 0) == (FAULTED, 1, False, 1)
+    # Runs that stay in the segment are stored; a missing pattern raises.
+    assert _check_segment_runs([s], SOLVER_ISA.assemble("PUSH 1\nOUTPUT\nHALT"), task, None, 0)[2]
+    missing = copy_task()
+    object.__setattr__(missing, "i1", PATTERN_COUNT)
+    assert _check_segment_runs([s], copy_query_loop(), missing, None, 0)[0] is MissingPattern

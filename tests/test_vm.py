@@ -14,8 +14,10 @@ from autodidact.vm import (
     SetSlot,
     SolverProgram,
     Truncate,
+    appended_segment,
     apply_modification,
     run_solver,
+    segment_changed,
     size_change,
 )
 
@@ -214,8 +216,13 @@ def test_edit_ops_are_immutable_tuples_kept_apart_by_kind():
     # field can be assigned to.  Ops of different kinds never compare equal,
     # so scripts that differ only in an op's kind are distinct keys of the
     # phase's edits table, each with its own record, and the size change
-    # worked out from each accepted script is its q's.
+    # worked out from each accepted script is its q's.  A script that
+    # appends a segment and routes a key at slot |s| gets a SegmentEdit,
+    # whose fault (a frozen key among them) and changed set come from the
+    # script alone; they and the q it builds on first use are
+    # apply_modification's.
     from autodidact.search import edit_record, fresh_caches
+    from autodidact.validate import SegmentEdit
 
     ins = (2, (7,))
     assert tuple(SetSlot(1, ins)) == (1, ins) and SetSlot(1, ins).instruction == ins
@@ -230,28 +237,41 @@ def test_edit_ops_are_immutable_tuples_kept_apart_by_kind():
         with pytest.raises(AttributeError):
             setattr(op, name, 0)
     key = BitString.from_str("1").to_hex()
+    frozen = BitString.from_str("0").to_hex()
     pool = (
         [SetSlot(k, i) for k in range(3) for i in (ins, (1, ()))]
         + [Append(i) for i in (ins, (1, ()))]
         + [Truncate(n) for n in range(3)]
-        + [SetEntry(key, n) for n in range(3)]
+        + [SetEntry(k, n) for k in (key, frozen) for n in range(4)]
     )
     for a in pool:
         assert [b for b in pool if b == a] == [a]
-    prog = asm("PUSH 1\nPUSH 2\nHALT")
+    code = SOLVER_ISA.assemble("PUSH 1\nPUSH 2\nHALT")
+    prog = SolverProgram(code, {frozen: 1}, 0, frozenset({frozen}))
     caches = fresh_caches()
     scripts = [(a,) for a in pool] + [(a, b) for a in pool for b in pool]
     for script in scripts:
         edit_record(caches, list(script), prog)
     assert list(caches["edits"]) == scripts
+    lazy = {"ok": 0, "frozen": 0}
     for script, record in caches["edits"].items():
+        routed = type(script[-1]) is SetEntry and script[-1].slot == len(code) and all(
+            type(op) is Append for op in script[:-1]
+        )
         try:
-            q, _changed = apply_modification(prog, script)
+            q, changed = apply_modification(prog, script)
         except (InvalidResult, FrozenViolation) as exc:
             assert record.fault == f"bad_edit: {exc}"
-        else:
-            assert record.fault is None and record.q == q
-            assert prog.size_bits + size_change(prog, script) == q.size_bits
+            lazy["frozen"] += routed
+            continue
+        assert record.fault is None and isinstance(record, SegmentEdit) == routed
+        if routed:
+            assert record.q is None and record.changes() == changed
+            lazy["ok"] += 1
+        assert record.applied() == (q, changed)
+        assert prog.size_bits + size_change(prog, script) == q.size_bits
+    # SetEntry at |s| alone or after either Append, for the free and the frozen key.
+    assert lazy == {"ok": 3, "frozen": 3}
 
 
 def test_disassembly_round_trips():
@@ -364,7 +384,9 @@ def test_apply_modification_matches_the_reference_over_random_scripts():
              (9, (1.5,)), None, "x", (2,), (2, (1,), 0)]
         )
 
-    seen = {True: set(), False: set()}  # the first word of each outcome, by kind of script
+    # The first word of each outcome, by kind of script, and what
+    # appended_segment made of the scripts it accepts.
+    seen = {True: set(), False: set(), "segment": set()}
     for trial in range(3000):
         m = rng.randrange(0, 8)
         instrs = tuple((c, tuple(rng.randrange(16) for _ in range(SOLVER_ISA.by_code[c].nibbles)))
@@ -396,11 +418,20 @@ def test_apply_modification_matches_the_reference_over_random_scripts():
                 edits.append(SetEntry(rng.choice(keys), rng.randrange(-1, n + 3)))
             else:
                 edits.append(("SetSlot", 0))
+        if appends_only and rng.random() < 0.3:  # a segment routed at prev's end
+            edits = [op for op in edits if type(op) is Append] + [SetEntry(rng.choice(keys), m)]
         outcome = _check_edit(prev, edits)
         seen[appends_only].add(outcome[1].split()[0] if isinstance(outcome[0], type) else "ok")
-    # Both kinds of script reach every check that can reject them.
+        try:
+            if appended_segment(prev, tuple(edits)) is not None:
+                seen["segment"].add("ok")
+        except FrozenViolation:
+            seen["segment"].add("frozen")
+    # Both kinds of script reach every check that can reject them, and
+    # appended_segment works out both of its outcomes.
     assert seen[True] == {"ok", "entry", "bad"}
     assert seen[False] == {"ok", "entry", "bad", "slot", "cannot", "truncation", "unknown"}
+    assert seen["segment"] == {"ok", "frozen"}
 
 
 def _check_edit(prev, edits):
@@ -411,9 +442,22 @@ def _check_edit(prev, edits):
     assert outcome == _outcome(reference_edits.apply_modification, prev, edits), (
         prev.to_json(), edits
     )
+    try:
+        code = appended_segment(prev, tuple(edits))
+    except FrozenViolation as exc:
+        assert outcome == (FrozenViolation, str(exc))
+        code = None
     if not isinstance(outcome[0], type):
-        q, _changed = apply_modification(prev, edits)
+        q, changed = apply_modification(prev, edits)
         assert prev.size_bits + size_change(prev, edits) == q.size_bits
+        if code is not None:
+            # The script's segment is q's appended code, routed at prev's
+            # end, and holds the same shared instruction tuples as q.
+            start = len(prev.instructions)
+            assert segment_changed(prev, edits) == changed
+            assert q.instructions == prev.instructions + code
+            assert all(a is b for a, b in zip(code, q.instructions[start:]))
+            assert q.entries[edits[-1].key] == start
         # Every row of q fits it, which is what lets q's own edits check
         # only the rows they write.
         assert q.rows_fit() and SolverProgram(q.instructions, q.entries).rows_fit()
