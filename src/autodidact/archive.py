@@ -235,9 +235,12 @@ class Replay:
     task (variant II only; variant I accepts no task twice).  An external
     entry's reward must be an integer, and an appended span must start at
     the previous entry's ``solver_slots`` (0 for entry 1), where the commit
-    appended it, or the entry raises ArchiveCorrupt.  Solvers are left to
-    the caller: only the audit needs every one, and it checks each entry's
-    ``solver_slots`` against its snapshot.
+    appended it, or the entry raises ArchiveCorrupt.  So must a snapshot
+    whose frozen fields freeze other than nothing or, as prefix mode does,
+    every slot and row, or other than the first non-empty snapshot does
+    (``frozen``).  Solvers are left to the caller: only the audit needs
+    every one, and it checks each entry's ``solver_slots`` against its
+    snapshot.
     """
 
     def __init__(self, entries: list):
@@ -247,6 +250,7 @@ class Replay:
         self.origins: dict[str, str] = {}  # task identity -> origin of its first entry
         self.external_rewards: dict[str, int] = {}  # task identity -> user reward
         self.ledger: Optional[bool] = None  # whether the entries carry a ledger
+        self.frozen: Optional[bool] = None  # whether the snapshots freeze everything
 
     def __iter__(self) -> Iterator[ReplayStep]:
         last = last_stored = None  # the latest ledger entry's parameters, decoded and as stored
@@ -267,6 +271,7 @@ class Replay:
             if span is not None and span[0] != slots:
                 raise ArchiveCorrupt(entry.i, f"appended span {span} is not at slot {slots}")
             slots = entry.meta.get("solver_slots")
+            self._check_frozen(entry, slots)
             params = ledger = None
             carries = self._carries_ledger(entry)
             if trace is None and isinstance(task, DecisionTask) and (first or not carries):
@@ -293,6 +298,29 @@ class Replay:
                 item = RepertoireItem(len(self.repertoire) + 1, task, trace)
                 self.repertoire.append(item)
                 self.items[identity] = item
+
+    def _check_frozen(self, entry: ArchiveEntry, slots) -> None:
+        """The snapshot must freeze nothing, (0, []), or, as prefix mode does,
+        everything, (solver_slots, every entry key), and as the first
+        non-empty snapshot does."""
+        solver = entry.solver
+        fields, rows = _decoded(
+            entry.i,
+            "solver",
+            lambda: (
+                (solver.get("frozen_prefix_len", 0), solver.get("frozen_entry_keys", [])),
+                sorted(solver.get("entries", {})),
+            ),
+        )
+        frozen = fields == (slots, rows)
+        if not frozen and fields != (0, []):
+            raise ArchiveCorrupt(entry.i, f"frozen fields {fields} freeze neither nothing nor all")
+        if fields == (0, []) == (slots, rows):
+            return  # an empty snapshot is in both forms
+        if self.frozen is None:
+            self.frozen = frozen
+        elif frozen != self.frozen:
+            raise ArchiveCorrupt(entry.i, f"frozen fields {fields} differ in form from earlier ones")
 
     def _carries_ledger(self, entry: ArchiveEntry) -> bool:
         """Whether the entry carries a ledger, which it must do as entry 1 does."""

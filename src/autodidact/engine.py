@@ -131,6 +131,12 @@ class Engine:
                 f"cannot resume a variant {'II' if replay.ledger else 'I'} archive "
                 f"as variant {self.config.variant}"
             )
+        if replay.frozen not in (None, self.config.prefix_mode):
+            # Appending would mix snapshots that freeze everything with ones that do not.
+            raise ConfigError(
+                f"cannot resume an archive {'in' if replay.frozen else 'out of'} prefix mode "
+                f"{'without' if replay.frozen else 'with'} --prefix-mode"
+            )
         if entries:
             last = entries[-1]
             self.solver = last.solver_program()

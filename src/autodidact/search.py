@@ -73,26 +73,26 @@ run under the grant returns, verdict, bill and cut alike.  The tables hold
 nothing but such runs, the edit's outcome, and the verdict tables the judge
 kept before (pair and novelty caches), so they change no verdict.
 
-Segment runs.  Nearly every script the search proposes appends a segment
-and routes the proposed task's key at its first slot, |s|
-(vm.appended_segment).  apply_modification accepts such a script unless the
-key is frozen and its row moves, and its changed set is the appended slots
-plus the key if its row moves, so both are worked out from the script, and
-q is built only for a stage that needs it (validate.SegmentEdit).  A run of
-q on a task with that key starts at slot |s|.  Jumps are relative, the run
-halts when pc reaches the end of q, the used flags count slots, and the
-environment is the task's: none of these depends on |s|.  So as long as the
-run never jumps below |s|, it is the run of the segment alone, a solver
-routed at slot 0, shifted by |s|, in steps, output, faults and component
-count; only the size bound differs, and q succeeds iff the segment alone
-does and |q| < n.  The segment alone meets a jump below its start as a bad
-jump, and that is the only way the two runs part, so a segment run that
-ends in a bad jump is not used: q runs instead, whether it goes on into s
-or times out right after the jump.  The segment's run depends only on its
-code, the task and the stored trace it replays, so the engine's
-SegmentTable keeps it for the whole run, and every phase reads the same
-record.  No verdict or bill changes, and paranoid mode still checks every
-answer against a live run of the built q.
+Segment runs.  Each script is read once (vm.read_edit), for its fault and
+what q holds beyond s, and q is built only for a stage that needs it
+(validate.EditRecord).  Nearly every script the search proposes appends a
+segment and routes the proposed task's key at its first slot, |s|; the
+reading shows it (vm.Reading.segment), and the record keeps the segment and
+the key, from which its changed set follows: the appended slots, plus the
+key if its row moves.  A run of q on a task with that key starts at slot
+|s|.  Jumps are relative, the run halts when pc reaches the end of q, the
+used flags count slots, and the environment is the task's: none of these
+depends on |s|.  So as long as the run never jumps below |s|, it is the run
+of the segment alone, a solver routed at slot 0, shifted by |s|, in steps,
+output, faults and component count; only the size bound differs, and q
+succeeds iff the segment alone does and |q| < n.  The segment alone meets a
+jump below its start as a bad jump, and that is the only way the two runs
+part, so a segment run that ends in a bad jump is not used: q runs instead,
+whether it goes on into s or times out right after the jump.  The segment's
+run depends only on its code, the task and the stored trace it replays, so
+the engine's SegmentTable keeps it for the whole run, and every phase reads
+the same record.  No verdict or bill changes, and paranoid mode still
+checks every answer against a live run of the built q.
 
 Judge floors.  So every judge cut knows its floor (BudgetExhausted.floor):
 the least budget under which the whole chain of stages concludes, each
@@ -202,14 +202,8 @@ from .meta import (
     undo_storage,
 )
 from .prior import Prior
-from .validate import BudgetExhausted, EditRecord, SegmentEdit
-from .vm import (
-    FrozenViolation,
-    InvalidResult,
-    SolverProgram,
-    appended_segment,
-    apply_modification,
-)
+from .validate import BudgetExhausted, EditRecord
+from .vm import FrozenViolation, InvalidResult, SolverProgram, apply_modification, read_edit
 
 
 @dataclass
@@ -400,16 +394,17 @@ def fresh_caches() -> dict:
     """Per-phase tables shared by all candidates of one phase.
 
     ``edits`` maps an edit script (a tuple of edits) to its EditRecord: the
-    edit's fault or, built when a stage first needs it, the modified
-    solver; the revalidation set, the pair cache (task identity -> the
-    judge's conclusive verdict and bill, or a cut's floor once it is final
-    for the phase) and one run of the modified solver per task at the
-    task's whole bound.  So each script is applied at most once per phase
-    while its record holds q, each (script, task) run once, and a pair is
-    judged again only with at least its floor left.  A run that starts at a
-    segment the script appends and stays in it is read off the engine's
-    SegmentTable, which outlives the phase (see Segment runs); ``codes``
-    keeps one copy of each segment the phase's records hold.
+    edit's fault or its appended segment, read from the script, and the
+    modified solver, built when a stage first needs it; the revalidation
+    set, the pair cache (task identity -> the judge's conclusive verdict
+    and bill, or a cut's floor once it is final for the phase) and one run
+    of the modified solver per task at the task's whole bound.  So each
+    script is read once per phase and applied only for a stage that needs
+    q, each (script, task) run once, and a pair is judged again only with
+    at least its floor left.  A run that starts at a segment the script
+    appends and stays in it is read off the engine's SegmentTable, which
+    outlives the phase (see Segment runs); ``codes`` keeps one copy of each
+    segment the phase's records hold.
     ``prev`` maps a task identity to the previous solver's run at the
     task's whole bound (t_max in variant II), for both judges, and
     ``novelty`` to variant I's first conclusive novelty verdict and step
@@ -436,27 +431,25 @@ def fresh_caches() -> dict:
 def edit_record(caches: dict, edits, solver: SolverProgram) -> EditRecord:
     """The phase's record of an edit script for solver, made on first use.
 
-    A script that appends a segment and routes a key at it gets its fault
-    from the script alone (vm.appended_segment), and its q is built when a
-    stage first needs it; any other script is applied now.  Every
-    application, a lazy or released record's included, goes through this
-    module's apply_modification.
+    Every record is made from the script's one reading (vm.read_edit): its
+    fault, and, where q is solver with a segment appended and a key routed
+    at it, the segment and the key.  No record holds q when it is made;
+    applied() builds it, for a stage that needs it, through this module's
+    apply_modification.
     """
     table = caches["edits"]
     script = tuple(edits)
     record = table.get(script)
     if record is None:
         try:
-            code = appended_segment(solver, script)
-            if code is None:
-                q, changed = apply_modification(solver, script)
-                record = EditRecord(q, changed, None, script, solver, apply_modification)
-            else:
-                # A phase routes many keys at a few segments: one copy of each.
-                code = caches["codes"].setdefault(code, code)
-                record = SegmentEdit(code, script, solver, apply_modification)
+            code, key = read_edit(solver, script).segment()
         except (FrozenViolation, InvalidResult) as exc:
             record = EditRecord(fault=f"bad_edit: {exc}")
+        else:
+            if code is not None:
+                # A phase routes many keys at a few segments: one copy of each.
+                code = caches["codes"].setdefault(code, code)
+            record = EditRecord(None, None, None, script, solver, apply_modification, code, key)
         table[script] = record
     return record
 
@@ -477,9 +470,9 @@ def try_candidate(
     All effects of a rejected candidate are confined to the journaled scratch
     store, which is always rewound, so rejection leaves the engine state
     bit-identical.  The edit script is looked up once in the phase's
-    ``edits`` table and applied only on a miss; the judge finds its record
-    on the proposal.  The engine's judges release the record's q after
-    each call, so they may be passed q = changed = None.
+    ``edits`` table and read only on a miss; the judge finds its record on
+    the proposal.  Records are made without q, and the engine's judges
+    release it after each call, so they are passed q = changed = None.
 
     ``keep`` is the budget the next doubling grants the entry, None outside
     the doubling scheduler.  With it, a judge cut whose floor is at most

@@ -12,10 +12,12 @@ The judge answers every stage from run tables: one record per run at the
 task's whole bound, made by tasks.record_run straight from the
 interpreter's result.  Only what needs more than the record runs live: the
 winner's runs (its Details), paranoid mode's check of every table answer,
-and rebuild_usage.  A run of a modified solver that starts at a segment its
-edit appended, and stays in it, is the segment's own run: the run's
-SegmentTable keeps it across phases, and the edit's modified solver is
-built only for a run that needs it (SegmentEdit).
+and rebuild_usage.  Each edit's record holds its fault and, for a script
+that appends a segment and routes a key at it, the segment; the edit's
+modified solver is built only for a run that needs it (EditRecord).  A run
+of a modified solver that starts at a segment its edit appended, and stays
+in it, is the segment's own run, which the run's SegmentTable keeps across
+phases.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .tasks import (
     segment_record,
     solves,
 )
-from .vm import Changed, SolverProgram, segment_changed
+from .vm import Changed, SolverProgram
 
 
 class BudgetExhausted(Exception):
@@ -173,13 +175,19 @@ CUT = "cut"
 
 
 class EditRecord:
-    """One edit script applied to the phase's solver, and what judging it ran.
+    """One edit script read against the phase's solver, and what judging it ran.
 
-    Built once per script and phase, on the first candidate that proposes
-    it.  ``fault`` holds the rejection reason of an edit apply_modification
-    would refuse, and ``q`` and ``changed`` are its result.  The script is
-    applied when its record is made, to find its fault, except in a
-    SegmentEdit, which builds q only when a stage needs it.
+    Made once per script and phase, on the first candidate that proposes
+    it, from the script's one reading (vm.read_edit), with no q built.
+    ``fault`` holds the rejection reason of an edit the reading refuses.
+    Where q is the phase's solver ``base`` with a segment appended and no
+    row moved but one, to the segment, ``code`` is the segment and ``key``
+    that row's key, or None when no row moves (vm.Reading.segment); its
+    changed set follows from them, and q_record reads a run that starts at
+    the segment off the run's SegmentTable.  q and ``changed``
+    are built by applied(), through ``apply``, only for a stage that needs
+    them, and released after each judge call: a phase keeps thousands of
+    records, and each q would be a copy of the phase's solver.
     ``todo`` is the sorted revalidation set, filled on first use, and
     ``size`` is L(q) - L(s), filled from the script (vm.size_change) by the
     first judge call on the edit that concludes.
@@ -189,24 +197,25 @@ class EditRecord:
     the judge's start, under which the pair concludes.  ``runs`` holds one
     run_record of q per task at the task's whole bound, keyed by task
     identity for a proposed task and by repertoire index for a stored one.
-
-    The tables outlive q: a record made with ``apply`` may release q and
-    changed, and applied() rebuilds them from ``script`` and ``base``, the
-    phase's solver, when a stage needs them again.  A phase keeps thousands
-    of records, and each q would be a copy of the phase's solver.
     """
 
     __slots__ = (
-        "q", "changed", "fault", "script", "base", "apply", "todo", "size", "pairs", "runs"
+        "q", "changed", "fault", "script", "base", "apply", "code", "key", "todo", "size",
+        "pairs", "runs",
     )
 
-    def __init__(self, q=None, changed=None, fault=None, script=(), base=None, apply=None):
+    def __init__(
+        self, q=None, changed=None, fault=None, script=(), base=None, apply=None, code=None,
+        key=None,
+    ):
         self.q = q
         self.changed = changed
         self.fault = fault
         self.script = script
         self.base = base
         self.apply = apply
+        self.code = code
+        self.key = key
         self.todo = None
         self.size = None
         self.pairs: dict = {}
@@ -223,8 +232,15 @@ class EditRecord:
             self.q = self.changed = None
 
     def changes(self) -> Changed:
-        """changed, applying the script if it is not built."""
-        return self.applied()[1]
+        """changed: for a segment, its slots and the key whose row it moves."""
+        code = self.code
+        if code is None:
+            return self.applied()[1]
+        start = len(self.base.instructions)
+        return Changed(
+            frozenset(range(start + 1, start + len(code) + 1)),
+            frozenset() if self.key is None else frozenset((self.key,)),
+        )
 
     def revalidation(self, usage: UsageIndex) -> tuple:
         if self.todo is None:
@@ -235,39 +251,18 @@ class EditRecord:
         """record_run(q, task, trace): q's run on the task at its whole bound.
 
         ``index`` is the repertoire index of a stored task whose ``trace``
-        is replayed, and ``table`` the run's SegmentTable; only a
-        SegmentEdit reads them.
+        is replayed, and ``table`` the run's SegmentTable, which answers for
+        a run that starts at the segment and stays in it; q is built for
+        any other run.
         """
-        return record_run(self.applied()[0], task, trace)
-
-
-class SegmentEdit(EditRecord):
-    """The EditRecord of a script that appends a segment and routes a key at it.
-
-    ``code`` is the segment, vm.appended_segment's reading of the script:
-    its fault and changed set come from the script alone, and q_record reads
-    a run that starts at the segment, on a task whose key is the routed one,
-    off the run's SegmentTable when it stays in the segment.  So q is built
-    only for a run that leaves the segment, a revalidation that starts in
-    s, the winner's Details or paranoid mode's live check.
-    """
-
-    __slots__ = ("code",)
-
-    def __init__(self, code: tuple, script: tuple, base: SolverProgram, apply):
-        super().__init__(None, None, None, script, base, apply)
-        self.code = code
-
-    def changes(self) -> Changed:
-        return segment_changed(self.base, self.script)
-
-    def q_record(self, task, trace=None, index: int = 0, table: Optional["SegmentTable"] = None):
-        if table is not None and self.script[-1].key == task.entry_key:
-            run = table.record(self.code, task, trace, index)
-            if run is not None:
-                kind, executed, success, count = run
-                size = len(self.base.instructions) + len(self.code)
-                return kind, executed, success and size < task.n, count
+        code, key = self.code, task.entry_key
+        if code is not None and table is not None:
+            start = len(self.base.instructions)
+            if key == self.key or self.base.entries.get(key, 0) == start:  # q starts at code
+                run = table.record(code, task, trace, index)
+                if run is not None:
+                    kind, executed, success, count = run
+                    return kind, executed, success and start + len(code) < task.n, count
         return record_run(self.applied()[0], task, trace)
 
 

@@ -16,14 +16,14 @@ step budget, so ``halted is False`` always means the budget is gone.
 A RunOutcome keeps the interpreter's raw result and builds its output bits
 and component set only when they are read, so a run-table record
 (tasks.record_run), which reads neither, pays for neither.  An edit script
-that only appends and sets entries, the kind the search proposes, is applied
-at a cost in proportion to the edit, not to the solver.  The commonest such
-script appends a segment and routes one key at it; appended_segment and
-segment_changed work out its fault, code and changed set from the script
-alone, so the judge builds q only for a run that needs it.  Relative jumps,
-the end-of-program halt and the used flags do not depend on where code
-starts, so a run of q that starts at the segment and never jumps below it is
-the segment's run as a solver of its own (tasks.segment_record).
+is read once, in O(edit), by read_edit: its fault, what q holds beyond
+prev and q's changed set, without building q; apply_modification is that
+reading plus a build, and size_change reads L(q) - L(prev) off it.  The
+commonest script the search proposes appends a segment and routes one key
+at it (Reading.segment).  Relative jumps, the end-of-program halt and the
+used flags do not depend on where code starts, so a run of q that starts
+at the segment and never jumps below it is the segment's run as a solver
+of its own (tasks.segment_record).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import hashlib
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, product
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .bits import BitString
@@ -198,7 +197,9 @@ class SolverProgram:
         When the code starts with after's code without its terminator, only
         the rest is decoded.  The code is prefix-free and decoded in order,
         so the result, and any error a damaged snapshot raises, equal a
-        decode of the whole code.
+        decode of the whole code.  An entry row outside 0..len(code), which
+        no edit builds, raises InvalidResult: the edits of a solver resumed
+        from it would check its rows and reject every script.
         """
         bits = BitString.from_hex(data["code"])
         head, start = (), 0
@@ -217,6 +218,10 @@ class SolverProgram:
             int(data.get("frozen_prefix_len", 0)),
             frozenset(data.get("frozen_entry_keys", ())),
         )
+        if not program.rows_fit():
+            end = len(program.instructions)
+            key, slot = next((k, s) for k, s in program.entries.items() if not 0 <= s <= end)
+            raise InvalidResult(f"entry {key} points at slot {slot}, beyond program end")
         object.__setattr__(program, "_code", bits)  # the whole code decoded: it is canonical
         return program
 
@@ -299,168 +304,131 @@ _CANONICAL = {
 
 def _canonical(instr) -> tuple:
     try:
-        hit = _CANONICAL.get(instr)
-    except TypeError:  # unhashable parts, e.g. a list of immediates
-        hit = None
-    return hit if hit is not None else _check_instruction(instr)
+        return _CANONICAL[instr]
+    except (KeyError, TypeError):  # TypeError: unhashable parts, e.g. a list of immediates
+        return _check_instruction(instr)
+
+
+class Reading(NamedTuple):
+    """An edit script read against prev (read_edit), without building q.
+
+    q keeps prev's slots below ``low``, the lowest point the script
+    truncated to, but for those in ``patched``, and from ``low`` on it is
+    ``tail``.  ``rows`` maps each key whose row the script moves to its new
+    slot.  The script changes the 1-based slots of prev in ``slots`` and
+    the first ``grown`` slots past prev's end, every slot it appended."""
+
+    low: int
+    patched: dict
+    tail: tuple
+    rows: dict
+    slots: set
+    grown: int
+
+    def segment(self) -> tuple:
+        """(code, key) when q is prev with ``code`` appended, no other slot
+        changed and no row moved but key's, to code's first slot (key None:
+        no row moved); else (None, None)."""
+        tail, rows = self.tail, self.rows
+        # No slot of prev changed, so none was truncated: tail was appended.
+        if self.slots or self.grown != len(tail) or len(rows) > 1:
+            return None, None
+        for key, slot in rows.items():
+            return (tail, key) if slot == self.low else (None, None)
+        return tail, None
+
+
+_new_tuple = tuple.__new__  # a Reading without NamedTuple's slow Python-level __new__
+
+
+def read_edit(prev: SolverProgram, edits) -> Reading:
+    """The one reading of an edit script against prev, in O(edit).
+
+    Raises what apply_modification raises: frozen slots and rows reject the
+    whole edit, and so does a row past q's end.  Only the rows the script
+    moves are checked, unless q is shorter than prev or a row of prev is
+    out of range."""
+    old = prev.instructions
+    low = high = end = len(old)  # high: the longest q was before a truncation
+    frozen_len, entries = prev.frozen_prefix_len, prev.entries
+    patched, tail, rows, slots = {}, [], {}, set()
+    for op in edits:
+        kind = type(op)
+        if kind is Append:
+            tail.append(_canonical(op.instruction))
+        elif kind is SetEntry:
+            key, slot = op
+            if rows.get(key, entries.get(key)) != slot:
+                if key in prev.frozen_entry_keys:
+                    raise FrozenViolation(f"entry for {key} is frozen")
+                rows[key] = slot
+        elif kind is SetSlot:
+            index = op.index
+            if not 0 <= index < low + len(tail):
+                raise InvalidResult(f"slot {index} out of range")
+            if index < frozen_len:
+                raise FrozenViolation(f"slot {index} is frozen")
+            new = _canonical(op.instruction)
+            if index >= low:  # a slot truncated or appended: changed already
+                tail[index - low] = new
+            elif patched.get(index, old[index]) != new:
+                patched[index] = new
+                slots.add(index + 1)
+        elif kind is Truncate:
+            new_len, length = op.new_len, low + len(tail)
+            if not 0 <= new_len <= length:
+                raise InvalidResult(f"cannot truncate to {new_len}")
+            if new_len < frozen_len:
+                raise FrozenViolation("truncation into the frozen prefix")
+            slots.update(range(new_len + 1, end + 1))  # past end: appended, counted in grown
+            high = max(high, length)
+            if new_len < low:
+                low, tail = new_len, []
+                patched = {k: v for k, v in patched.items() if k < low}
+            else:
+                del tail[new_len - low :]
+        else:
+            raise InvalidResult(f"unknown edit op {op!r}")
+    length = low + len(tail)
+    every_row = length < end or not prev.rows_fit()
+    for slot in ({**entries, **rows} if every_row else rows).values():
+        if not 0 <= slot <= length:
+            table = {**entries, **rows}
+            bad = next(k for k, slot in table.items() if not 0 <= slot <= length)
+            raise InvalidResult(f"entry {bad} points at slot {table[bad]}, beyond program end")
+    return _new_tuple(Reading, (low, patched, tuple(tail), rows, slots, max(high, length) - end))
 
 
 def apply_modification(prev: SolverProgram, edits) -> tuple[SolverProgram, Changed]:
     """Apply an edit script to a copy of prev; prev itself is untouched.
 
     Returns the new program together with the exact set of changed component
-    indices (1-based) and changed entry-table keys.  Frozen slots and frozen
-    entry rows reject the whole edit, and so does an entry row that points
-    past the new program's end.
-
-    A script of Appends and SetEntries costs in proportion to the edit, not
-    to the solver: prev's slots are copied only on the first SetSlot or
-    Truncate, q's instructions are prev's plus the appended ones in one
-    concatenation, and only the rows the script writes are range-checked.
-    prev's other rows fit q when they fit prev, because such a script never
-    shortens it; a script that truncates, or a prev with a row out of range,
-    has every row checked.
+    indices (1-based) and changed entry-table keys: the script's reading,
+    then a build that copies prev's slots only where the script patched one.
     """
-    old = prev.instructions
-    length = len(old)
-    slots = None  # q's slots as a list, once a SetSlot or Truncate needs one
-    tail = []  # slots appended while slots is None
-    entries = dict(prev.entries)
-    changed_slots: set[int] = set()
-    changed_keys: set[str] = set()
-    every_row = False  # set by a truncation
-
-    for op in edits:
-        kind = type(op)
-        if kind is Append:
-            (tail if slots is None else slots).append(_canonical(op.instruction))
-            length += 1
-            changed_slots.add(length)
-        elif kind is SetEntry:
-            key, slot = op
-            if entries.get(key) != slot:
-                if key in prev.frozen_entry_keys:
-                    raise FrozenViolation(f"entry for {key} is frozen")
-                entries[key] = slot
-                changed_keys.add(key)
-        elif kind is SetSlot:
-            index = op.index
-            if not 0 <= index < length:
-                raise InvalidResult(f"slot {index} out of range")
-            if index < prev.frozen_prefix_len:
-                raise FrozenViolation(f"slot {index} is frozen")
-            if slots is None:
-                slots = [*old, *tail]
-            new = _canonical(op.instruction)
-            if slots[index] != new:
-                slots[index] = new
-                changed_slots.add(index + 1)
-        elif kind is Truncate:
-            new_len = op.new_len
-            if not 0 <= new_len <= length:
-                raise InvalidResult(f"cannot truncate to {new_len}")
-            if new_len < prev.frozen_prefix_len:
-                raise FrozenViolation("truncation into the frozen prefix")
-            if slots is None:
-                slots = [*old, *tail]
-            changed_slots.update(range(new_len + 1, length + 1))
-            del slots[new_len:]
-            length = new_len
-            every_row = True
-        else:
-            raise InvalidResult(f"unknown edit op {op!r}")
-
-    for key in entries if every_row or not prev.rows_fit() else changed_keys:
-        if not 0 <= entries[key] <= length:
-            # Name the first row out of range in table order, as a full check does.
-            bad = next(k for k, slot in entries.items() if not 0 <= slot <= length)
-            raise InvalidResult(f"entry {bad} points at slot {entries[bad]}, beyond program end")
-
-    instructions = old + tuple(tail) if slots is None else tuple(slots)
-    new_program = SolverProgram._owning(
-        instructions, entries, prev.frozen_prefix_len, prev.frozen_entry_keys
-    )
-    return new_program, Changed(frozenset(changed_slots), frozenset(changed_keys))
-
-
-_APPEND = frozenset((Append,))
-_INSTRUCTION = itemgetter(0)  # an Append's instruction
-
-
-def appended_segment(prev: SolverProgram, edits: tuple) -> Optional[tuple]:
-    """The code a script of Appends followed by SetEntry(key, len(prev))
-    appends, worked out without building q, in O(edit).
-
-    q is prev with the code appended and key routed at its first slot.  The
-    code holds the shared instruction tuples of _CANONICAL, as q does.  Only
-    for a script of canonical instructions on a prev whose rows all fit:
-    apply_modification accepts such a script unless the key is frozen and
-    the script moves its row, and then this raises the same FrozenViolation.
-    Any other script gives None.
-    """
-    start = len(prev.instructions)
-    if not edits or type(edits[-1]) is not SetEntry or edits[-1].slot != start:
-        return None
-    appends = edits[:-1]
-    if not _APPEND.issuperset(map(type, appends)):
-        return None
-    try:
-        code = tuple(map(_CANONICAL.get, map(_INSTRUCTION, appends)))
-    except TypeError:  # unhashable parts
-        return None
-    if None in code or not prev.rows_fit():
-        return None
-    key = edits[-1].key
-    if prev.entries.get(key) != start and key in prev.frozen_entry_keys:
-        raise FrozenViolation(f"entry for {key} is frozen")
-    return code
-
-
-def segment_changed(prev: SolverProgram, edits) -> Changed:
-    """apply_modification's Changed for a script appended_segment accepts:
-    the appended slots, and the key when its row moves."""
-    start = len(prev.instructions)
-    key = edits[-1].key
-    return Changed(
-        frozenset(range(start + 1, start + len(edits))),
-        frozenset() if prev.entries.get(key) == start else frozenset((key,)),
-    )
+    low, patched, tail, rows, slots, grown = read_edit(prev, edits)
+    end = len(prev.instructions)
+    head = prev.instructions[:low]
+    if patched:
+        head = list(head)
+        for index, instruction in patched.items():
+            head[index] = instruction
+        head = tuple(head)
+    entries = {**prev.entries, **rows}
+    q = SolverProgram._owning(head + tail, entries, prev.frozen_prefix_len, prev.frozen_entry_keys)
+    return q, Changed(frozenset((*slots, *range(end + 1, end + grown + 1))), frozenset(rows))
 
 
 def size_change(prev: SolverProgram, edits) -> int:
-    """L(q) - L(prev) for q = apply_modification(prev, edits)[0], without building q.
-
-    Only for a script that apply_modification accepts.  The slots the script
-    writes are tracked over prev's, and a truncation drops what lies past
-    it, so the work is in proportion to the edit, not to the solver: every
-    slot below the lowest truncation that the script does not write keeps
-    its instruction, and every slot at or past it that q has was appended.
-    """
-    width = SOLVER_ISA.width
+    """L(q) - L(prev) for q = apply_modification(prev, edits)[0], read off
+    the script's reading without building q; only for a script it accepts."""
+    low, patched, tail, rows, _slots, _grown = read_edit(prev, edits)
     old = prev.instructions
-    length = low = len(old)
-    written: dict = {}  # 0-based slot -> the instruction last written there
-    new_keys = set()
-    for op in edits:
-        if isinstance(op, SetSlot):
-            written[op.index] = op.instruction
-        elif isinstance(op, Append):
-            written[length] = op.instruction
-            length += 1
-        elif isinstance(op, Truncate):
-            length = op.new_len
-            low = min(low, length)
-            written = {k: v for k, v in written.items() if k < length}
-        elif op.key not in prev.entries:
-            new_keys.add(op.key)
-    delta = ENTRY_BITS * len(new_keys)
-    for k in range(low, len(old)):
-        delta -= width(old[k][0])
-    for k, instruction in written.items():
-        delta += width(instruction[0])
-        if k < low:
-            delta -= width(old[k][0])
-    return delta
+    return (
+        ENTRY_BITS * len(rows.keys() - prev.entries.keys())
+        + program_bits(tail) - program_bits(old[low:])
+        + program_bits(patched.values()) - program_bits(map(old.__getitem__, patched))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,9 @@ DAMAGE = {
     "i a string": ("I", 2),
     "origin bogus": ("I", 2),
     "appended past the solver": ("I", 2),
+    "frozen_prefix_len 3": ("I", 2),
+    "every entry key frozen": ("I", 2),
+    "frozen as in prefix mode": ("I", 2),
 }
 
 
@@ -222,6 +225,13 @@ def _damaged(lines, damage):
         data["meta"]["appended"] = 5
     elif damage == "appended past the solver":
         data["meta"]["appended"] = [1000000, 2]
+    elif damage == "frozen_prefix_len 3":
+        data["solver"]["frozen_prefix_len"] = 3
+    elif damage == "every entry key frozen":
+        data["solver"]["frozen_entry_keys"] = sorted(data["solver"]["entries"])
+    elif damage == "frozen as in prefix mode":  # entry 1 freezes nothing
+        data["solver"]["frozen_prefix_len"] = data["meta"]["solver_slots"]
+        data["solver"]["frozen_entry_keys"] = sorted(data["solver"]["entries"])
     elif damage == "i a string":
         data["i"] = "2"
     elif damage == "origin bogus":
@@ -415,6 +425,46 @@ def test_resuming_under_the_other_variant_exits_two_and_writes_nothing(
     assert events[-1]["event"] == "config_error"
     assert f"variant {archived} archive as variant {asked}" in events[-1]["error"]
     assert path.read_text() == text + '{"i": 5, "orig'
+
+
+@pytest.fixture(scope="module")
+def prefix_archive(tmp_path_factory):
+    """The lines of a variant I gridworld archive grown in prefix mode, two entries."""
+    cfg, res = small_run(tmp_path_factory.mktemp("prefix"), max_tasks=2, prefix_mode=True)
+    assert res.accepted == 2
+    return open(cfg.archive_path).read().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("archived", ["prefix", "free"])
+def test_resuming_with_the_other_prefix_mode_exits_two_and_writes_nothing(
+    tmp_path, capsys, four_entry_archives, prefix_archive, archived
+):
+    # Appending would mix snapshots that freeze every slot and row with
+    # snapshots that freeze none.
+    path = tmp_path / "archive.jsonl"
+    text = "".join(prefix_archive if archived == "prefix" else four_entry_archives["I"])
+    path.write_text(text)
+    argv = _command("run", path, "I", tmp_path) + ([] if archived == "prefix" else ["--prefix-mode"])
+    assert run_cli(argv) == 2
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert events[-1]["event"] == "config_error"
+    assert "prefix mode" in events[-1]["error"]
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize("command", ["audit", "report", "run"])
+def test_a_snapshot_row_past_its_code_exits_three_and_names_the_entry(
+    tmp_path, capsys, four_entry_archives, command
+):
+    # No edit routes a key past the solver's end, so only damage brings such
+    # a row in; a solver resumed from it would refuse every edit script.
+    lines = list(four_entry_archives["I"])
+    data = json.loads(lines[3])
+    key = min(data["solver"]["entries"])
+    data["solver"]["entries"][key] = 999
+    lines[3] = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    error = _assert_corrupt(tmp_path, capsys, command, "I", lines, 4)
+    assert f"entry {key} points at slot 999, beyond program end" in error
 
 
 def test_a_variant_two_run_with_external_tasks_writes_a_ledger_in_every_entry(tmp_path):

@@ -431,13 +431,13 @@ def test_run_table_records_cover_every_way_a_run_ends():
 
 def _check_segment_runs(prefixes, code, task, trace, index):
     """For each solver s in ``prefixes``, q = s with ``code`` appended and
-    the task's key routed at it: the answer a SegmentEdit reads off one
+    the task's key routed at it: the answer its edit record reads off one
     segment table, shared by every s, is record_run on the built q, raised
     errors included.  The table stores a record exactly when the code run
     alone does not end in a bad jump, and then q is never built."""
     from autodidact.search import edit_record, fresh_caches
     from autodidact.tasks import _recorded
-    from autodidact.validate import LEAVES, SegmentEdit, SegmentTable
+    from autodidact.validate import LEAVES, SegmentTable
     from autodidact.vm import BAD_JUMP, Append, SetEntry, apply_modification
 
     table = SegmentTable()
@@ -445,7 +445,7 @@ def _check_segment_runs(prefixes, code, task, trace, index):
         script = [Append(i) for i in code] + [SetEntry(task.entry_key, len(s.instructions))]
         q, _changed = apply_modification(s, script)
         edit = edit_record(fresh_caches(), script, s)
-        assert isinstance(edit, SegmentEdit) and edit.q is None
+        assert edit.code == code and edit.q is None
         got = _raised(lambda: edit.q_record(task, trace, index, table))
         assert got == _raised(lambda: record_run(q, task, trace))
         if isinstance(got[0], type):

@@ -14,10 +14,8 @@ from autodidact.vm import (
     SetSlot,
     SolverProgram,
     Truncate,
-    appended_segment,
     apply_modification,
     run_solver,
-    segment_changed,
     size_change,
 )
 
@@ -216,13 +214,13 @@ def test_edit_ops_are_immutable_tuples_kept_apart_by_kind():
     # field can be assigned to.  Ops of different kinds never compare equal,
     # so scripts that differ only in an op's kind are distinct keys of the
     # phase's edits table, each with its own record, and the size change
-    # worked out from each accepted script is its q's.  A script that
-    # appends a segment and routes a key at slot |s| gets a SegmentEdit,
-    # whose fault (a frozen key among them) and changed set come from the
-    # script alone; they and the q it builds on first use are
-    # apply_modification's.
+    # worked out from each accepted script is its q's.  Every script's
+    # record is made from its reading, with no q built: its fault (a frozen
+    # key among them) is apply_modification's, and so are its changed set
+    # and the q it builds on first use.  A script that appends a segment and
+    # routes a key at slot |s| keeps the segment as its code, and so does
+    # any script whose q is s with code appended and no other row moved.
     from autodidact.search import edit_record, fresh_caches
-    from autodidact.validate import SegmentEdit
 
     ins = (2, (7,))
     assert tuple(SetSlot(1, ins)) == (1, ins) and SetSlot(1, ins).instruction == ins
@@ -253,8 +251,9 @@ def test_edit_ops_are_immutable_tuples_kept_apart_by_kind():
     for script in scripts:
         edit_record(caches, list(script), prog)
     assert list(caches["edits"]) == scripts
-    lazy = {"ok": 0, "frozen": 0}
+    lazy = {"routed": 0, "segment": 0, "frozen": 0}
     for script, record in caches["edits"].items():
+        assert record.q is None
         routed = type(script[-1]) is SetEntry and script[-1].slot == len(code) and all(
             type(op) is Append for op in script[:-1]
         )
@@ -264,14 +263,47 @@ def test_edit_ops_are_immutable_tuples_kept_apart_by_kind():
             assert record.fault == f"bad_edit: {exc}"
             lazy["frozen"] += routed
             continue
-        assert record.fault is None and isinstance(record, SegmentEdit) == routed
-        if routed:
-            assert record.q is None and record.changes() == changed
-            lazy["ok"] += 1
+        assert record.fault is None and record.changes() == changed
+        if record.code is not None:
+            assert q.instructions == code + record.code and record.q is None
+            lazy["segment"] += 1
+            lazy["routed"] += routed
+        else:
+            assert not routed
         assert record.applied() == (q, changed)
         assert prog.size_bits + size_change(prog, script) == q.size_bits
-    # SetEntry at |s| alone or after either Append, for the free and the frozen key.
-    assert lazy == {"ok": 3, "frozen": 3}
+    # SetEntry at |s| alone or after either Append, for the free and the
+    # frozen key.  The other segments are the scripts made only of Appends,
+    # SetSlots that write what a slot holds, the frozen key's row set where
+    # it is, and the free key routed at |s| before or after other such ops.
+    assert lazy == {"routed": 3, "segment": 33, "frozen": 3}
+
+
+def test_a_routing_only_record_holds_no_q_until_a_stage_applies_it(monkeypatch):
+    # SetEntry(k, j) with j < |s| moves a row and appends nothing: its
+    # record is read from the script alone, and q is built, through the
+    # search module's apply_modification, only when a stage calls applied().
+    from autodidact import search
+    from autodidact.search import edit_record, fresh_caches
+
+    builds = []
+
+    def counting(prev, edits):
+        builds.append(edits)
+        return apply_modification(prev, edits)
+
+    monkeypatch.setattr(search, "apply_modification", counting)
+    prog = asm("PUSH 1\nOUTPUT\nHALT")
+    key = BitString.from_str("1").to_hex()
+    script = (SetEntry(key, 1),)
+    record = edit_record(fresh_caches(), script, prog)
+    assert record.q is None and record.changed is None and builds == []
+    assert record.fault is None and record.code is None
+    q, changed = record.applied()
+    assert builds == [script] and (q, changed) == apply_modification(prog, script)
+    assert record.changes() == changed and builds == [script]
+    record.release()
+    assert record.q is None and record.changed is None
 
 
 def test_disassembly_round_trips():
@@ -384,8 +416,8 @@ def test_apply_modification_matches_the_reference_over_random_scripts():
              (9, (1.5,)), None, "x", (2,), (2, (1,), 0)]
         )
 
-    # The first word of each outcome, by kind of script, and what
-    # appended_segment made of the scripts it accepts.
+    # The first word of each outcome, by kind of script, and what came of
+    # the scripts that append a segment and route a key at prev's end.
     seen = {True: set(), False: set(), "segment": set()}
     for trial in range(3000):
         m = rng.randrange(0, 8)
@@ -421,46 +453,62 @@ def test_apply_modification_matches_the_reference_over_random_scripts():
         if appends_only and rng.random() < 0.3:  # a segment routed at prev's end
             edits = [op for op in edits if type(op) is Append] + [SetEntry(rng.choice(keys), m)]
         outcome = _check_edit(prev, edits)
-        seen[appends_only].add(outcome[1].split()[0] if isinstance(outcome[0], type) else "ok")
-        try:
-            if appended_segment(prev, tuple(edits)) is not None:
-                seen["segment"].add("ok")
-        except FrozenViolation:
-            seen["segment"].add("frozen")
-    # Both kinds of script reach every check that can reject them, and
-    # appended_segment works out both of its outcomes.
+        word = outcome[1].split()[0] if isinstance(outcome[0], type) else "ok"
+        seen[appends_only].add(word)
+        if _routed(prev, edits):
+            seen["segment"].add("frozen" if outcome[0] is FrozenViolation else word)
+    # Both kinds of script reach every check that can reject them, and so do
+    # routed segments: a frozen key, a bad instruction, a row of prev past
+    # its end.
     assert seen[True] == {"ok", "entry", "bad"}
     assert seen[False] == {"ok", "entry", "bad", "slot", "cannot", "truncation", "unknown"}
-    assert seen["segment"] == {"ok", "frozen"}
+    assert seen["segment"] == {"ok", "frozen", "bad", "entry"}
+
+
+def _routed(prev, edits) -> bool:
+    """Whether the script appends and then routes a key at prev's end."""
+    return bool(edits) and type(edits[-1]) is SetEntry and edits[-1].slot == len(
+        prev.instructions
+    ) and all(type(op) is Append for op in edits[:-1])
 
 
 def _check_edit(prev, edits):
-    """apply_modification against its frozen reference (tests/reference_edits.py)."""
+    """apply_modification, and the record the search makes of the script,
+    against the frozen reference (tests/reference_edits.py): the record's
+    fault, changed set and size change (vm.size_change, which fills the
+    record's), and, where q is prev with code appended, that code."""
     import reference_edits
+    from autodidact.search import edit_record, fresh_caches
 
     outcome = _outcome(apply_modification, prev, edits)
     assert outcome == _outcome(reference_edits.apply_modification, prev, edits), (
         prev.to_json(), edits
     )
     try:
-        code = appended_segment(prev, tuple(edits))
-    except FrozenViolation as exc:
-        assert outcome == (FrozenViolation, str(exc))
-        code = None
-    if not isinstance(outcome[0], type):
-        q, changed = apply_modification(prev, edits)
-        assert prev.size_bits + size_change(prev, edits) == q.size_bits
-        if code is not None:
-            # The script's segment is q's appended code, routed at prev's
-            # end, and holds the same shared instruction tuples as q.
-            start = len(prev.instructions)
-            assert segment_changed(prev, edits) == changed
-            assert q.instructions == prev.instructions + code
-            assert all(a is b for a, b in zip(code, q.instructions[start:]))
-            assert q.entries[edits[-1].key] == start
-        # Every row of q fits it, which is what lets q's own edits check
-        # only the rows they write.
-        assert q.rows_fit() and SolverProgram(q.instructions, q.entries).rows_fit()
+        hash(tuple(edits))
+    except TypeError:  # a list of immediates: no key of the phase's edits table
+        return outcome
+    record = edit_record(fresh_caches(), edits, prev)
+    assert record.q is None
+    if isinstance(outcome[0], type):
+        assert record.fault == f"bad_edit: {outcome[1]}"
+        return outcome
+    q, changed = reference_edits.apply_modification(prev, edits)
+    assert record.fault is None and record.changes() == changed
+    assert prev.size_bits + size_change(prev, edits) == q.size_bits
+    start = len(prev.instructions)
+    if record.code is not None:
+        # q is prev with the code appended, and at most the record's key
+        # moved, to prev's end.
+        assert q.instructions == prev.instructions + record.code
+        assert changed.entry_keys == ({record.key} if record.key is not None else set())
+        assert record.key is None or q.entries[record.key] == start
+    else:
+        assert not _routed(prev, edits)
+    assert _outcome(lambda *_: record.applied(), prev, edits) == outcome
+    # Every row of q fits it, which is what lets q's own edits check only
+    # the rows they write.
+    assert q.rows_fit() and SolverProgram(q.instructions, q.entries).rows_fit()
     return outcome
 
 
