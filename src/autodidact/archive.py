@@ -317,10 +317,9 @@ class Replay:
             raise ArchiveCorrupt(entry.i, f"frozen fields {fields} freeze neither nothing nor all")
         if fields == (0, []) == (slots, rows):
             return  # an empty snapshot is in both forms
-        if self.frozen is None:
-            self.frozen = frozen
-        elif frozen != self.frozen:
+        if self.frozen not in (None, frozen):
             raise ArchiveCorrupt(entry.i, f"frozen fields {fields} differ in form from earlier ones")
+        self.frozen = frozen
 
     def _carries_ledger(self, entry: ArchiveEntry) -> bool:
         """Whether the entry carries a ledger, which it must do as entry 1 does."""

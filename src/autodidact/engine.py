@@ -65,7 +65,7 @@ from .validate import (
     table_run,
     update_usage,
 )
-from .vm import EMPTY_SOLVER, SolverProgram, size_change
+from .vm import EMPTY_SOLVER, SolverProgram
 
 
 @dataclass
@@ -133,10 +133,8 @@ class Engine:
             )
         if replay.frozen not in (None, self.config.prefix_mode):
             # Appending would mix snapshots that freeze everything with ones that do not.
-            raise ConfigError(
-                f"cannot resume an archive {'in' if replay.frozen else 'out of'} prefix mode "
-                f"{'without' if replay.frozen else 'with'} --prefix-mode"
-            )
+            mode = "with" if self.config.prefix_mode else "without"
+            raise ConfigError(f"cannot resume an archive of the other prefix mode {mode} --prefix-mode")
         if entries:
             last = entries[-1]
             self.solver = last.solver_program()
@@ -466,15 +464,13 @@ class Engine:
 
         # Every other task keeps its contribution, so c differs from c* only
         # in L(q) - L(s) and in the tasks measured again; saves() decides
-        # c* - c > epsilon from those two integers.  L(q) - L(s) is worked
-        # out from the script, once per edit, by the first call to conclude.
-        if edit.size is None:
-            edit.size = size_change(self.solver, edit.script)
+        # c* - c > epsilon from those two integers.  The record works out
+        # L(q) - L(s) once per edit, on the first call to conclude.
         moved = sum(
             contribution(m, identity, ledger.origins, params) - ledger.contrib[identity]
             for identity, m in measures.items()
         )
-        accepted = saves(edit.size, moved, params)
+        accepted = saves(edit.size_change(), moved, params)
         if not (accepted or self.config.paranoid):
             return None, billed
         # c* is the ledger with the new task in it, c the same under q; an

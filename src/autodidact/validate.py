@@ -38,7 +38,7 @@ from .tasks import (
     segment_record,
     solves,
 )
-from .vm import Changed, SolverProgram
+from .vm import Changed, SolverProgram, read_edit, size_change
 
 
 class BudgetExhausted(Exception):
@@ -188,9 +188,8 @@ class EditRecord:
     are built by applied(), through ``apply``, only for a stage that needs
     them, and released after each judge call: a phase keeps thousands of
     records, and each q would be a copy of the phase's solver.
-    ``todo`` is the sorted revalidation set, filled on first use, and
-    ``size`` is L(q) - L(s), filled from the script (vm.size_change) by the
-    first judge call on the edit that concludes.
+    ``todo`` is the sorted revalidation set and ``size`` is L(q) - L(s)
+    (size_change), both filled on first use.
     ``pairs`` maps a task identity to the judge's conclusive verdict and
     bill (the pair cache), or to (CUT, floor) once a judge cut of that pair
     had a floor that is final for the phase: the least budget, counted from
@@ -241,6 +240,16 @@ class EditRecord:
             frozenset(range(start + 1, start + len(code) + 1)),
             frozenset() if self.key is None else frozenset((self.key,)),
         )
+
+    def size_change(self) -> int:
+        """L(q) - L(s): a segment's from its code and key, any other's from its reading."""
+        if self.size is None:
+            base, key = self.base, self.key
+            held = read_edit(base, self.script)[:4] if self.code is None else (
+                len(base.instructions), {}, self.code, () if key is None else (key,)
+            )
+            self.size = size_change(base, *held)
+        return self.size
 
     def revalidation(self, usage: UsageIndex) -> tuple:
         if self.todo is None:

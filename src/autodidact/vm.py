@@ -18,7 +18,7 @@ and component set only when they are read, so a run-table record
 (tasks.record_run), which reads neither, pays for neither.  An edit script
 is read once, in O(edit), by read_edit: its fault, what q holds beyond
 prev and q's changed set, without building q; apply_modification is that
-reading plus a build, and size_change reads L(q) - L(prev) off it.  The
+reading plus a build, and size_change sizes what the reading holds.  The
 commonest script the search proposes appends a segment and routes one key
 at it (Reading.segment).  Relative jumps, the end-of-program halt and the
 used flags do not depend on where code starts, so a run of q that starts
@@ -295,6 +295,8 @@ def _check_instruction(instr) -> tuple:
 
 # Every well-formed instruction, mapped to itself: a hit is already in the
 # canonical (code, int nibbles) form, so only the rest needs _check_instruction.
+# Edits write these shared tuples, so q and a segment cut from it hold the
+# same objects.
 _CANONICAL = {
     (code, args): (code, args)
     for code, spec in SOLVER_ISA.by_code.items()
@@ -306,7 +308,7 @@ def _canonical(instr) -> tuple:
     try:
         return _CANONICAL[instr]
     except (KeyError, TypeError):  # TypeError: unhashable parts, e.g. a list of immediates
-        return _check_instruction(instr)
+        return _CANONICAL[_check_instruction(instr)]
 
 
 class Reading(NamedTuple):
@@ -399,6 +401,19 @@ def read_edit(prev: SolverProgram, edits) -> Reading:
     return _new_tuple(Reading, (low, patched, tuple(tail), rows, slots, max(high, length) - end))
 
 
+def size_change(prev: SolverProgram, low: int, patched: dict, tail: tuple, keys) -> int:
+    """L(q) - L(prev) without building q, for q as a Reading holds it
+    (``size_change(prev, *reading[:4])``), its rows moved for ``keys``:
+    the rows q adds and the widths of the slots written, less those of
+    the slots they replace."""
+    old = prev.instructions
+    size = ENTRY_BITS * len(set(keys).difference(prev.entries)) + program_bits(tail) - OPCODE_BITS
+    if low < len(old) or patched:  # slots of prev cut or rewritten: the terminators cancel
+        size += OPCODE_BITS + program_bits(patched.values()) - program_bits(old[low:])
+        size -= program_bits(map(old.__getitem__, patched))
+    return size
+
+
 def apply_modification(prev: SolverProgram, edits) -> tuple[SolverProgram, Changed]:
     """Apply an edit script to a copy of prev; prev itself is untouched.
 
@@ -417,18 +432,6 @@ def apply_modification(prev: SolverProgram, edits) -> tuple[SolverProgram, Chang
     entries = {**prev.entries, **rows}
     q = SolverProgram._owning(head + tail, entries, prev.frozen_prefix_len, prev.frozen_entry_keys)
     return q, Changed(frozenset((*slots, *range(end + 1, end + grown + 1))), frozenset(rows))
-
-
-def size_change(prev: SolverProgram, edits) -> int:
-    """L(q) - L(prev) for q = apply_modification(prev, edits)[0], read off
-    the script's reading without building q; only for a script it accepts."""
-    low, patched, tail, rows, _slots, _grown = read_edit(prev, edits)
-    old = prev.instructions
-    return (
-        ENTRY_BITS * len(rows.keys() - prev.entries.keys())
-        + program_bits(tail) - program_bits(old[low:])
-        + program_bits(patched.values()) - program_bits(map(old.__getitem__, patched))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from autodidact.vm import (
     Truncate,
     apply_modification,
     run_solver,
-    size_change,
 )
 
 EMPTY = BitString()
@@ -254,9 +253,7 @@ def test_edit_ops_are_immutable_tuples_kept_apart_by_kind():
     lazy = {"routed": 0, "segment": 0, "frozen": 0}
     for script, record in caches["edits"].items():
         assert record.q is None
-        routed = type(script[-1]) is SetEntry and script[-1].slot == len(code) and all(
-            type(op) is Append for op in script[:-1]
-        )
+        routed = _routed(prog, script)
         try:
             q, changed = apply_modification(prog, script)
         except (InvalidResult, FrozenViolation) as exc:
@@ -271,7 +268,7 @@ def test_edit_ops_are_immutable_tuples_kept_apart_by_kind():
         else:
             assert not routed
         assert record.applied() == (q, changed)
-        assert prog.size_bits + size_change(prog, script) == q.size_bits
+        assert prog.size_bits + record.size_change() == q.size_bits
     # SetEntry at |s| alone or after either Append, for the free and the
     # frozen key.  The other segments are the scripts made only of Appends,
     # SetSlots that write what a slot holds, the frozen key's row set where
@@ -475,8 +472,8 @@ def _routed(prev, edits) -> bool:
 def _check_edit(prev, edits):
     """apply_modification, and the record the search makes of the script,
     against the frozen reference (tests/reference_edits.py): the record's
-    fault, changed set and size change (vm.size_change, which fills the
-    record's), and, where q is prev with code appended, that code."""
+    fault, changed set and size change, and, where q is prev with code
+    appended, that code, made of the shared instruction tuples q holds."""
     import reference_edits
     from autodidact.search import edit_record, fresh_caches
 
@@ -495,17 +492,19 @@ def _check_edit(prev, edits):
         return outcome
     q, changed = reference_edits.apply_modification(prev, edits)
     assert record.fault is None and record.changes() == changed
-    assert prev.size_bits + size_change(prev, edits) == q.size_bits
+    assert prev.size_bits + record.size_change() == q.size_bits
+    assert _outcome(lambda *_: record.applied(), prev, edits) == outcome
     start = len(prev.instructions)
     if record.code is not None:
         # q is prev with the code appended, and at most the record's key
-        # moved, to prev's end.
+        # moved, to prev's end.  The code holds the shared instruction
+        # tuples the record's own q holds (reference_edits has its own).
         assert q.instructions == prev.instructions + record.code
+        assert all(a is b for a, b in zip(record.code, record.applied()[0].instructions[start:]))
         assert changed.entry_keys == ({record.key} if record.key is not None else set())
         assert record.key is None or q.entries[record.key] == start
     else:
         assert not _routed(prev, edits)
-    assert _outcome(lambda *_: record.applied(), prev, edits) == outcome
     # Every row of q fits it, which is what lets q's own edits check only
     # the rows they write.
     assert q.rows_fit() and SolverProgram(q.instructions, q.entries).rows_fit()
