@@ -151,6 +151,16 @@ class ArchiveEntry:
         the code the two share (SolverProgram.from_json)."""
         return _decoded(self.i, "solver", SolverProgram.from_json, self.solver, after)
 
+    def checked_solver(self, after: Optional[SolverProgram] = None) -> SolverProgram:
+        """solver_program(after), which must have the ``solver_slots`` and
+        ``solver_bits`` the entry records, or ArchiveCorrupt: the next
+        entry's appended span starts at the recorded slot count."""
+        solver = self.solver_program(after)
+        size = (solver.component_count, solver.size_bits)
+        if (self.meta.get("solver_slots"), self.meta.get("solver_bits")) != size:
+            raise ArchiveCorrupt(self.i, f"solver_slots and solver_bits are not the snapshot's {size}")
+        return solver
+
     def task_obj(self) -> Task:
         return _decoded(self.i, "task", task_from_json, self.task)
 
@@ -238,9 +248,9 @@ class Replay:
     appended it, or the entry raises ArchiveCorrupt.  So must a snapshot
     whose frozen fields freeze other than nothing or, as prefix mode does,
     every slot and row, or other than the first non-empty snapshot does
-    (``frozen``).  Solvers are left to the caller: only the audit needs
-    every one, and it checks each entry's ``solver_slots`` against its
-    snapshot.
+    (``frozen``).  Solvers are left to the caller, who decodes them with
+    ``ArchiveEntry.checked_solver``: the audit every one, resume and report
+    the last.
     """
 
     def __init__(self, entries: list):

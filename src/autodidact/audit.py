@@ -55,9 +55,10 @@ def audit_archive(archive_path) -> AuditReport:
     within bounds, the frozen solver handles it, and the frozen solver still
     passes every earlier task (patterns re-run, decisions replayed against
     their stored traces).  An entry that does not decode raises
-    ArchiveCorrupt.  Each solver snapshot is decoded past the code it shares
-    with the one before it, with the outcome of a whole decode, and must
-    have the slot count and size its entry records.
+    ArchiveCorrupt, and so does a solver snapshot without the slot count
+    and size its entry records (ArchiveEntry.checked_solver).  Each snapshot
+    is decoded past the code it shares with the one before it, with the
+    outcome of a whole decode.
     """
     report = AuditReport()
     entries = load_archive(archive_path)
@@ -66,11 +67,7 @@ def audit_archive(archive_path) -> AuditReport:
     prev_solver = EMPTY_SOLVER
     measured = (None, {})  # the previous cost entry's solver and c measures
     for entry, _candidate, task, trace, params, ledger in replay:
-        solver = entry.solver_program(prev_solver)
-        size = (solver.component_count, solver.size_bits)
-        if (entry.meta.get("solver_slots"), entry.meta.get("solver_bits")) != size:
-            detail = f"solver_slots and solver_bits are not the snapshot's {size}"
-            report.failures.append(AuditFailure(entry.i, "snapshot", detail))
+        solver = entry.checked_solver(prev_solver)
         if params is None:
             _audit_strict_entry(
                 report, entry.i, prev_solver, solver, task, trace, replay.repertoire

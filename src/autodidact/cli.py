@@ -4,13 +4,14 @@ Exit codes: 0 success, 2 configuration error (for a malformed external-task
 line a ``config_error`` event names the line; resuming an archive under the
 other variant or prefix mode is one too), 3 audit mismatch or a damaged
 archive: a torn line before the last, an entry that does not decode (a
-solver row past its code included), whose index is no integer or breaks
+solver row that is no slot of its code included), whose index is no integer or breaks
 sequence, whose origin is neither "self" nor "external", whose appended
 span does not start at the previous solver's slot count, that carries a
-ledger, or freezes its solver, other than entry 1 does, or that holds a
-decision task without the trace it needs (any subcommand), or, for
-``run --resume``, a last entry whose ``solver_slots`` and ``solver_bits``
-are not its snapshot's (an ``archive_corrupt`` event names the entry), 4
+ledger, or freezes its solver, other than entry 1 does, whose cost
+parameters record an ``l_max`` other than 256, that holds a decision task
+without the trace it needs, or whose ``solver_slots`` and ``solver_bits``
+are not its snapshot's (every entry for ``audit``, the last for ``report``
+and ``run --resume``); an ``archive_corrupt`` event names the entry, 4
 search ceiling reached with zero acceptances in this run (entries read by
 ``--resume`` do not count).
 Progress events stream as one JSON object per line on standard error; all

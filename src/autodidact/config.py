@@ -48,8 +48,7 @@ class RunConfig:
     n_pattern: int = 1024
     t_grid: int = 48
     n_grid: int = 1024
-    # Stochastic searcher knobs
-    stoch_candidate_budget: int = 4096
+    # Stochastic searcher knob
     stoch_max_candidates: int = 500_000
     # Paths
     archive_path: str = "archive.jsonl"

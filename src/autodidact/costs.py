@@ -21,13 +21,14 @@ from typing import Optional
 from .tasks import DecisionTask, PatternTask, Task, record_run, replay_check, report_within, solves
 from .vm import SolverProgram
 
+L_MAX = 256  # every ledger entry records it in cost_params, and no term reads it
+
 
 @dataclass(frozen=True)
 class CostParams:
     alpha: Fraction = Fraction(1)
     epsilon: Fraction = Fraction(1)
     t_max: int = 500
-    l_max: int = 256  # no term reads it; ledger entries record it in cost_params
     r_new: int = 1000
     external_rewards: dict = field(default_factory=dict)  # task identity -> reward
 
@@ -43,17 +44,20 @@ class CostParams:
             "alpha": str(self.alpha),
             "epsilon": str(self.epsilon),
             "t_max": self.t_max,
-            "l_max": self.l_max,
+            "l_max": L_MAX,
             "r_new": self.r_new,
         }
 
     @classmethod
     def from_json(cls, data: dict, external_rewards: Optional[dict] = None) -> "CostParams":
+        """The stored parameters; an l_max other than L_MAX raises ValueError."""
+        l_max = data["l_max"]
+        if type(l_max) is not int or l_max != L_MAX:
+            raise ValueError(f"l_max {l_max!r} is not {L_MAX}")
         return cls(
             alpha=parse_ratio(data["alpha"]),
             epsilon=parse_ratio(data["epsilon"]),
             t_max=int(data["t_max"]),
-            l_max=int(data["l_max"]),
             r_new=int(data["r_new"]),
             external_rewards=dict(external_rewards or {}),
         )

@@ -20,7 +20,6 @@ from typing import Callable, Optional
 
 from .archive import (
     AlreadySolvable,
-    ArchiveCorrupt,
     ArchiveEntry,
     ExternalTask,
     Replay,
@@ -136,14 +135,7 @@ class Engine:
             mode = "with" if self.config.prefix_mode else "without"
             raise ConfigError(f"cannot resume an archive of the other prefix mode {mode} --prefix-mode")
         if entries:
-            last = entries[-1]
-            self.solver = last.solver_program()
-            size = (self.solver.component_count, self.solver.size_bits)
-            if (last.meta.get("solver_slots"), last.meta.get("solver_bits")) != size:
-                # The next entry's appended span would start at the wrong slot.
-                raise ArchiveCorrupt(
-                    last.i, f"solver_slots and solver_bits are not the snapshot's {size}"
-                )
+            self.solver = entries[-1].checked_solver()
         # Only an archive that decoded throughout may be rewritten.
         if repair_archive(path, entries):
             self.log({"event": "archive_repaired", "entries": len(entries)})
@@ -272,12 +264,7 @@ class Engine:
         if cfg.searcher == "oops":
             return oops_search(problem, cfg.step_ceiling, self.log)
         return stochastic_search(
-            problem,
-            cfg.seed,
-            phase,
-            cfg.stoch_candidate_budget,
-            cfg.stoch_max_candidates,
-            self.log,
+            problem, cfg.seed, phase, max_candidates=cfg.stoch_max_candidates, log=self.log
         )
 
     def _table_bill(self, task: Task, caches: dict) -> Optional[int]:

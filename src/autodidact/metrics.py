@@ -136,7 +136,9 @@ def write_summary(entries: list, path, config=None) -> None:
 
 def write_report(archive_path, out_dir) -> dict:
     """Emit the summary plus CSVs: solver growth, per-acceptance search cost,
-    component-reuse histogram, and the novel-versus-efficiency task mix."""
+    component-reuse histogram, and the novel-versus-efficiency task mix.
+    The summary reports the last entry's recorded solver size, so that
+    entry's snapshot must have it (ArchiveEntry.checked_solver)."""
     entries = load_archive(archive_path)
     histogram: dict[int, int] = {}
     if entries:
@@ -144,7 +146,7 @@ def write_report(archive_path, out_dir) -> dict:
         # measures its tasks as they were judged, under the stored parameters.
         replay = Replay(entries)
         last = list(replay)[-1]
-        usage, _ = rebuild_usage(entries[-1].solver_program(), replay.repertoire, last.params)
+        usage, _ = rebuild_usage(entries[-1].checked_solver(), replay.repertoire, last.params)
         histogram = {k: len(v) for k, v in sorted(usage.by_component.items()) if v}
 
     out = Path(out_dir)

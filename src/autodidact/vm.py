@@ -3,9 +3,12 @@
 A solver is an instruction sequence (one instruction slot = one addressable
 component, indexed from 1) plus an entry table mapping task identifier bits to
 a start slot.  Feeding an identifier whose key is in the table starts
-execution at the mapped slot; unknown identifiers start at slot 0.  The entry
-table is how one program serves many tasks without hand-searched dispatch
-code: the architecture routes, the code computes.
+execution at the mapped slot; unknown identifiers start at slot 0.  A row
+points at a slot from 0 to the program's end, which SolverProgram checks
+once, when the solver is made: a run starts where its row points, and an
+edit checks only the rows it moves, or every row when it shortens the
+solver.  The entry table is how one program serves many tasks without
+hand-searched dispatch code: the architecture routes, the code computes.
 
 Runs are pure functions of (program, input, environment value, budget).
 Adversarial programs are expected: stack faults, bad jumps, exhausted input
@@ -88,16 +91,12 @@ class InvalidResult(ValueError):
 
 
 class SolverProgram:
-    """Immutable solver: instruction slots, entry table, frozen prefix."""
+    """Immutable solver: instruction slots, entry table, frozen prefix.
 
-    __slots__ = (
-        "instructions",
-        "entries",
-        "frozen_prefix_len",
-        "frozen_entry_keys",
-        "_code",
-        "_rows_fit",
-    )
+    An entry row that is no int from 0 to len(instructions) raises
+    InvalidResult, naming its key."""
+
+    __slots__ = ("instructions", "entries", "frozen_prefix_len", "frozen_entry_keys", "_code")
 
     def __init__(
         self,
@@ -106,24 +105,29 @@ class SolverProgram:
         frozen_prefix_len: int = 0,
         frozen_entry_keys: frozenset = frozenset(),
     ):
-        object.__setattr__(self, "instructions", tuple(instructions))
-        object.__setattr__(self, "entries", dict(entries or {}))
+        instructions, entries = tuple(instructions), dict(entries or {})
+        end = len(instructions)
+        for key, slot in entries.items():
+            if type(slot) is not int:
+                raise InvalidResult(f"entry {key} points at {slot!r}, which is no slot")
+            if not 0 <= slot <= end:
+                raise InvalidResult(f"entry {key} points at slot {slot}, beyond program end")
+        object.__setattr__(self, "instructions", instructions)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "frozen_prefix_len", frozen_prefix_len)
         object.__setattr__(self, "frozen_entry_keys", frozenset(frozen_entry_keys))
         object.__setattr__(self, "_code", None)
-        object.__setattr__(self, "_rows_fit", None)
 
     @classmethod
     def _owning(cls, instructions: tuple, entries: dict, frozen_prefix_len, frozen_entry_keys):
-        """__init__ without its defensive copies, for apply_modification, whose
-        result has every entry row within its instructions."""
+        """__init__ without its copies and row check, for apply_modification,
+        whose reading has checked every row that might not fit q."""
         program = object.__new__(cls)
         object.__setattr__(program, "instructions", instructions)
         object.__setattr__(program, "entries", entries)
         object.__setattr__(program, "frozen_prefix_len", frozen_prefix_len)
         object.__setattr__(program, "frozen_entry_keys", frozen_entry_keys)
         object.__setattr__(program, "_code", None)
-        object.__setattr__(program, "_rows_fit", True)
         return program
 
     def __setattr__(self, name, val):
@@ -147,15 +151,6 @@ class SolverProgram:
         code = self._code
         bits = code.length if code is not None else program_bits(self.instructions)
         return bits + ENTRY_BITS * len(self.entries)
-
-    def rows_fit(self) -> bool:
-        """Whether every entry row points at a slot from 0 to the program's end."""
-        fit = self._rows_fit
-        if fit is None:
-            end = len(self.instructions)
-            fit = all(0 <= slot <= end for slot in self.entries.values())
-            object.__setattr__(self, "_rows_fit", fit)
-        return fit
 
     def entry_for(self, input_bits: BitString) -> int:
         return self.entries.get(input_bits.to_hex(), 0)
@@ -197,9 +192,8 @@ class SolverProgram:
         When the code starts with after's code without its terminator, only
         the rest is decoded.  The code is prefix-free and decoded in order,
         so the result, and any error a damaged snapshot raises, equal a
-        decode of the whole code.  An entry row outside 0..len(code), which
-        no edit builds, raises InvalidResult: the edits of a solver resumed
-        from it would check its rows and reject every script.
+        decode of the whole code.  A row outside the code raises
+        InvalidResult, as it does for any solver made.
         """
         bits = BitString.from_hex(data["code"])
         head, start = (), 0
@@ -216,12 +210,8 @@ class SolverProgram:
             head + decoded.instructions,
             dict(data.get("entries", {})),
             int(data.get("frozen_prefix_len", 0)),
-            frozenset(data.get("frozen_entry_keys", ())),
+            data.get("frozen_entry_keys", ()),
         )
-        if not program.rows_fit():
-            end = len(program.instructions)
-            key, slot = next((k, s) for k, s in program.entries.items() if not 0 <= s <= end)
-            raise InvalidResult(f"entry {key} points at slot {slot}, beyond program end")
         object.__setattr__(program, "_code", bits)  # the whole code decoded: it is canonical
         return program
 
@@ -348,8 +338,8 @@ def read_edit(prev: SolverProgram, edits) -> Reading:
 
     Raises what apply_modification raises: frozen slots and rows reject the
     whole edit, and so does a row past q's end.  Only the rows the script
-    moves are checked, unless q is shorter than prev or a row of prev is
-    out of range."""
+    moves are checked, unless q is shorter than prev: every row of prev
+    fits prev, so it fits a q at least as long."""
     old = prev.instructions
     low = high = end = len(old)  # high: the longest q was before a truncation
     frozen_len, entries = prev.frozen_prefix_len, prev.entries
@@ -392,8 +382,7 @@ def read_edit(prev: SolverProgram, edits) -> Reading:
         else:
             raise InvalidResult(f"unknown edit op {op!r}")
     length = low + len(tail)
-    every_row = length < end or not prev.rows_fit()
-    for slot in ({**entries, **rows} if every_row else rows).values():
+    for slot in ({**entries, **rows} if length < end else rows).values():
         if not 0 <= slot <= length:
             table = {**entries, **rows}
             bad = next(k for k, slot in table.items() if not 0 <= slot <= length)
@@ -502,8 +491,6 @@ def run_solver(
     instrs = program.instructions
     m = len(instrs)
     pc = program.entry_for(input_bits) if entry_key is None else program.entries.get(entry_key, 0)
-    if pc > m:
-        pc = 0
 
     stack: list[int] = []
     memory = [0] * MEMORY_CELLS

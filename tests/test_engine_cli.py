@@ -181,6 +181,7 @@ DAMAGE = {
     "appended no pair": ("I", 2),
     "search_steps a string": ("I", 2),
     "cost_params missing": ("II", 2),
+    "l_max 255": ("II", 2),
     "p not bits": ("I", 2),
     "p no program": ("I", 2),
     "meta not an object": ("I", 2),
@@ -246,6 +247,8 @@ def _damaged(lines, damage):
         data["meta"] = []
     elif damage == "c not a ratio":
         data["c"] = "abc"
+    elif damage == "l_max 255":
+        data["meta"]["cost_params"]["l_max"] = 255
     elif damage.startswith("reward"):
         data["origin"] = "external"
         data["meta"]["reward"] = {"string": "abc", "float": 9.5, "bool": True}[damage.split()[-1]]
@@ -373,29 +376,18 @@ def test_a_stripped_ledger_exits_three_and_names_the_entry(
 
 
 @pytest.mark.parametrize("variant", ["I", "II"])
-def test_a_solver_size_that_is_not_its_snapshots_fails_the_audit(
-    tmp_path, capsys, four_entry_archives, variant
+@pytest.mark.parametrize("command", ["audit", "report", "run"])
+def test_a_solver_size_that_is_not_its_snapshots_exits_three_and_names_the_entry(
+    tmp_path, capsys, four_entry_archives, command, variant
 ):
+    # The last entry's recorded size is checked the one way by every
+    # command: a resume would append an entry whose span starts at the
+    # wrong slot, and a report would give the wrong final solver size.
     lines = list(four_entry_archives[variant])
     data = json.loads(lines[-1])
     data["meta"]["solver_slots"] += 1
     lines[-1] = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-    path = tmp_path / "archive.jsonl"
-    path.write_text("".join(lines))
-    assert run_cli(["audit", str(path)]) == EXIT_AUDIT
-    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
-    failures = [e for e in events if e["event"] == "audit_failure"]
-    assert [(f["phase"], f["check"]) for f in failures] == [(4, "snapshot")], failures
-
-
-def test_a_resume_checks_the_last_snapshots_size(tmp_path, capsys, four_entry_archives):
-    # Appending after a wrong solver_slots would write an entry every later
-    # load rejects; the resume names the tampered entry instead.
-    lines = list(four_entry_archives["I"])
-    data = json.loads(lines[-1])
-    data["meta"]["solver_slots"] += 1
-    lines[-1] = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
-    error = _assert_corrupt(tmp_path, capsys, "run", "I", lines, 4)
+    error = _assert_corrupt(tmp_path, capsys, command, variant, lines, 4)
     assert "solver_slots and solver_bits are not the snapshot's" in error
 
 
@@ -452,19 +444,22 @@ def test_resuming_with_the_other_prefix_mode_exits_two_and_writes_nothing(
     assert path.read_text() == text
 
 
+@pytest.mark.parametrize("row", [999, 1.5])
 @pytest.mark.parametrize("command", ["audit", "report", "run"])
 def test_a_snapshot_row_past_its_code_exits_three_and_names_the_entry(
-    tmp_path, capsys, four_entry_archives, command
+    tmp_path, capsys, four_entry_archives, command, row
 ):
-    # No edit routes a key past the solver's end, so only damage brings such
-    # a row in; a solver resumed from it would refuse every edit script.
+    # No edit routes a key past the solver's end, or at a slot that is no
+    # int, so only damage brings such a row in; a run would start outside
+    # the code, or index it with the row and fail.
     lines = list(four_entry_archives["I"])
     data = json.loads(lines[3])
     key = min(data["solver"]["entries"])
-    data["solver"]["entries"][key] = 999
+    data["solver"]["entries"][key] = row
     lines[3] = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
     error = _assert_corrupt(tmp_path, capsys, command, "I", lines, 4)
-    assert f"entry {key} points at slot 999, beyond program end" in error
+    reason = "slot 999, beyond program end" if row == 999 else "1.5, which is no slot"
+    assert f"entry {key} points at {reason}" in error
 
 
 def test_a_variant_two_run_with_external_tasks_writes_a_ledger_in_every_entry(tmp_path):

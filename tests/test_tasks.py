@@ -397,16 +397,14 @@ def test_a_run_table_record_is_the_live_reports(case):
 
 def test_run_table_records_cover_every_way_a_run_ends():
     # Fixed cases for what random generation may miss: a fault, a timeout,
-    # a solver that solves the task but sits at its size bound n, a missing
-    # pattern, and successes in all three domains.
+    # a solver that solves the task but sits at its size bound n, and
+    # successes in all three domains.
     world = WORLDS[0]
     walk = SolverProgram(grid_walk(world, world.goals[0]))
     grid = DecisionTask(nibble(1) + nibble(0), GoalSpec(world.goals[0]), 40, 1024, world)
     trace = solve_decision(walk, grid)[1]
     copy = SolverProgram(copy_query_loop())
     copy_t = copy_task(t=64)
-    missing = copy_task()
-    object.__setattr__(missing, "i1", PATTERN_COUNT)
     cases = {
         "success": (copy, copy_t, None),
         "live": (walk, grid, None),
@@ -415,7 +413,6 @@ def test_run_table_records_cover_every_way_a_run_ends():
         "timeout": (SolverProgram(SOLVER_ISA.assemble("PUSH 1\nJMP -2")), copy_t, None),
         "size bound": (copy, copy_task(t=64, n=copy.component_count), None),
         "replay diverges": (SolverProgram(SOLVER_ISA.assemble("PUSH 9\nACT\nHALT")), grid, trace),
-        "missing pattern": (copy, missing, None),
     }
     got = {name: _check_record(*case, range(0, 70, 7)) for name, case in cases.items()}
     assert got["success"][0] == HALTED and got["success"][2]
@@ -423,7 +420,6 @@ def test_run_table_records_cover_every_way_a_run_ends():
     assert got["fault"][0] == FAULTED and got["timeout"][0] == TIMED_OUT
     assert got["size bound"][0] == HALTED and not got["size bound"][2]
     assert got["replay diverges"][0] == HALTED and not got["replay diverges"][2]
-    assert got["missing pattern"][0] is MissingPattern
 
 
 # -- segment runs against runs of the built q --------------------------------
@@ -531,8 +527,5 @@ def test_a_segment_run_that_jumps_below_its_start_is_never_stored():
     timeout = replace(task, t=1)
     assert _check_segment_runs([s], back, timeout, None, 0) == (TIMED_OUT, 1, False, 1)
     assert _check_segment_runs([s], ahead, task, None, 0) == (FAULTED, 1, False, 1)
-    # Runs that stay in the segment are stored; a missing pattern raises.
+    # Runs that stay in the segment are stored.
     assert _check_segment_runs([s], SOLVER_ISA.assemble("PUSH 1\nOUTPUT\nHALT"), task, None, 0)[2]
-    missing = copy_task()
-    object.__setattr__(missing, "i1", PATTERN_COUNT)
-    assert _check_segment_runs([s], copy_query_loop(), missing, None, 0)[0] is MissingPattern

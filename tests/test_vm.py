@@ -208,6 +208,21 @@ def test_invalid_instructions_are_rejected():
         apply_modification(prog, [SetEntry("1:80", 5)])  # beyond program end
 
 
+def test_a_row_outside_the_code_is_rejected_when_the_solver_is_made():
+    # A row points at a slot from 0 to the program's end, where a run halts
+    # at once.  Any other row is rejected when the solver is made, naming
+    # its key, so a run never starts outside the code.
+    code = SOLVER_ISA.assemble("PUSH 1\nOUTPUT\nHALT")
+    for slot in (-1, len(code) + 1):
+        with pytest.raises(InvalidResult, match=f"^entry 1:80 points at slot {slot}, beyond"):
+            SolverProgram(code, {"1:80": slot})
+    for row in (1.5, True, "1"):  # a run would index the code with it
+        with pytest.raises(InvalidResult, match="^entry 1:80 points at .*, which is no slot"):
+            SolverProgram(code, {"1:80": row})
+    run = run_solver(SolverProgram(code, {"1:80": len(code)}), BitString.from_str("1"), None, 9)
+    assert (run.halted, run.halt_reason, run.steps_used) == (True, "end", 0)
+
+
 def test_edit_ops_are_immutable_tuples_kept_apart_by_kind():
     # Edit ops are NamedTuples: fields read by name and by position, and no
     # field can be assigned to.  Ops of different kinds never compare equal,
@@ -391,9 +406,9 @@ def test_apply_modification_matches_the_reference_over_random_scripts():
     # Same program, Changed, exception type and message as the frozen
     # reference (tests/reference_edits.py) on scripts full of bad input: bad
     # nibbles, bool immediates, unknown or malformed instructions, frozen
-    # slots and rows, out-of-range slots and truncations, rows past the end
-    # (in the script and already in prev), unknown edit ops.  The size
-    # change worked out from the script matches the size recomputed in full.
+    # slots and rows, out-of-range slots and truncations, rows past the end,
+    # unknown edit ops.  The size change worked out from the script matches
+    # the size recomputed in full.
     rng = random.Random(20261018)
     codes = SOLVER_ISA.codes()
     keys = [BitString(v, 3).to_hex() for v in range(5)]
@@ -421,10 +436,6 @@ def test_apply_modification_matches_the_reference_over_random_scripts():
         instrs = tuple((c, tuple(rng.randrange(16) for _ in range(SOLVER_ISA.by_code[c].nibbles)))
                        for c in (rng.choice(codes) for _ in range(m)))
         entries = {k: rng.randrange(m + 1) for k in rng.sample(keys, rng.randrange(3))}
-        if rng.random() < 0.1:
-            entries[rng.choice(keys)] = m + rng.randrange(1, 3)  # a row already past the end
-        if rng.random() < 0.05:
-            entries[rng.choice(keys)] = -1
         frozen = rng.randrange(m + 1) if rng.random() < 0.3 else 0
         frozen_keys = frozenset(k for k in entries if rng.random() < 0.3)
         prev = SolverProgram(instrs, entries, frozen, frozen_keys)
@@ -455,11 +466,10 @@ def test_apply_modification_matches_the_reference_over_random_scripts():
         if _routed(prev, edits):
             seen["segment"].add("frozen" if outcome[0] is FrozenViolation else word)
     # Both kinds of script reach every check that can reject them, and so do
-    # routed segments: a frozen key, a bad instruction, a row of prev past
-    # its end.
+    # routed segments: a frozen key, a bad instruction.
     assert seen[True] == {"ok", "entry", "bad"}
     assert seen[False] == {"ok", "entry", "bad", "slot", "cannot", "truncation", "unknown"}
-    assert seen["segment"] == {"ok", "frozen", "bad", "entry"}
+    assert seen["segment"] == {"ok", "frozen", "bad"}
 
 
 def _routed(prev, edits) -> bool:
@@ -505,9 +515,6 @@ def _check_edit(prev, edits):
         assert record.key is None or q.entries[record.key] == start
     else:
         assert not _routed(prev, edits)
-    # Every row of q fits it, which is what lets q's own edits check only
-    # the rows they write.
-    assert q.rows_fit() and SolverProgram(q.instructions, q.entries).rows_fit()
     return outcome
 
 
